@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz ci bench bench-join bench-shard bench-plan clean
+.PHONY: all build test race vet fmt fuzz ci bench bench-join bench-plan clean
 
 all: build
 
@@ -23,6 +23,7 @@ fuzz:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTriples$$' -fuzztime 20s ./internal/rdf
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeJoinRequest$$' -fuzztime 20s ./internal/server
 	$(GO) test -run '^$$' -fuzz '^FuzzDecodeAskRequest$$' -fuzztime 20s ./internal/server
+	$(GO) test -run '^$$' -fuzz '^FuzzJoinOracle$$' -fuzztime 20s ./internal/core
 
 vet:
 	$(GO) vet ./...
@@ -41,14 +42,10 @@ bench:
 	$(GO) test -bench . -benchtime 2x -run '^$$' .
 
 # Join hot-path benchmarks, averaged over several runs, emitted as
-# machine-readable BENCH_join.json (see scripts/bench.sh for knobs).
+# machine-readable BENCH_join.json (see scripts/bench.sh for knobs; set
+# SHARD_MILESTONE to also measure the milestone workload fraction).
 bench-join:
 	./scripts/bench.sh
-
-# Sharded vs single-engine join benchmarks, emitted as BENCH_shard.json
-# (set SHARD_MILESTONE to also measure the milestone workload fraction).
-bench-shard:
-	./scripts/bench_shard.sh
 
 # Adaptive-planner vs static-chain benchmarks, emitted as BENCH_plan.json
 # (see scripts/bench_plan.sh for knobs).

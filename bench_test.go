@@ -13,6 +13,8 @@ package simjoin
 
 import (
 	"math/rand"
+	"os"
+	"strconv"
 	"testing"
 
 	"simjoin/internal/core"
@@ -342,50 +344,12 @@ func BenchmarkJoinIndexedER(b *testing.B) {
 	}
 }
 
-// BenchmarkJoinERBlock is BenchmarkJoinER with the block-screening stage on:
-// the uncertain side packed into SoA blocks and every query screened against
-// whole blocks before any per-pair bound runs.
-func BenchmarkJoinERBlock(b *testing.B) {
-	cfg := workload.DefaultSyntheticConfig()
-	cfg.Count = 15
-	d, u := workload.ER(cfg)
-	opts := core.DefaultOptions()
-	opts.Tau = 2
-	opts.Alpha = 0.5
-	opts.BlockSize = filter.DefaultBlockSize
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Join(d, u, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJoinIndexedERBlock is BenchmarkJoinIndexedER with block screening
-// replacing the index's per-graph prescreen scan.
-func BenchmarkJoinIndexedERBlock(b *testing.B) {
-	cfg := workload.DefaultSyntheticConfig()
-	cfg.Count = 15
-	d, u := workload.ER(cfg)
-	idx := core.BuildIndex(d)
-	opts := core.DefaultOptions()
-	opts.Tau = 2
-	opts.Alpha = 0.5
-	opts.BlockSize = filter.DefaultBlockSize
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.JoinIndexed(idx, u, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJoinERScreen and its Block twin isolate the screening-bound
+// BenchmarkJoinERScreen and its indexed twin isolate the screening-bound
 // regime: a 240×240 ER join at tau=0, alpha=0.9 in CSS-only mode prunes
 // essentially every one of its 57.6k pairs, so wall-clock is dominated by the
-// cost of *deciding* pairs rather than verifying survivors. The scalar path
-// pays the per-pair chain for each pair; the block path answers whole
-// 256-graph blocks with the word-parallel SoA kernels first.
+// cost of *deciding* pairs rather than verifying survivors. The cross product
+// pays the per-pair chain for each pair; the index answers most of them with
+// its size-run sweep before any bound runs.
 func BenchmarkJoinERScreen(b *testing.B) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.Count = 240
@@ -402,21 +366,79 @@ func BenchmarkJoinERScreen(b *testing.B) {
 	}
 }
 
-func BenchmarkJoinERScreenBlock(b *testing.B) {
+func BenchmarkJoinIndexedERScreen(b *testing.B) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.Count = 240
 	d, u := workload.ER(cfg)
+	idx := core.BuildIndex(d)
 	opts := core.DefaultOptions()
 	opts.Tau = 0
 	opts.Alpha = 0.9
 	opts.Mode = core.ModeCSSOnly
-	opts.BlockSize = filter.DefaultBlockSize
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, _, err := core.Join(d, u, opts); err != nil {
+		if _, _, err := core.JoinIndexed(idx, u, opts); err != nil {
 			b.Fatal(err)
 		}
 	}
+}
+
+// scaledBenchOptions is the template-workload join configuration: one worker,
+// so the numbers measure candidate generation and the chain, not
+// parallelism. The template workload's uncertain vertices hold the true label
+// at confidence 2/3, so exact-copy pairs land near SimP 0.74; alpha 0.5 keeps
+// them in the result set.
+func scaledBenchOptions() core.Options {
+	opts := core.DefaultOptions()
+	opts.Tau = 1
+	opts.Alpha = 0.5
+	opts.Mode = core.ModeSimJ
+	opts.Workers = 1
+	opts.KeepMappings = false
+	return opts
+}
+
+// runScaledBench times BuildIndex + JoinIndexed on one template workload,
+// reporting pairs/s and the result count alongside ns/op.
+func runScaledBench(b *testing.B, d []*graph.Graph, u []*ugraph.Graph) {
+	b.Helper()
+	opts := scaledBenchOptions()
+	var results int
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		pairs, _, err := core.JoinIndexed(core.BuildIndex(d), u, opts)
+		if err != nil {
+			b.Fatal(err)
+		}
+		results = len(pairs)
+	}
+	b.ReportMetric(float64(len(d))*float64(len(u))*float64(b.N)/b.Elapsed().Seconds(), "pairs/s")
+	b.ReportMetric(float64(results), "results")
+}
+
+// BenchmarkJoinIndexedScaled is the smoke-size template workload
+// (10^3 × 10^2, workload.SmokeScaledConfig).
+func BenchmarkJoinIndexedScaled(b *testing.B) {
+	d, u := workload.Scaled(workload.SmokeScaledConfig())
+	runScaledBench(b, d, u)
+}
+
+// BenchmarkJoinIndexedScaledMilestone is the 10^6 × 10^5 milestone template
+// workload at the fraction named by SHARD_MILESTONE (e.g. 0.02 for
+// 2·10^4 × 2·10^3, 1 for the full run); it skips when the variable is unset,
+// since even small fractions are beyond a routine benchmark budget.
+func BenchmarkJoinIndexedScaledMilestone(b *testing.B) {
+	frac := os.Getenv("SHARD_MILESTONE")
+	if frac == "" {
+		b.Skip("set SHARD_MILESTONE to a milestone fraction (e.g. 0.02, or 1 for the full 10^6 x 10^5 run)")
+	}
+	f, err := strconv.ParseFloat(frac, 64)
+	if err != nil || f <= 0 || f > 1 {
+		b.Fatalf("SHARD_MILESTONE=%q: want a fraction in (0, 1]", frac)
+	}
+	d, u := workload.Scaled(workload.MilestoneScaledConfig().WithScale(f))
+	b.Logf("milestone fraction %v: |D|=%d |U|=%d", f, len(d), len(u))
+	runScaledBench(b, d, u)
 }
 
 func BenchmarkJoinTopK(b *testing.B) {
@@ -476,34 +498,6 @@ func BenchmarkFilterChainSig(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		eval(qsigs[i%len(qsigs)], gsigs[(i/len(qsigs))%len(gsigs)])
 	}
-}
-
-// BenchmarkBlockScreen measures the SoA block kernel itself: one query
-// signature screened against blocks of 256 uncertain graphs (size, label
-// overlap and mass screens with a survivor bitmap), i.e. the per-pair cost of
-// the block stage. Expected: 0 allocs/op.
-func BenchmarkBlockScreen(b *testing.B) {
-	cfg := workload.DefaultSyntheticConfig()
-	cfg.Count = 512 // two full blocks on the uncertain side
-	d, u := workload.ER(cfg)
-	qsigs := filter.NewQSigs(d[:8])
-	set := filter.NewGBlockSet(u, filter.DefaultBlockSize)
-	var sc filter.BlockScratch
-	screen := func() {
-		for _, qs := range qsigs {
-			for bi := 0; bi < set.NumBlocks(); bi++ {
-				set.Block(bi).Screen(qs, 2, 0.5, &sc)
-			}
-		}
-	}
-	screen() // warm the scratch
-	pairs := int64(len(qsigs)) * int64(len(u))
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		screen()
-	}
-	b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(int64(b.N)*pairs), "ns/pair")
 }
 
 // BenchmarkWorldLowerBound measures the per-possible-world CSS pre-check of

@@ -59,7 +59,6 @@ func usage() {
   fig13    effect of group number (SF)   fig14   effect of |L(v)| (ER)
   fig15    filter comparison (AIDS)      fig17   correct pairs by #relations
   fig18    failure analysis              ablations  A1..A4
-  shardscale  sharded vs single-engine join scaling
   all      everything above`)
 }
 
@@ -69,19 +68,18 @@ func run(name string, s experiments.Scale) error {
 		fn    func() (*metrics.Table, error)
 	}
 	exps := map[string]tableExp{
-		"table2":     {"Table 2: dataset statistics", func() (*metrics.Table, error) { return experiments.Table2Datasets(s) }},
-		"table3":     {"Table 3: effect of GED threshold tau (alpha=0.9)", func() (*metrics.Table, error) { return experiments.Table3EffectTau(s) }},
-		"table4":     {"Table 4: Q/A results compared with other systems", func() (*metrics.Table, error) { return experiments.Table4QASystems(s) }},
-		"table5":     {"Table 5: effect of matching proportion phi", func() (*metrics.Table, error) { return experiments.Table5MatchProportion(s) }},
-		"fig9":       {"Fig 9: effect of similarity probability threshold alpha (tau=1)", func() (*metrics.Table, error) { return experiments.Fig9EffectAlpha(s) }},
-		"fig11":      {"Fig 11: effect of alpha on efficiency (WebQ)", func() (*metrics.Table, error) { return experiments.Fig11AlphaEfficiency(s) }},
-		"fig12":      {"Fig 12: effect of tau on efficiency (ER)", func() (*metrics.Table, error) { return experiments.Fig12TauEfficiency(s, 5) }},
-		"fig13":      {"Fig 13: effect of group number GN (SF)", func() (*metrics.Table, error) { return experiments.Fig13GroupNumber(s) }},
-		"fig14":      {"Fig 14: effect of |L(v)| (ER)", func() (*metrics.Table, error) { return experiments.Fig14LabelCount(s) }},
-		"fig15":      {"Fig 15: comparison with existing filters (AIDS)", func() (*metrics.Table, error) { return experiments.Fig15FilterComparison(s, 5) }},
-		"fig17":      {"Fig 17: proportion of correct pairs by relation count k", func() (*metrics.Table, error) { return experiments.Fig17RelationCount(s) }},
-		"fig18":      {"Fig 18: failure analysis (tau=1)", func() (*metrics.Table, error) { return experiments.Fig18FailureAnalysis(s) }},
-		"shardscale": {"Sharded join scaling (template workload)", func() (*metrics.Table, error) { return experiments.ShardScale(s) }},
+		"table2": {"Table 2: dataset statistics", func() (*metrics.Table, error) { return experiments.Table2Datasets(s) }},
+		"table3": {"Table 3: effect of GED threshold tau (alpha=0.9)", func() (*metrics.Table, error) { return experiments.Table3EffectTau(s) }},
+		"table4": {"Table 4: Q/A results compared with other systems", func() (*metrics.Table, error) { return experiments.Table4QASystems(s) }},
+		"table5": {"Table 5: effect of matching proportion phi", func() (*metrics.Table, error) { return experiments.Table5MatchProportion(s) }},
+		"fig9":   {"Fig 9: effect of similarity probability threshold alpha (tau=1)", func() (*metrics.Table, error) { return experiments.Fig9EffectAlpha(s) }},
+		"fig11":  {"Fig 11: effect of alpha on efficiency (WebQ)", func() (*metrics.Table, error) { return experiments.Fig11AlphaEfficiency(s) }},
+		"fig12":  {"Fig 12: effect of tau on efficiency (ER)", func() (*metrics.Table, error) { return experiments.Fig12TauEfficiency(s, 5) }},
+		"fig13":  {"Fig 13: effect of group number GN (SF)", func() (*metrics.Table, error) { return experiments.Fig13GroupNumber(s) }},
+		"fig14":  {"Fig 14: effect of |L(v)| (ER)", func() (*metrics.Table, error) { return experiments.Fig14LabelCount(s) }},
+		"fig15":  {"Fig 15: comparison with existing filters (AIDS)", func() (*metrics.Table, error) { return experiments.Fig15FilterComparison(s, 5) }},
+		"fig17":  {"Fig 17: proportion of correct pairs by relation count k", func() (*metrics.Table, error) { return experiments.Fig17RelationCount(s) }},
+		"fig18":  {"Fig 18: failure analysis (tau=1)", func() (*metrics.Table, error) { return experiments.Fig18FailureAnalysis(s) }},
 	}
 
 	printTable := func(title string, t *metrics.Table) error {
@@ -109,7 +107,7 @@ func run(name string, s experiments.Scale) error {
 		return runAblations(s, printTable)
 	case "all":
 		for _, key := range []string{"table2", "table3", "fig9", "fig10", "fig11", "fig12",
-			"fig13", "fig14", "fig15", "table4", "table5", "fig17", "fig18", "shardscale"} {
+			"fig13", "fig14", "fig15", "table4", "table5", "fig17", "fig18"} {
 			if key == "fig10" {
 				if err := run("fig10", s); err != nil {
 					return err

@@ -39,11 +39,7 @@ func main() {
 		alpha     = flag.Float64("alpha", 0.9, "similarity probability threshold")
 		mode      = flag.String("mode", "opt", "pruning mode: css|simj|opt")
 		filters   = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob', or 'auto' to reorder the mode's chain online by measured effective cost (bounds: "+strings.Join(filter.BoundNames(), ", ")+")")
-		planFlag  = flag.String("plan", "", "cost-based planning: 'auto' (adaptive chain + source selection), 'chain' (adaptive chain only), 'source' (cardinality-aware source selection only)")
 		gn        = flag.Int("gn", 10, "possible-world group count (opt mode)")
-		blockSize = flag.Int("block-size", 0, "screen whole blocks of this many uncertain graphs with the SoA bit kernels before any per-pair bound (0 = scalar path)")
-		shards    = flag.Int("shards", 0, "partition both workload sides into this many banded shards, each its own join pipeline with a dedup merge stage (0/1 = single engine)")
-		bands     = flag.Int("bands", 4, "signature bands per shard key (with -shards; more bands smooth shard imbalance)")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		show      = flag.Int("show", 5, "matched pairs to print")
 		dump      = flag.String("dump", "", "save the generated QA workload to this directory and exit")
@@ -157,7 +153,7 @@ func main() {
 	// kills the process the default way (stop() restores default handling).
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *wl, *tau, *alpha, *mode, *filters, *planFlag, *gn, *blockSize, *shards, *bands, experiments.Scale(*scale), *show, obsCfg, robust); err != nil {
+	if err := run(ctx, *wl, *tau, *alpha, *mode, *filters, *gn, experiments.Scale(*scale), *show, obsCfg, robust); err != nil {
 		fmt.Fprintln(os.Stderr, "simjoin:", err)
 		os.Exit(1)
 	}
@@ -181,14 +177,11 @@ type obsConfig struct {
 	progress    time.Duration
 }
 
-func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filters, planName string, gn, blockSize, shards, bands int, scale experiments.Scale, show int, oc obsConfig, rc robustConfig) error {
+func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filters string, gn int, scale experiments.Scale, show int, oc obsConfig, rc robustConfig) error {
 	opts := core.DefaultOptions()
 	opts.Tau = tau
 	opts.Alpha = alpha
 	opts.GroupCount = gn
-	opts.BlockSize = blockSize
-	opts.Shards = shards
-	opts.Bands = bands
 	opts.Fallback = rc.fallback
 	opts.PairDeadline = rc.pairDeadline
 	opts.Watchdog = rc.watchdog
@@ -248,25 +241,11 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 	default:
 		return fmt.Errorf("unknown mode %q", modeName)
 	}
-	var planCfg *plan.Config
-	switch planName {
-	case "":
-	case "auto":
-		planCfg = plan.Auto()
-	case "chain":
-		planCfg = plan.AutoChain()
-	case "source":
-		planCfg = plan.AutoSource()
-	default:
-		return fmt.Errorf("unknown -plan %q (want auto, chain or source)", planName)
-	}
 	switch {
 	case filters == "auto":
 		// Keep the mode's chain but let the optimizer reorder it online.
-		if planCfg == nil {
-			planCfg = plan.AutoChain()
-		}
-		planCfg.Chain = true
+		opts.Planner = plan.AutoChain()
+		chainDesc += " (adaptive)"
 	case filters != "":
 		chain, err := filter.ParseChain(filters)
 		if err != nil {
@@ -278,10 +257,6 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 			names[i] = b.Name()
 		}
 		chainDesc = strings.Join(names, ",")
-	}
-	opts.Planner = planCfg
-	if planCfg != nil && planCfg.Chain {
-		chainDesc += " (adaptive)"
 	}
 
 	var (
@@ -327,31 +302,10 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 		return fmt.Errorf("unknown workload %q", wl)
 	}
 
-	if blockSize > 0 {
-		// The block screen runs ahead of every per-pair bound; show it at the
-		// head of the stage order.
-		chainDesc = fmt.Sprintf("block(%d),%s", blockSize, chainDesc)
-	}
-	if shards > 1 {
-		// Banded candidate generation runs ahead of everything else.
-		chainDesc = fmt.Sprintf("shard(%dx%d),%s", shards, bands, chainDesc)
-	}
 	fmt.Printf("joining |D|=%d certain graphs with |U|=%d uncertain graphs (tau=%d alpha=%v mode=%s filters=%s)\n",
 		len(d), len(u), opts.Tau, opts.Alpha, opts.Mode, chainDesc)
 	start := time.Now()
-	var (
-		pairs []core.Pair
-		st    core.Stats
-		per   []core.Stats
-		err   error
-	)
-	if shards > 1 {
-		// The sharded entry point also surfaces the per-shard stats the
-		// merge-stage balance table in -explain reports.
-		pairs, st, per, err = core.ShardedJoinStats(ctx, d, u, opts)
-	} else {
-		pairs, st, err = core.JoinContext(ctx, d, u, opts)
-	}
+	pairs, st, err := core.JoinContext(ctx, d, u, opts)
 	if err != nil {
 		// An interrupted run still flushes its artifacts — the partial
 		// event log, trace and stats are exactly what a post-mortem needs.
@@ -397,13 +351,9 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 	if oc.explain {
 		fmt.Println()
 		core.WriteExplain(os.Stdout, &st, reg.Snapshot())
-		if len(per) > 0 {
+		if opts.Planner != nil {
 			fmt.Println()
-			core.WriteShardTable(os.Stdout, per)
-		}
-		if planCfg != nil {
-			fmt.Println()
-			core.WritePlanReport(os.Stdout, planCfg, &st)
+			core.WritePlanReport(os.Stdout, opts.Planner, &st)
 		}
 	}
 	if err := flushArtifacts(oc, &st, reg, tr, opts.Events, eventsFile); err != nil {

@@ -1,5 +1,5 @@
 // Command simjoind is the resident join service: it loads a workload once,
-// keeps the uncertain side's signatures and blocks warm in memory, and then
+// keeps the uncertain side's signatures warm in memory, and then
 // serves delta joins (POST /join) and template-based question answering
 // (POST /ask) behind the overload envelope of internal/server — bounded
 // admission, pressure-driven degradation down the verdict ladder, retry on
@@ -42,15 +42,12 @@ import (
 
 func main() {
 	var (
-		wl        = flag.String("workload", "er", "workload: er|sf|qald|webq|mm")
-		tau       = flag.Int("tau", 2, "GED threshold")
-		alpha     = flag.Float64("alpha", 0.5, "similarity probability threshold")
-		filters   = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob', or 'auto' to reorder the chain online by measured effective cost (bounds: "+strings.Join(filter.BoundNames(), ", ")+"); per-request \"filters\" fields override this")
-		blockSize = flag.Int("block-size", 0, "SoA block-screening width (0 = scalar path)")
-		shards    = flag.Int("shards", 0, "route the resident side across this many banded shards; delta joins walk it shard by shard (0/1 = unsharded)")
-		bands     = flag.Int("bands", 4, "signature bands per shard key (with -shards)")
-		scale     = flag.Float64("scale", 1.0, "workload scale factor")
-		minPhi    = flag.Float64("phi", 0.5, "minimum template matching proportion (QA workloads)")
+		wl      = flag.String("workload", "er", "workload: er|sf|qald|webq|mm")
+		tau     = flag.Int("tau", 2, "GED threshold")
+		alpha   = flag.Float64("alpha", 0.5, "similarity probability threshold")
+		filters = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob', or 'auto' to reorder the chain online by measured effective cost (bounds: "+strings.Join(filter.BoundNames(), ", ")+"); per-request \"filters\" fields override this")
+		scale   = flag.Float64("scale", 1.0, "workload scale factor")
+		minPhi  = flag.Float64("phi", 0.5, "minimum template matching proportion (QA workloads)")
 
 		addr     = flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripted boots)")
@@ -105,7 +102,6 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Tau = *tau
 	opts.Alpha = *alpha
-	opts.BlockSize = *blockSize
 	switch {
 	case *filters == "auto":
 		opts.Planner = plan.AutoChain()
@@ -119,12 +115,12 @@ func main() {
 
 	fmt.Fprintf(os.Stderr, "simjoind: loading workload %q (scale %v)...\n", *wl, *scale)
 	start := time.Now()
-	samples, resident, qsys, err := loadWorkload(*wl, experiments.Scale(*scale), *minPhi, *shards, *bands, reg, tr)
+	samples, resident, qsys, err := loadWorkload(*wl, experiments.Scale(*scale), *minPhi, reg, tr)
 	if err != nil {
 		fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "simjoind: resident side ready: %d uncertain graphs across %d shard(s), %d sample queries, qa=%v (%v)\n",
-		resident.Len(), resident.Shards(), len(samples), qsys != nil, time.Since(start).Round(time.Millisecond))
+	fmt.Fprintf(os.Stderr, "simjoind: resident side ready: %d uncertain graphs, %d sample queries, qa=%v (%v)\n",
+		resident.Len(), len(samples), qsys != nil, time.Since(start).Round(time.Millisecond))
 
 	srv := server.New(server.Config{
 		Resident:       resident,
@@ -201,15 +197,7 @@ func main() {
 // loadWorkload builds the service's state: the resident uncertain side, the
 // sample query graphs for /sample, and (QA workloads only) a trained
 // template system for /ask.
-func loadWorkload(wl string, scale experiments.Scale, minPhi float64, shards, bands int, reg *obs.Registry, tr *obs.Tracer) ([]*graph.Graph, *core.Resident, qa.System, error) {
-	// makeResident routes the resident side across banded shards when asked;
-	// results are identical either way (routing only reorders the feed).
-	makeResident := func(u []*ugraph.Graph) *core.Resident {
-		if shards > 1 {
-			return core.NewShardedResident(u, shards, bands)
-		}
-		return core.NewResident(u)
-	}
+func loadWorkload(wl string, scale experiments.Scale, minPhi float64, reg *obs.Registry, tr *obs.Tracer) ([]*graph.Graph, *core.Resident, qa.System, error) {
 	switch wl {
 	case "er", "sf":
 		cfg := workload.DefaultSyntheticConfig()
@@ -221,7 +209,7 @@ func loadWorkload(wl string, scale experiments.Scale, minPhi float64, shards, ba
 		} else {
 			d, u = workload.SF(cfg)
 		}
-		return d, makeResident(u), nil, nil
+		return d, core.NewResident(u), nil, nil
 	case "qald", "webq", "mm":
 		var cfg workload.QAConfig
 		switch wl {
@@ -252,7 +240,7 @@ func loadWorkload(wl string, scale experiments.Scale, minPhi float64, shards, ba
 		sys := qa.Instrument(&qa.TemplateSystem{
 			Store: store, Lex: w.KB.Lexicon, KB: w.KB.Store, MinPhi: minPhi,
 		}, reg, tr)
-		return p.D, makeResident(p.U), sys, nil
+		return p.D, core.NewResident(p.U), sys, nil
 	default:
 		return nil, nil, nil, fmt.Errorf("unknown workload %q", wl)
 	}

@@ -51,10 +51,12 @@ func catalogKey(name string) string {
 	return base
 }
 
-// TestCatalogCoversJoinInstruments keeps DESIGN.md §12 honest: every metric a
-// fully instrumented join publishes, and every key of an emitted event-log
-// record, must appear in the catalog. An instrument added without
-// documentation fails here.
+// TestCatalogCoversJoinInstruments keeps DESIGN.md §12 honest in both
+// directions: every metric a fully instrumented join publishes, and every key
+// of an emitted event-log record, must appear in the catalog (an instrument
+// added without documentation fails here), and every simjoin_* metric the
+// catalog documents must be published by one of the joins below (an
+// instrument deleted from the code must leave the catalog too).
 func TestCatalogCoversJoinInstruments(t *testing.T) {
 	catalog := designSection12(t)
 
@@ -68,6 +70,14 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	opts.Tracer = obs.NewTracer(256)
 	opts.Events = obs.NewEventLog(&events, 1)
 	if _, _, err := Join(d, u, opts); err != nil {
+		t.Fatal(err)
+	}
+	// The index feed and the adaptive chain publish into the same registry.
+	iopts := opts
+	iopts.Events = nil
+	iopts.Mode = ModeSimJ
+	iopts.Planner = fastAdaptive()
+	if _, _, err := JoinIndexed(BuildIndex(d), u, iopts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -85,9 +95,17 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("instrumented join published no metrics")
 	}
+	published := map[string]bool{}
 	for _, name := range names {
-		if key := catalogKey(name); !strings.Contains(catalog, key) {
+		key := catalogKey(name)
+		published[key] = true
+		if !strings.Contains(catalog, key) {
 			t.Errorf("metric %q (catalog key %q) missing from DESIGN.md §12", name, key)
+		}
+	}
+	for _, m := range regexp.MustCompile("`(simjoin_[a-z0-9_<>]+)").FindAllStringSubmatch(catalog, -1) {
+		if !published[m[1]] {
+			t.Errorf("DESIGN.md §12 documents %q, which no instrumented join published", m[1])
 		}
 	}
 

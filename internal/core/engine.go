@@ -69,16 +69,6 @@ func NewCrossSource(d []*graph.Graph, u []*ugraph.Graph) CandidateSource {
 	return newCrossSource(d, u)
 }
 
-// sourceFinisher lets a CandidateSource own the Stats attribution of the
-// pairs it skipped: after the workers drain, the engine hands the source the
-// run's Stats and the total skip count, and the source books them under the
-// right counters (the block stage splits structural from mass prunes, the
-// sharded source adds its band telemetry). Sources without the interface get
-// the default index-prescreen attribution.
-type sourceFinisher interface {
-	finishSource(total *Stats, skipped int64)
-}
-
 // testPairHook, when non-nil, is called by every engine worker after
 // processing a pair, with the worker's index. Tests install it to assert that
 // pair processing really fans out across the configured workers, and to
@@ -96,11 +86,6 @@ func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair,
 	chain, err := opts.chain()
 	if err != nil {
 		return nil, Stats{}, err
-	}
-	if opts.BlockSize > 0 {
-		if b := newBlockSource(src, opts.BlockSize); b != nil {
-			src = b
-		}
 	}
 	jo := newJoinObs(&opts)
 	jo.startPlanner(&opts, chain)
@@ -189,12 +174,8 @@ func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair,
 	wg.Wait()
 
 	total.Pairs += skipped
-	if f, ok := src.(sourceFinisher); ok {
-		f.finishSource(&total, skipped)
-	} else {
-		total.CSSPruned += skipped // prescreens are implied by the CSS stage
-		total.IndexSkipped += skipped
-	}
+	total.CSSPruned += skipped // prescreens are implied by the CSS stage
+	total.IndexSkipped += skipped
 	jo.finishPlanner(&opts, &total)
 	finishStats(&total, jo)
 	if err := ctx.Err(); err != nil {
@@ -223,19 +204,13 @@ type crossSource struct {
 }
 
 func newCrossSource(d []*graph.Graph, u []*ugraph.Graph) *crossSource {
-	return newCrossSourceSigs(d, filter.NewQSigs(d), u)
-}
-
-// newCrossSourceSigs is newCrossSource reusing query signatures the caller
-// already built (the source planner computes them for its estimate).
-func newCrossSourceSigs(d []*graph.Graph, qsigs []*filter.QSig, u []*ugraph.Graph) *crossSource {
 	qis := make([]int, len(d))
 	for i := range qis {
 		qis[i] = i
 	}
 	return &crossSource{
 		d:     d,
-		qsigs: qsigs,
+		qsigs: filter.NewQSigs(d),
 		u:     u,
 		gsigs: filter.NewGSigs(u),
 		qis:   qis,
@@ -276,12 +251,12 @@ func (s *indexSource) Queries() ([]*graph.Graph, []*filter.QSig) { return s.idx.
 func (s *indexSource) TotalPairs() int64 { return int64(s.idx.Len()) * int64(len(s.u)) }
 
 func (s *indexSource) Feed(ctx context.Context, opts *Options, emit func(Batch) bool, skip func(int64)) {
-	var gSet graph.LabelSet // label-set scratch, reused across graphs
+	var sc indexScratch // sweep scratch, reused across graphs
 	for gi, g := range s.u {
 		if ctx.Err() != nil {
 			return
 		}
-		cands := s.idx.candidates(g, opts.Tau, &gSet)
+		cands := s.idx.candidates(g, opts.Tau, &sc)
 		skip(int64(s.idx.Len() - len(cands)))
 		if len(cands) == 0 {
 			continue

@@ -262,8 +262,6 @@ var statsCounterSpec = []struct {
 	{"simjoin_early_accepts_total", func(s *Stats) *int64 { return &s.EarlyAccepts }},
 	{"simjoin_early_rejects_total", func(s *Stats) *int64 { return &s.EarlyRejects }},
 	{"simjoin_index_skipped_total", func(s *Stats) *int64 { return &s.IndexSkipped }},
-	{"simjoin_band_probes_total", func(s *Stats) *int64 { return &s.BandProbes }},
-	{"simjoin_band_dupes_total", func(s *Stats) *int64 { return &s.BandDupes }},
 	{"simjoin_sampled_pairs_total", func(s *Stats) *int64 { return &s.SampledPairs }},
 	{"simjoin_exact_pairs_total", func(s *Stats) *int64 { return &s.ExactPairs }},
 	{"simjoin_approx_pairs_total", func(s *Stats) *int64 { return &s.ApproxPairs }},
@@ -324,9 +322,7 @@ func StatsFromSnapshot(snap obs.Snapshot) Stats {
 	for _, c := range statsDurationSpec {
 		*c.fld(&s) = time.Duration(snap.Counters[c.name])
 	}
-	// The block-screening stage is not a registry bound but publishes through
-	// the same pruned-by family; scan it alongside the registered names.
-	for _, bound := range append(filter.BoundNames(), blockStageName) {
+	for _, bound := range filter.BoundNames() {
 		if n := snap.Counters[prunedByMetric(bound)]; n != 0 {
 			if s.PrunedBy == nil {
 				s.PrunedBy = make(map[string]int64)

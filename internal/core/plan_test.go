@@ -2,6 +2,7 @@ package core
 
 import (
 	"bytes"
+	"context"
 	"fmt"
 	"reflect"
 	"strings"
@@ -12,13 +13,12 @@ import (
 
 // fastAdaptive returns a planner config whose epochs are short enough for the
 // small test workloads to warm up, reorder, and re-check several times.
-func fastAdaptive(strata int) *plan.Config {
+func fastAdaptive() *plan.Config {
 	return &plan.Config{
 		Chain:       true,
 		WarmupPairs: 8,
 		EpochPairs:  16,
 		SampleEvery: 4,
-		Strata:      strata,
 		Report:      &plan.Report{},
 	}
 }
@@ -46,48 +46,45 @@ func invariantStats(st *Stats) map[string]int64 {
 	}
 }
 
-// TestAdaptiveChainMatchesStatic is the equivalence suite of the adaptive
-// chain optimizer: across modes × block sizes × shard counts, the adaptive
-// run must return byte-identical results and identical invariant counters to
-// the static chain. Run under -race -shuffle=on this also exercises the
-// controller's concurrent hot path.
+// TestAdaptiveChainMatchesStatic pins the adaptive chain's counter
+// identity: across modes and both candidate feeds, the adaptive run must
+// return byte-identical results and identical invariant counters to the
+// static chain, with the prune partition intact. Run under -race
+// -shuffle=on this also exercises the controller's concurrent hot path.
 func TestAdaptiveChainMatchesStatic(t *testing.T) {
 	d, u := smallWorkload(42, 24, 24)
+	idx := BuildIndex(d)
+	feeds := map[string]func(Options) ([]Pair, Stats, error){
+		"cross":   func(o Options) ([]Pair, Stats, error) { return Join(d, u, o) },
+		"indexed": func(o Options) ([]Pair, Stats, error) { return JoinIndexedContext(context.Background(), idx, u, o) },
+	}
 	for _, mode := range []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt} {
-		for _, block := range []int{0, 64} {
-			for _, shards := range []int{1, 8} {
-				for _, strata := range []int{1, 2} {
-					if strata == 2 && (block != 0 || shards != 1) {
-						continue // one stratified case is enough
-					}
-					opts := Options{Tau: 2, Alpha: 0.5, Mode: mode, GroupCount: 4,
-						Workers: 4, BlockSize: block, Shards: shards}
-					want, wantSt, err := Join(d, u, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					opts.Planner = fastAdaptive(strata)
-					got, gotSt, err := Join(d, u, opts)
-					if err != nil {
-						t.Fatal(err)
-					}
-					name := fmt.Sprintf("mode=%v block=%d shards=%d strata=%d", mode, block, shards, strata)
-					assertSamePairs(t, name, got, want)
-					wi, gi := invariantStats(&wantSt), invariantStats(&gotSt)
-					if !reflect.DeepEqual(gi, wi) {
-						t.Fatalf("%s: invariant stats differ:\nstatic   %v\nadaptive %v", name, wi, gi)
-					}
-					// The partition identities must hold on the adaptive run too.
-					if gotSt.CSSPruned+gotSt.ProbPruned+gotSt.Candidates != gotSt.Pairs {
-						t.Fatalf("%s: prune partition broken: %d+%d+%d != %d", name,
-							gotSt.CSSPruned, gotSt.ProbPruned, gotSt.Candidates, gotSt.Pairs)
-					}
-					// ModeCSSOnly's single-bound chain has nothing to reorder;
-					// every multi-bound chain must have run epochs.
-					if mode != ModeCSSOnly && gotSt.PlanEpochs == 0 {
-						t.Fatalf("%s: adaptive run recorded no epochs", name)
-					}
-				}
+		for feed, run := range feeds {
+			opts := Options{Tau: 2, Alpha: 0.5, Mode: mode, GroupCount: 4, Workers: 4}
+			want, wantSt, err := run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			opts.Planner = fastAdaptive()
+			got, gotSt, err := run(opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			name := fmt.Sprintf("mode=%v feed=%s", mode, feed)
+			assertSamePairs(t, name, got, want)
+			wi, gi := invariantStats(&wantSt), invariantStats(&gotSt)
+			if !reflect.DeepEqual(gi, wi) {
+				t.Fatalf("%s: invariant stats differ:\nstatic   %v\nadaptive %v", name, wi, gi)
+			}
+			// The partition identities must hold on the adaptive run too.
+			if gotSt.CSSPruned+gotSt.ProbPruned+gotSt.Candidates != gotSt.Pairs {
+				t.Fatalf("%s: prune partition broken: %d+%d+%d != %d", name,
+					gotSt.CSSPruned, gotSt.ProbPruned, gotSt.Candidates, gotSt.Pairs)
+			}
+			// ModeCSSOnly's single-bound chain has nothing to reorder;
+			// every multi-bound chain must have run epochs.
+			if mode != ModeCSSOnly && gotSt.PlanEpochs == 0 {
+				t.Fatalf("%s: adaptive run recorded no epochs", name)
 			}
 		}
 	}
@@ -98,7 +95,7 @@ func TestAdaptiveChainMatchesStatic(t *testing.T) {
 // that prune nothing must adopt an order with the selective css bound first.
 func TestAdaptiveChainHoistsSelectiveBound(t *testing.T) {
 	d, u := smallWorkload(7, 24, 24)
-	cfg := fastAdaptive(1)
+	cfg := fastAdaptive()
 	opts := Options{Tau: 0, Alpha: 0.9, Mode: ModeSimJ, Workers: 2,
 		FilterChain: defaultChain("count", "lm", "css", "prob"), Planner: cfg}
 	_, st, err := Join(d, u, opts)
@@ -126,83 +123,17 @@ func TestAdaptiveChainHoistsSelectiveBound(t *testing.T) {
 	if !changed {
 		t.Fatalf("reorders=%d but every reported order is still the static %q", reorders, static)
 	}
-}
-
-// TestPlannedJoinMatchesJoin drives every row of the source-planner decision
-// table (by skewing the thresholds) and asserts each chosen source returns
-// exactly what the plain cross-product join returns.
-func TestPlannedJoinMatchesJoin(t *testing.T) {
-	d, u := smallWorkload(11, 12, 12)
-	want, _, err := Join(d, u, Options{Tau: 1, Alpha: 0.5, Mode: ModeSimJ, Workers: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	huge := int64(1) << 40
-	cases := []struct {
-		name string
-		cfg  plan.Config
-		want plan.Source
-	}{
-		{"sharded", plan.Config{Source: true, ShardPairs: 1, ShardCount: 4}, plan.SourceSharded},
-		{"cross", plan.Config{Source: true, ShardPairs: huge, CrossRatio: 1e-9}, plan.SourceCross},
-		{"block", plan.Config{Source: true, ShardPairs: huge, CrossRatio: 1.1, BlockRatio: 1, BlockMinGraphs: 1}, plan.SourceBlock},
-		{"indexed", plan.Config{Source: true, ShardPairs: huge, CrossRatio: 1.1, BlockRatio: 1e-12}, plan.SourceIndexed},
-	}
-	for _, tc := range cases {
-		cfg := tc.cfg
-		cfg.Report = &plan.Report{}
-		got, st, err := Join(d, u, Options{Tau: 1, Alpha: 0.5, Mode: ModeSimJ, Workers: 2, Planner: &cfg})
-		if err != nil {
-			t.Fatalf("%s: %v", tc.name, err)
-		}
-		dec := cfg.Report.Decision()
-		if dec == nil || dec.Choice != tc.want {
-			t.Fatalf("%s: decision %+v, want choice %s", tc.name, dec, tc.want)
-		}
-		assertSamePairs(t, tc.name, got, want)
-		if st.Pairs != int64(len(d))*int64(len(u)) {
-			t.Fatalf("%s: pairs %d, want full cross product %d", tc.name, st.Pairs, len(d)*len(u))
-		}
-		var buf bytes.Buffer
-		WritePlanReport(&buf, &cfg, &st)
-		out := buf.String()
-		if !strings.Contains(out, "source: "+string(tc.want)) ||
-			!strings.Contains(out, "prescreen survivors") {
-			t.Fatalf("%s: WritePlanReport output missing decision:\n%s", tc.name, out)
-		}
+	var buf bytes.Buffer
+	WritePlanReport(&buf, cfg, &st)
+	if out := buf.String(); !strings.Contains(out, "adaptive chain: epochs=") || !strings.Contains(out, "order: ") {
+		t.Fatalf("WritePlanReport output missing the adopted order:\n%s", out)
 	}
 }
 
-// TestPlannerRespectsExplicitKnobs pins the precedence rule: caller-set
-// Shards or BlockSize win over the source planner.
-func TestPlannerRespectsExplicitKnobs(t *testing.T) {
-	d, u := smallWorkload(3, 8, 8)
-	cfg := plan.Config{Source: true, ShardPairs: 1, ShardCount: 4, Report: &plan.Report{}}
-	// Explicit BlockSize: the planner must not run (no decision recorded).
-	_, _, err := Join(d, u, Options{Tau: 1, Alpha: 0.5, Mode: ModeSimJ, Workers: 2,
-		BlockSize: 32, Planner: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec := cfg.Report.Decision(); dec != nil {
-		t.Fatalf("explicit BlockSize but planner decided %+v", dec)
-	}
-	// Explicit Shards: same.
-	_, _, err = Join(d, u, Options{Tau: 1, Alpha: 0.5, Mode: ModeSimJ, Workers: 2,
-		Shards: 2, Planner: &cfg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if dec := cfg.Report.Decision(); dec != nil {
-		t.Fatalf("explicit Shards but planner decided %+v", dec)
-	}
-}
-
-// TestStatsMergeFoldsCrossOrderProfiles (satellite: cross-order shard merge)
-// asserts Stats.Merge and ProfileByBound keep eval/prune totals exact when
-// the merged shards profiled the same bounds at *different* chain positions —
-// the shape merged Stats take when engines adopt different adaptive orders or
-// run differently-ordered explicit chains.
+// TestStatsMergeFoldsCrossOrderProfiles asserts Stats.Merge and
+// ProfileByBound keep eval/prune totals exact when the merged joins profiled
+// the same bounds at *different* chain positions — the shape merged Stats
+// take when joins run differently-ordered explicit chains.
 func TestStatsMergeFoldsCrossOrderProfiles(t *testing.T) {
 	a := Stats{BoundProfile: []BoundCost{
 		{Pos: 0, Bound: "css", Evals: 100, Prunes: 90, Nanos: 1000},
@@ -241,59 +172,6 @@ func TestStatsMergeFoldsCrossOrderProfiles(t *testing.T) {
 		w := wantTotals[bc.Bound]
 		if got, want := bc.Selectivity(), float64(w[1])/float64(w[0]); got != want {
 			t.Fatalf("folded %s selectivity %v, want %v", bc.Bound, got, want)
-		}
-	}
-}
-
-// TestShardedAdaptiveProfileFoldsExact runs the same adaptive join at 1 and 8
-// shards and asserts the name-folded profiles agree on prune totals booked
-// against pairs (the attribution identity CSSPruned+ProbPruned is already
-// pinned by the equivalence suite; here the per-shard BoundProfiles — merged
-// across engines that each learned their own order — must stay arithmetically
-// consistent after folding by name).
-func TestShardedAdaptiveProfileFoldsExact(t *testing.T) {
-	d, u := smallWorkload(19, 16, 16)
-	run := func(shards int) Stats {
-		opts := Options{Tau: 1, Alpha: 0.5, Mode: ModeSimJ, Workers: 4,
-			Shards: shards, Planner: fastAdaptive(1)}
-		_, st, err := Join(d, u, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		return st
-	}
-	for _, shards := range []int{1, 8} {
-		st := run(shards)
-		folded := ProfileByBound(st.BoundProfile)
-		var evals, prunes int64
-		for _, bc := range folded {
-			evals += bc.Evals
-			prunes += bc.Prunes
-		}
-		var posEvals, posPrunes int64
-		for _, bc := range st.BoundProfile {
-			posEvals += bc.Evals
-			posPrunes += bc.Prunes
-		}
-		if evals != posEvals || prunes != posPrunes {
-			t.Fatalf("shards=%d: name fold lost counts: %d/%d vs %d/%d",
-				shards, evals, prunes, posEvals, posPrunes)
-		}
-		// Every pair pruned by the chain was booked by exactly one bound in
-		// PrunedBy; the sharded source's prescreen skips land in CSSPruned +
-		// IndexSkipped without a PrunedBy entry. The profile saw at least as
-		// many pruning evaluations as attributed prunes (measured pairs may
-		// record several bounds firing on one pair).
-		var attributed int64
-		for _, n := range st.PrunedBy {
-			attributed += n
-		}
-		if attributed+st.IndexSkipped != st.CSSPruned+st.ProbPruned {
-			t.Fatalf("shards=%d: PrunedBy sum %d + skipped %d != CSS+Prob %d",
-				shards, attributed, st.IndexSkipped, st.CSSPruned+st.ProbPruned)
-		}
-		if prunes < attributed {
-			t.Fatalf("shards=%d: profile prunes %d < attributed prunes %d", shards, prunes, attributed)
 		}
 	}
 }

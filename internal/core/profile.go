@@ -22,6 +22,7 @@ import (
 
 	"simjoin/internal/filter"
 	"simjoin/internal/obs"
+	"simjoin/internal/plan"
 )
 
 // BoundCost is one filter-chain stage's accumulated profile: how many pairs
@@ -275,24 +276,24 @@ func WriteBoundTable(w io.Writer, prof []BoundCost) {
 	fmt.Fprintf(w, "effective-cost order (cheapest pruning first): %s\n", EffectiveCostOrder(prof))
 }
 
-// WriteShardTable renders the merge stage's per-shard balance view from the
-// per-shard Stats of a sharded join (ShardedJoinStats): each shard's pair
-// share, candidates, results and band-dedup telemetry, plus the imbalance
-// factor (max/mean of per-shard pairs — the "one size does not fit all"
-// number to watch when tuning -shards).
-func WriteShardTable(w io.Writer, per []Stats) {
-	if len(per) == 0 {
+// WritePlanReport renders what the adaptive chain did — the adopted orders
+// with their reorder/epoch totals and the epoch recomputation time from st —
+// for -explain output. No-op when the config carries no report or the report
+// recorded no order.
+func WritePlanReport(w io.Writer, p *plan.Config, st *Stats) {
+	if p == nil {
 		return
 	}
-	fmt.Fprintln(w, "per-shard balance (merge stage):")
-	fmt.Fprintf(w, "  %-6s %12s %12s %12s %12s %12s\n",
-		"shard", "pairs", "candidates", "results", "band-probes", "band-dupes")
-	for s := range per {
-		fmt.Fprintf(w, "  %-6d %12d %12d %12d %12d %12d\n",
-			s, per[s].Pairs, per[s].Candidates, per[s].Results,
-			per[s].BandProbes, per[s].BandDupes)
+	orders, reorders, epochs := p.Report.Chain()
+	if len(orders) == 0 {
+		return
 	}
-	fmt.Fprintf(w, "shard imbalance (max/mean pairs): %.3f\n", ShardImbalance(per))
+	fmt.Fprintln(w, "planner:")
+	fmt.Fprintf(w, "  adaptive chain: epochs=%d reorders=%d epoch-time=%s\n",
+		epochs, reorders, st.PlanEpochTime)
+	for _, o := range orders {
+		fmt.Fprintf(w, "    order: %s\n", o)
+	}
 }
 
 // effectiveCostLess is the one deterministic comparator behind every
@@ -358,7 +359,7 @@ func EffectiveCostOrder(prof []BoundCost) string {
 // nanos across chain positions; each entry keeps the smallest position the
 // bound appeared at, and the result is sorted by name. This is the positional
 // profile's order-independent view: two runs of the same chain under
-// different adaptive orders (or differently-ordered shards of one join)
+// different adaptive orders (or differently-ordered explicit chains)
 // produce name-folded profiles whose eval/prune totals are directly
 // comparable, which is why the prune-drift tooling keys on it.
 func ProfileByBound(prof []BoundCost) []BoundCost {

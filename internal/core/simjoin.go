@@ -116,33 +116,6 @@ type Options struct {
 	// result).
 	KeepMappings bool
 
-	// BlockSize, when positive, enables the block-screening stage: the
-	// uncertain side is packed into structure-of-arrays blocks of this many
-	// graphs (filter.GBlockSet) and every query is screened against whole
-	// blocks — size, label-overlap and probability-mass screens, all sound
-	// for Def. 7 — before any per-pair bound runs. Join results are
-	// bit-identical to the scalar path; block prunes land in
-	// Stats.PrunedBy["block"] and a position −1 BoundProfile entry. 0 (the
-	// default) keeps the scalar path; the stage applies to Join and
-	// JoinIndexed (JoinWith only for their source types — custom sources and
-	// JoinTopK keep their own feeding logic).
-	BlockSize int
-
-	// Shards, when > 1, partitions both workload sides by banded MinHash
-	// signatures over their concrete-label sets and runs one independent join
-	// pipeline per shard (internal/shard, DESIGN.md §15): shard s owns the
-	// diagonal partition cells {(a, b) : (a + b) mod Shards = s}, so every
-	// pair is generated by exactly one shard, and a merge stage folds the
-	// per-shard results and Stats. The sharded candidate generator applies
-	// the index prescreens (exactly — both paths share
-	// filter.LabelOverlapScreen), so results and Stats are bit-identical to
-	// JoinIndexed at any shard count. 0 and 1 keep the single-engine path.
-	Shards int
-	// Bands is the number of MinHash bands used for shard routing and for the
-	// in-shard collision tables; 0 defaults to 4 when Shards > 1. More bands
-	// spread ownership more evenly at the cost of extra probes per pair.
-	Bands int
-
 	// FilterChain, when non-empty, replaces the Mode-derived pruning stages
 	// with an explicit ordered bound chain (see filter.ParseChain and the
 	// filter registry): bounds run left to right, each may prune the pair,
@@ -152,21 +125,16 @@ type Options struct {
 	// in Stats.PrunedBy.
 	FilterChain []filter.Bound
 
-	// Planner, when non-nil, enables the internal/plan planners. With
-	// Planner.Chain the engine reorders the resolved bound chain online:
-	// after a warm-up epoch that measures every bound on every pair, only a
-	// sampled subset keeps measuring the full chain while the rest
-	// short-circuit the adopted ascending-effective-cost order, recomputed
-	// every epoch with hysteresis (DESIGN.md §16). Every bound is sound, so
-	// results, Candidates and every verification counter are identical to
-	// the static chain — only PrunedBy/CSSPruned/ProbPruned attribution and
-	// BoundProfile shapes move. With Planner.Source, Join picks the
-	// candidate source (cross vs indexed vs block vs sharded) from a
-	// label-summary cardinality estimate instead of using the cross
-	// product; explicit Shards/BlockSize settings take precedence.
-	// Reorder/epoch totals land in Stats.PlanReorders/PlanEpochs, and
-	// Planner.Report (when set) records adopted orders and the source
-	// decision for -explain.
+	// Planner, when non-nil with Planner.Chain set, reorders the resolved
+	// bound chain online: after a warm-up epoch that measures every bound on
+	// every pair, only single-bound probes keep measuring while the rest of
+	// the pairs short-circuit the adopted ascending-effective-cost order,
+	// recomputed every epoch with hysteresis (DESIGN.md §15). Every bound is
+	// sound, so results, Candidates and every verification counter are
+	// identical to the static chain — only PrunedBy/CSSPruned/ProbPruned
+	// attribution and BoundProfile shapes move. Reorder/epoch totals land in
+	// Stats.PlanReorders/PlanEpochs, and Planner.Report (when set) records the
+	// adopted orders for -explain.
 	Planner *plan.Config
 
 	// Obs, when non-nil, receives live metrics for the run: per-stage
@@ -206,20 +174,8 @@ func (o *Options) normalise() error {
 	if o.Tau < 0 {
 		return fmt.Errorf("core: negative tau %d", o.Tau)
 	}
-	if o.BlockSize < 0 {
-		return fmt.Errorf("core: negative block size %d", o.BlockSize)
-	}
 	if o.Alpha <= 0 || o.Alpha > 1 {
 		return fmt.Errorf("core: alpha %v outside (0,1]", o.Alpha)
-	}
-	if o.Shards < 0 {
-		return fmt.Errorf("core: negative shards %d", o.Shards)
-	}
-	if o.Bands < 0 {
-		return fmt.Errorf("core: negative bands %d", o.Bands)
-	}
-	if o.Shards > 1 && o.Bands == 0 {
-		o.Bands = 4
 	}
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
@@ -327,37 +283,24 @@ type Stats struct {
 	VerifyTime        time.Duration
 	GroupsBuilt       int64 // possible-world groups constructed (SimJ+opt)
 	GroupsPruned      int64 // groups removed by their CSS bound
-	// PrunedBy breaks the pruned pairs down by the stage that eliminated
-	// each one: the filter-chain bounds under their registry names, plus the
-	// block-screening stage under "block" when Options.BlockSize is set.
-	// Summed over the stages it equals CSSPruned + ProbPruned minus
-	// IndexSkipped (pairs the index prescreens removed never reach a
-	// stage); a pair pruned at the block stage is never re-evaluated per
-	// pair, so it is counted exactly once. Nil when nothing was pruned.
+	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
+	// eliminated each one, under the bounds' registry names. Summed over the
+	// bounds it equals CSSPruned + ProbPruned minus IndexSkipped (pairs the
+	// index prescreens removed never reach a bound). Nil when nothing was
+	// pruned.
 	PrunedBy map[string]int64 `json:",omitempty"`
 	// BoundProfile is the per-bound cost/selectivity profile in chain order:
 	// one entry per chain position with the bound's evaluation count, prune
 	// count and (when profiling timing was on) accumulated evaluation
-	// nanoseconds; when Options.BlockSize is set, an extra entry at position
-	// −1 profiles the block-screening stage ahead of the chain. See
-	// BoundCost and WriteExplain (profile.go). Nil when the join ran no
-	// bounds.
+	// nanoseconds. See BoundCost and WriteExplain (profile.go). Nil when the
+	// join ran no bounds.
 	BoundProfile []BoundCost `json:",omitempty"`
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α
-	// IndexSkipped counts pairs eliminated by JoinIndexed's prescreens; 0 on
-	// the block path (Options.BlockSize > 0), whose screens subsume the
-	// prescreens and attribute their prunes to PrunedBy["block"] instead.
+	// IndexSkipped counts pairs eliminated by JoinIndexed's prescreens
+	// (also counted in CSSPruned: the prescreens are implied by the CSS
+	// bound).
 	IndexSkipped int64
-	// BandProbes counts band-table bucket entries the sharded candidate
-	// generator inspected, and BandDupes the cross-band duplicates its merge
-	// stage suppressed (a pair colliding in k bands is screened once and
-	// counted k−1 times here). Both are 0 on unsharded runs and on the
-	// sharded block path, which screens whole blocks instead of probing band
-	// tables. Neither participates in the pair-partition identities — they
-	// are pure candidate-generation telemetry.
-	BandProbes   int64
-	BandDupes    int64
 	SampledPairs int64 // pairs decided by the Monte Carlo sampling rung
 	ExactPairs   int64 // pairs decided by exact possible-world enumeration
 	ApproxPairs  int64 // pairs decided with approximate-bound assistance
@@ -370,7 +313,7 @@ type Stats struct {
 	// PlanReorders how many of them adopted a new bound order; both are 0
 	// unless Options.Planner enables the adaptive chain. PlanEpochTime is
 	// the wall time those recomputations took (off the pair hot path — at
-	// most one worker per stratum pays it per epoch).
+	// most one worker pays it per epoch).
 	PlanEpochs    int64
 	PlanReorders  int64
 	PlanEpochTime time.Duration
@@ -430,8 +373,6 @@ func (s *Stats) add(o *Stats) {
 	s.EarlyAccepts += o.EarlyAccepts
 	s.EarlyRejects += o.EarlyRejects
 	s.IndexSkipped += o.IndexSkipped
-	s.BandProbes += o.BandProbes
-	s.BandDupes += o.BandDupes
 	s.SampledPairs += o.SampledPairs
 	s.ExactPairs += o.ExactPairs
 	s.ApproxPairs += o.ApproxPairs
@@ -445,12 +386,13 @@ func (s *Stats) add(o *Stats) {
 	s.Quarantined = append(s.Quarantined, o.Quarantined...)
 }
 
-// Merge folds another join's (typically one shard's) Stats into s. Merge is
+// Merge folds another join's Stats into s (e.g. the per-request Stats of a
+// resident service, or repeated runs of one benchmark). Merge is
 // associative and commutative up to representation: counters are summed, the
 // PrunedBy maps added key-wise, BoundProfile entries folded by (position,
 // bound), the Cancelled flags ORed, and the quarantine log concatenated and
-// re-sorted by (Q, G) — so folding per-shard Stats in any order yields the
-// same aggregate.
+// re-sorted by (Q, G) — so folding several joins' Stats in any order yields
+// the same aggregate.
 func (s *Stats) Merge(o *Stats) {
 	s.add(o)
 	sort.Slice(s.Quarantined, func(i, j int) bool {
@@ -474,15 +416,6 @@ func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, err
 // a partial join result would be silently incomplete). It is a thin wrapper
 // over the pipeline engine (see engine.go) with the cross-product source.
 func JoinContext(ctx context.Context, d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
-	if opts.Shards > 1 {
-		pairs, st, _, err := shardedJoin(ctx, nil, d, u, opts)
-		return pairs, st, err
-	}
-	// The source planner only fills choices the caller left open: explicit
-	// Shards (above) or BlockSize settings win over the estimate.
-	if p := opts.Planner; p != nil && p.Source && opts.BlockSize == 0 {
-		return plannedJoin(ctx, d, u, opts)
-	}
 	return joinEngine(ctx, newCrossSource(d, u), opts)
 }
 
@@ -660,17 +593,13 @@ func prunephase(pi *pairIn, opts *Options, chain []filter.Bound, st *rec) ([]ugr
 // exactly what the static chain would report.
 func prunephaseAdaptive(pi *pairIn, chain []filter.Bound, st *rec, pc *filter.PairContext) ([]ugraph.Group, string) {
 	ctrl := st.jo.ctrl
-	var key uint64
-	if ctrl.Stratified() {
-		key = pi.gs.BandKey()
-	}
-	order, probe := ctrl.Next(key)
+	order, probe := ctrl.Next()
 	var groups []ugraph.Group
 	if probe == plan.ProbeAll {
 		prunedAt := -1
 		for i, b := range chain {
 			out, nanos := st.applyBoundTimed(pc, b, i)
-			ctrl.Record(key, i, out.Pruned, nanos)
+			ctrl.Record(i, out.Pruned, nanos)
 			if out.Groups != nil {
 				groups = out.Groups
 			}
@@ -687,7 +616,7 @@ func prunephaseAdaptive(pi *pairIn, chain []filter.Bound, st *rec, pc *filter.Pa
 	groupsFrom := -1
 	if probe >= 0 {
 		out, nanos := st.applyBoundTimed(pc, chain[probe], probe)
-		ctrl.Record(key, probe, out.Pruned, nanos)
+		ctrl.Record(probe, out.Pruned, nanos)
 		if out.Pruned {
 			// The probed bound is sound, so the pair is pruned either way;
 			// skipping the walk just attributes the prune to the probe.

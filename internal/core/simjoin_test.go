@@ -1,10 +1,15 @@
 package core
 
 import (
+	"context"
+	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
+	"slices"
 	"testing"
 
+	"simjoin/internal/filter"
 	"simjoin/internal/ged"
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
@@ -92,6 +97,386 @@ func smallWorkload(seed int64, nd, nu int) ([]*graph.Graph, []*ugraph.Graph) {
 		u[i] = randomUncertain(rng, 2+rng.Intn(3), rng.Intn(4), 2)
 	}
 	return d, u
+}
+
+// subNormalWorkload is smallWorkload with, half the time, incomplete vertex
+// label distributions (TotalMass < 1), so SimP can fall below α on the mass
+// alone.
+func subNormalWorkload(seed int64, nd, nu int) ([]*graph.Graph, []*ugraph.Graph) {
+	rng := rand.New(rand.NewSource(seed))
+	d := make([]*graph.Graph, nd)
+	for i := range d {
+		d[i] = randomCertain(rng, 2+rng.Intn(4), rng.Intn(5))
+	}
+	names := []string{"A", "B", "C", "D"}
+	u := make([]*ugraph.Graph, nu)
+	for i := range u {
+		n := 2 + rng.Intn(3)
+		g := ugraph.New(n)
+		for v := 0; v < n; v++ {
+			scale := 1.0
+			if rng.Intn(2) == 0 {
+				scale = 0.3 + 0.6*rng.Float64()
+			}
+			k := 1 + rng.Intn(2)
+			perm := rng.Perm(len(names))[:k]
+			var ls []ugraph.Label
+			rest := scale
+			for j, pi := range perm {
+				p := rest
+				if j < k-1 {
+					p = rest * (0.3 + 0.4*rng.Float64())
+				}
+				ls = append(ls, ugraph.Label{Name: names[pi], P: p})
+				rest -= p
+			}
+			g.AddVertex(ls...)
+		}
+		for t := 0; t < 9 && g.NumEdges() < rng.Intn(4); t++ {
+			a, b := rng.Intn(n), rng.Intn(n)
+			if a != b {
+				_ = g.AddEdge(a, b, "p")
+			}
+		}
+		u[i] = g
+	}
+	return d, u
+}
+
+// assertSamePairs requires two result sets to be bit-identical, including
+// the SimP and Distance of every pair.
+func assertSamePairs(t testing.TB, ctxt string, got, want []Pair) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, want %d", ctxt, len(got), len(want))
+	}
+	for i := range got {
+		if got[i].Q != want[i].Q || got[i].G != want[i].G {
+			t.Fatalf("%s pair %d: (%d,%d) vs (%d,%d)", ctxt, i, got[i].Q, got[i].G, want[i].Q, want[i].G)
+		}
+		if got[i].SimP != want[i].SimP {
+			t.Fatalf("%s pair %d: SimP %v != %v", ctxt, i, got[i].SimP, want[i].SimP)
+		}
+		if got[i].Distance != want[i].Distance {
+			t.Fatalf("%s pair %d: distance %d != %d", ctxt, i, got[i].Distance, want[i].Distance)
+		}
+	}
+}
+
+// bruteCandidates is the reference for Index.Candidates: every query, in
+// index order, inside the ±τ size window of g that passes the exact label
+// screen.
+func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, g *ugraph.Graph, tau int) []int {
+	var set graph.LabelSet
+	wilds := filter.UnionConcreteLabels(g, &set)
+	var out []int
+	for qi, q := range d {
+		if diff := q.Size() - g.Size(); diff > tau || -diff > tau {
+			continue
+		}
+		if filter.LabelOverlapScreen(qsigs[qi], &set, wilds, g.NumVertices(), tau) {
+			out = append(out, qi)
+		}
+	}
+	return out
+}
+
+// checkJoinOracle is the differential oracle every candidate feed answers to.
+// It draws a workload from seed and runs every combination of
+//
+//	feed      Join, JoinIndexed, JoinWith(NewStreamSource)
+//	chain     each Mode's default chain, and a shuffled explicit FilterChain
+//	workers   1 and 4
+//	adaptive  static chain, and the online reordering planner
+//
+// checking each run against naiveJoin (Def. 7 by brute force) and the Stats
+// partition identities, and every run of one chain against the first run of
+// that chain, pair for pair. It also checks Index.Candidates against
+// bruteCandidates for every uncertain graph.
+func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) {
+	t.Helper()
+	var d []*graph.Graph
+	var u []*ugraph.Graph
+	switch seed % 3 {
+	case 0:
+		d, u = smallWorkload(seed, nd, nu)
+	case 1:
+		d, u = subNormalWorkload(seed, nd, nu)
+	default:
+		d, u = wildcardHeavyWorkload(seed, nd, nu, 0.5)
+	}
+	want := naiveJoin(d, u, tau, alpha)
+
+	idx := BuildIndex(d)
+	var prescreened int64
+	for gi, g := range u {
+		got, ref := idx.Candidates(g, tau), bruteCandidates(idx.qsigs, d, g, tau)
+		if !slices.Equal(got, ref) {
+			t.Fatalf("seed=%d tau=%d g=%d: index candidates %v, brute force %v", seed, tau, gi, got, ref)
+		}
+		prescreened += int64(len(d) - len(got))
+	}
+
+	rng := rand.New(rand.NewSource(seed))
+	shuffled := filter.BoundNames()
+	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
+	shuffled = shuffled[:2+rng.Intn(len(shuffled)-1)]
+	chains := []struct {
+		name  string
+		mode  Mode
+		chain []filter.Bound
+	}{
+		{"css", ModeCSSOnly, nil},
+		{"simj", ModeSimJ, nil},
+		{"opt", ModeSimJOpt, nil},
+		{fmt.Sprint(shuffled), ModeSimJ, defaultChain(shuffled...)},
+	}
+	res := NewResident(u)
+	feeds := []struct {
+		name string
+		run  func(Options) ([]Pair, Stats, error)
+	}{
+		{"join", func(o Options) ([]Pair, Stats, error) { return Join(d, u, o) }},
+		{"indexed", func(o Options) ([]Pair, Stats, error) { return JoinIndexed(idx, u, o) }},
+		{"stream", func(o Options) ([]Pair, Stats, error) {
+			return JoinWith(context.Background(), NewStreamSource(res, d), o)
+		}},
+	}
+
+	for _, ch := range chains {
+		var first []Pair
+		for _, feed := range feeds {
+			for _, workers := range []int{1, 4} {
+				for _, adaptive := range []bool{false, true} {
+					opts := Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3,
+						Workers: workers, FilterChain: ch.chain}
+					if adaptive {
+						opts.Planner = fastAdaptive()
+					}
+					name := fmt.Sprintf("seed=%d tau=%d alpha=%v chain=%s feed=%s workers=%d adaptive=%v",
+						seed, tau, alpha, ch.name, feed.name, workers, adaptive)
+					got, st, err := feed.run(opts)
+					if err != nil {
+						t.Fatalf("%s: %v", name, err)
+					}
+					checkAnswerSet(t, name, got, want, alpha)
+					skipped := int64(0)
+					if feed.name == "indexed" {
+						skipped = prescreened
+					}
+					checkStatsPartition(t, name, &st, int64(len(d)*len(u)), int64(len(got)), skipped, adaptive)
+					if first == nil {
+						first = got
+					} else {
+						assertSamePairs(t, name, got, first)
+					}
+				}
+			}
+		}
+	}
+}
+
+// checkAnswerSet requires exactly the Def. 7 answer set, every pair decided
+// exactly, with a SimP that is a lower bound on the exact value (early
+// accept stops summing at α) and never below α.
+func checkAnswerSet(t *testing.T, name string, got []Pair, want map[[2]int]float64, alpha float64) {
+	t.Helper()
+	if len(got) != len(want) {
+		t.Fatalf("%s: %d pairs, Def. 7 has %d", name, len(got), len(want))
+	}
+	for _, p := range got {
+		exact, ok := want[[2]int{p.Q, p.G}]
+		if !ok {
+			t.Fatalf("%s: false pair (%d,%d)", name, p.Q, p.G)
+		}
+		if p.Verdict != VerdictExact || p.SimP > exact+1e-9 || p.SimP < alpha-1e-9 {
+			t.Fatalf("%s: pair (%d,%d) verdict %v SimP %v, exact %v", name, p.Q, p.G, p.Verdict, p.SimP, exact)
+		}
+	}
+}
+
+// checkStatsPartition checks the identities every join's Stats must satisfy:
+// pairs split into pruned and candidates, candidates into verdicts, prunes
+// into per-bound attributions plus prescreen skips, and the chain profile
+// agrees with the attribution (exactly on a static walk; the adaptive warm-up
+// measures every bound, so there it may only exceed it).
+func checkStatsPartition(t *testing.T, name string, st *Stats, pairs, results, skipped int64, adaptive bool) {
+	t.Helper()
+	var attributed, profiled int64
+	for _, n := range st.PrunedBy {
+		attributed += n
+	}
+	for _, bc := range st.BoundProfile {
+		profiled += bc.Prunes
+	}
+	switch {
+	case st.Pairs != pairs:
+		t.Fatalf("%s: Pairs %d, want %d", name, st.Pairs, pairs)
+	case st.CSSPruned+st.ProbPruned+st.Candidates != st.Pairs:
+		t.Fatalf("%s: pruned %d+%d + candidates %d != pairs %d", name, st.CSSPruned, st.ProbPruned, st.Candidates, st.Pairs)
+	case st.ExactPairs+st.SampledPairs+st.ApproxPairs+st.SkippedPairs != st.Candidates:
+		t.Fatalf("%s: verdicts %d+%d+%d+%d != candidates %d", name,
+			st.ExactPairs, st.SampledPairs, st.ApproxPairs, st.SkippedPairs, st.Candidates)
+	case st.Results != results:
+		t.Fatalf("%s: Results %d, returned %d", name, st.Results, results)
+	case st.IndexSkipped != skipped:
+		t.Fatalf("%s: IndexSkipped %d, want %d", name, st.IndexSkipped, skipped)
+	case attributed+st.IndexSkipped != st.CSSPruned+st.ProbPruned:
+		t.Fatalf("%s: PrunedBy %d + skipped %d != pruned %d", name, attributed, st.IndexSkipped, st.CSSPruned+st.ProbPruned)
+	case !adaptive && profiled != attributed, adaptive && profiled < attributed:
+		t.Fatalf("%s: profile prunes %d vs attributed %d", name, profiled, attributed)
+	case st.QuarantinedPairs != 0 || st.Cancelled:
+		t.Fatalf("%s: quarantined %d cancelled %v", name, st.QuarantinedPairs, st.Cancelled)
+	}
+}
+
+// TestJoinOracle runs the differential oracle over a spread of random
+// workloads and thresholds.
+func TestJoinOracle(t *testing.T) {
+	// seed%3 picks the workload kind and seed/3 the threshold, so the nine
+	// seeds cover every kind × τ combination with α varying alongside.
+	for seed := int64(0); seed < 9; seed++ {
+		tau := int(seed / 3)
+		alpha := []float64{0.3, 0.6, 0.9}[(seed+seed/3)%3]
+		checkJoinOracle(t, seed, 8, 7, tau, alpha)
+	}
+}
+
+// FuzzJoinOracle drives the same oracle from fuzzed workload shapes and
+// thresholds (make fuzz). α stays in [0.01, 0.99]: at α = 1 the grouped
+// early-reject test (SimJ+opt) compares a floating-point mass sum against 1
+// and can reject pairs whose SimP is exactly 1 (seed -28, 6×8, τ=3 loses 5
+// of 44), a known boundary case the oracle is not meant to re-find.
+func FuzzJoinOracle(f *testing.F) {
+	f.Add(int64(1), uint8(6), uint8(5), uint8(1), uint8(50))
+	f.Add(int64(2), uint8(4), uint8(8), uint8(0), uint8(90))
+	f.Add(int64(3), uint8(8), uint8(3), uint8(2), uint8(20))
+	f.Fuzz(func(t *testing.T, seed int64, nd, nu, tau, alphaPct uint8) {
+		alpha := float64(alphaPct%99+1) / 100
+		checkJoinOracle(t, seed, int(nd%8)+1, int(nu%8)+1, int(tau%4), alpha)
+	})
+}
+
+// TestJoinBlockEquivalenceProperty drives random workloads — including
+// sub-normalised ones — through both candidate feeds, the cross product
+// (Join) and the index's block sweep (JoinIndexed: each size run screened as
+// one block by the word-parallel overlap bound, then the exact label screen),
+// across modes and query-set sizes of 1, 7 and 64 so the size runs range from
+// single queries to wide blocks. Results must be bit-identical, pairs must
+// partition exactly, and the prescreen may only remove candidates.
+func TestJoinBlockEquivalenceProperty(t *testing.T) {
+	modes := []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt}
+	sizes := []int{1, 7, 64}
+	for seed := int64(200); seed < 205; seed++ {
+		for mi, mode := range modes {
+			nd := sizes[(int(seed)+mi)%len(sizes)]
+			d, u := smallWorkload(seed, nd, 9)
+			if seed%2 == 0 {
+				d, u = subNormalWorkload(seed, nd, 9)
+			}
+			opts := Options{
+				Tau:        1 + int(seed%2),
+				Alpha:      0.4,
+				Mode:       mode,
+				GroupCount: 4,
+				Workers:    3,
+			}
+			want, ws, err := Join(d, u, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, is, err := JoinIndexed(BuildIndex(d), u, opts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			ctxt := fmt.Sprintf("seed=%d mode=%v nd=%d", seed, mode, nd)
+			assertSamePairs(t, ctxt, got, want)
+			for name, st := range map[string]*Stats{"cross": &ws, "indexed": &is} {
+				if st.Pairs != int64(len(d)*len(u)) || st.Results != int64(len(want)) {
+					t.Fatalf("%s %s: pairs/results %d/%d, want %d/%d",
+						ctxt, name, st.Pairs, st.Results, len(d)*len(u), len(want))
+				}
+				if st.CSSPruned+st.ProbPruned+st.Candidates != st.Pairs {
+					t.Fatalf("%s %s: accounting %+v", ctxt, name, st)
+				}
+			}
+			if ws.IndexSkipped != 0 {
+				t.Fatalf("%s: cross product recorded IndexSkipped = %d", ctxt, ws.IndexSkipped)
+			}
+			if is.Candidates > ws.Candidates {
+				t.Fatalf("%s: indexed candidates %d > cross product %d", ctxt, is.Candidates, ws.Candidates)
+			}
+		}
+	}
+}
+
+// normPartStats strips the wall-clock fields, which legitimately differ
+// between runs, leaving every pair-partition counter, the PrunedBy map and
+// the de-timed bound profile for exact comparison.
+func normPartStats(s Stats) Stats {
+	s.PruneTime, s.VerifyTime, s.PlanEpochTime = 0, 0, 0
+	if s.BoundProfile != nil {
+		prof := slices.Clone(s.BoundProfile)
+		for i := range prof {
+			prof[i].Nanos = 0
+		}
+		s.BoundProfile = prof
+	}
+	if len(s.PrunedBy) == 0 {
+		s.PrunedBy = nil
+	}
+	if len(s.Quarantined) == 0 {
+		s.Quarantined = nil
+	}
+	return s
+}
+
+// TestShardedJoinEquivalenceProperty splits the uncertain side into 1, 2 and
+// 8 shards, joins every shard against one shared Index, and requires the
+// shard results, re-based to global indices, to be bit-identical to the
+// unsharded JoinIndexed run, and the shards' Stats to fold (Stats.Merge) to
+// the unsharded Stats counter for counter (timing excluded).
+func TestShardedJoinEquivalenceProperty(t *testing.T) {
+	for seed := int64(300); seed < 303; seed++ {
+		d, u := smallWorkload(seed, 14, 12)
+		if seed%2 == 0 {
+			d, u = subNormalWorkload(seed, 14, 12)
+		}
+		idx := BuildIndex(d)
+		opts := Options{
+			Tau:        1 + int(seed%2),
+			Alpha:      0.4,
+			Mode:       ModeSimJOpt,
+			GroupCount: 4,
+			Workers:    3,
+		}
+		want, ws, err := JoinIndexed(idx, u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, shards := range []int{1, 2, 8} {
+			ctxt := fmt.Sprintf("seed=%d shards=%d", seed, shards)
+			var got []Pair
+			var merged Stats
+			for s := 0; s < shards; s++ {
+				lo, hi := s*len(u)/shards, (s+1)*len(u)/shards
+				part, st, err := JoinIndexed(idx, u[lo:hi], opts)
+				if err != nil {
+					t.Fatal(err)
+				}
+				for _, p := range part {
+					p.G += lo
+					got = append(got, p)
+				}
+				merged.Merge(&st)
+			}
+			sortPairsQG(got)
+			assertSamePairs(t, ctxt, got, want)
+			if gotN, wantN := normPartStats(merged), normPartStats(ws); !reflect.DeepEqual(gotN, wantN) {
+				t.Fatalf("%s: merged stats diverged\n got %+v\nwant %+v", ctxt, gotN, wantN)
+			}
+		}
+	}
 }
 
 func TestJoinMatchesOracleAllModes(t *testing.T) {
@@ -368,6 +753,58 @@ func TestDeterministicAcrossWorkers(t *testing.T) {
 				t.Fatalf("workers=%d: pair order differs at %d", workers, i)
 			}
 		}
+	}
+}
+
+// TestStatsMergeOrderIndependent pins the contract on the exported
+// Stats.Merge: folding several joins' Stats in any order — including stats
+// with quarantine records, PrunedBy maps and bound profiles — yields the same
+// aggregate, with a deterministic representation (sorted quarantine log,
+// position-sorted profile).
+func TestStatsMergeOrderIndependent(t *testing.T) {
+	var per []Stats
+	for seed := int64(19); seed < 23; seed++ {
+		d, u := smallWorkload(seed, 6, 5)
+		opts := DefaultOptions()
+		opts.Alpha = 0.5
+		opts.Workers = 2
+		opts.Mode = Mode(seed % 3)
+		_, st, err := Join(d, u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		per = append(per, st)
+	}
+	// Synthetic extras exercise the fields a clean join leaves empty.
+	per = append(per,
+		Stats{Pairs: 3, QuarantinedPairs: 2, PrunedBy: map[string]int64{"css": 2},
+			Quarantined: []QuarantineRecord{{Q: 9, G: 1}, {Q: 2, G: 5}}},
+		Stats{Pairs: 1, QuarantinedPairs: 1, PrunedBy: map[string]int64{"prob": 1},
+			Quarantined: []QuarantineRecord{{Q: 2, G: 4}}, Cancelled: true},
+	)
+	var want Stats
+	for i := range per {
+		want.Merge(&per[i])
+	}
+	rng := rand.New(rand.NewSource(99))
+	for trial := 0; trial < 5; trial++ {
+		perm := rng.Perm(len(per))
+		var got Stats
+		for _, i := range perm {
+			got.Merge(&per[i])
+		}
+		if !reflect.DeepEqual(got, want) {
+			t.Fatalf("fold order %v diverged:\n got %+v\nwant %+v", perm, got, want)
+		}
+	}
+	for i := 1; i < len(want.Quarantined); i++ {
+		a, b := want.Quarantined[i-1], want.Quarantined[i]
+		if a.Q > b.Q || (a.Q == b.Q && a.G > b.G) {
+			t.Fatalf("merged quarantine log not sorted: %+v", want.Quarantined)
+		}
+	}
+	if !want.Cancelled {
+		t.Fatal("Cancelled flag lost in merge")
 	}
 }
 

@@ -2,29 +2,22 @@ package core
 
 // The streaming-arrivals candidate source.
 //
-// The batch drivers rebuild the uncertain side's filter signatures (and, on
-// the block path, its SoA blocks) on every Join call — fine for offline
-// template building, wasteful for a resident service that answers thousands
-// of requests against the same uncertain side. Resident packs that side
-// exactly once: the graphs, their GSigs, and (lazily, per block size) their
-// GBlockSet live for the life of the process, and every arriving query joins
-// only its own delta — |D_request| × |U_resident| pairs with zero resident
-// recomputation.
+// The batch drivers rebuild the uncertain side's filter signatures on every
+// Join call — fine for offline template building, wasteful for a resident
+// service that answers thousands of requests against the same uncertain side.
+// Resident packs that side exactly once: the graphs and their GSigs live for
+// the life of the process, and every arriving query joins only its own delta
+// — |D_request| × |U_resident| pairs with zero resident recomputation.
 //
 // A Resident is immutable after construction and safe for any number of
-// concurrent JoinWith runs: GSig memoization is sync.Once-guarded, GBlockSet
-// is read-only after packing, and each NewStreamSource call owns its private
-// query-side state.
+// concurrent JoinWith runs: GSig memoization is sync.Once-guarded and each
+// NewStreamSource call owns its private query-side state.
 
 import (
 	"context"
-	"strconv"
-	"sync"
 
 	"simjoin/internal/filter"
 	"simjoin/internal/graph"
-	"simjoin/internal/obs"
-	"simjoin/internal/shard"
 	"simjoin/internal/ugraph"
 )
 
@@ -33,16 +26,6 @@ import (
 type Resident struct {
 	u     []*ugraph.Graph
 	gsigs []*filter.GSig
-
-	// route, when non-nil (NewShardedResident), partitions the resident side
-	// by banded label signatures: route[s] lists the graph indices shard s
-	// owns, and stream joins feed their delta shard by shard so each arriving
-	// query's pairs against one shard's graphs stay contiguous (per-shard
-	// routing counters are published when the join carries a registry).
-	route [][]int32
-
-	mu     sync.Mutex
-	blocks map[int]*filter.GBlockSet // packed SoA blocks, cached per block size
 }
 
 // NewResident precomputes the resident side once: one filter signature per
@@ -51,57 +34,16 @@ func NewResident(u []*ugraph.Graph) *Resident {
 	return &Resident{u: u, gsigs: filter.NewGSigs(u)}
 }
 
-// NewShardedResident is NewResident with banded shard routing precomputed
-// once (shard.UPartitions): delta joins walk the resident side in shard
-// order, attributing each routed pair block to its owning shard. Results and
-// Stats are identical to an unsharded Resident — routing only reorders the
-// feed, and the engine sorts results by (Q, G). The cached block sets
-// (Options.BlockSize on the stream path) still pack the whole resident side;
-// the block screens are per-graph, so sharded routing would not change their
-// outcome. shards < 1 and bands < 1 are clamped to 1.
-func NewShardedResident(u []*ugraph.Graph, shards, bands int) *Resident {
-	r := NewResident(u)
-	r.route = shard.UPartitions(u, shards, bands)
-	return r
-}
-
-// Shards returns the number of routing shards (1 for an unsharded Resident).
-func (r *Resident) Shards() int {
-	if r.route == nil {
-		return 1
-	}
-	return len(r.route)
-}
-
 // Len returns the number of resident uncertain graphs.
 func (r *Resident) Len() int { return len(r.u) }
 
 // Graph returns resident graph gi (the G index of stream-join results).
 func (r *Resident) Graph(gi int) *ugraph.Graph { return r.u[gi] }
 
-// blockSet returns the resident side packed into SoA blocks of the given
-// size, building it on first use and caching it per size. The set is
-// read-only after packing, so concurrent joins share one copy.
-func (r *Resident) blockSet(size int) *filter.GBlockSet {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.blocks == nil {
-		r.blocks = make(map[int]*filter.GBlockSet)
-	}
-	set := r.blocks[size]
-	if set == nil {
-		set = filter.NewGBlockSet(r.u, size)
-		r.blocks[size] = set
-	}
-	return set
-}
-
 // NewStreamSource returns the streaming-arrivals CandidateSource: the
 // arriving query graphs d (typically one per request) joined against the
 // resident uncertain side. The resident signatures are reused verbatim; only
-// the query-side signatures are built here, once per call. Options.BlockSize
-// is honoured — the engine swaps in the resident's cached GBlockSet, so the
-// block screens also skip per-request packing.
+// the query-side signatures are built here, once per call.
 func NewStreamSource(r *Resident, d []*graph.Graph) CandidateSource {
 	qis := make([]int, len(d))
 	for i := range qis {
@@ -126,50 +68,16 @@ func (s *streamSource) TotalPairs() int64 {
 	return int64(len(s.d)) * int64(len(s.res.u))
 }
 
-func (s *streamSource) Feed(ctx context.Context, opts *Options, emit func(Batch) bool, _ func(int64)) {
-	if s.res.route != nil {
-		s.feedRouted(ctx, opts, emit)
-		return
-	}
+func (s *streamSource) Feed(ctx context.Context, _ *Options, emit func(Batch) bool, _ func(int64)) {
 	for gi, g := range s.res.u {
 		if ctx.Err() != nil {
 			return
 		}
-		if !s.emitGraph(ctx, gi, g, emit) {
-			return
-		}
-	}
-}
-
-// feedRouted walks the resident side shard by shard (NewShardedResident's
-// routing), publishing each shard's routed pair count so a resident service's
-// delta joins surface the same per-shard view as the batch driver.
-func (s *streamSource) feedRouted(ctx context.Context, opts *Options, emit func(Batch) bool) {
-	for sh, part := range s.res.route {
-		for _, gi := range part {
-			if ctx.Err() != nil {
-				return
-			}
-			if !s.emitGraph(ctx, int(gi), s.res.u[gi], emit) {
+		for start := 0; start < len(s.qis); start += sourceChunk {
+			end := min(start+sourceChunk, len(s.qis))
+			if !emit(Batch{GI: gi, G: g, GS: s.res.gsigs[gi], QIs: s.qis[start:end]}) {
 				return
 			}
 		}
-		if opts.Obs != nil {
-			opts.Obs.Counter(obs.Name("simjoin_shard_pairs_total", "shard", strconv.Itoa(sh))).
-				Add(int64(len(part)) * int64(len(s.d)))
-		}
 	}
-}
-
-func (s *streamSource) emitGraph(ctx context.Context, gi int, g *ugraph.Graph, emit func(Batch) bool) bool {
-	for start := 0; start < len(s.qis); start += sourceChunk {
-		end := start + sourceChunk
-		if end > len(s.qis) {
-			end = len(s.qis)
-		}
-		if !emit(Batch{GI: gi, G: g, GS: s.res.gsigs[gi], QIs: s.qis[start:end]}) {
-			return false
-		}
-	}
-	return true
 }

@@ -2,40 +2,15 @@ package core
 
 import (
 	"context"
+	"fmt"
 	"sort"
 	"sync"
 	"testing"
-
-	"simjoin/internal/graph"
 )
 
-// Tests of the streaming-arrivals source: per-request delta joins against a
-// Resident must return exactly the pairs the batch drivers return, on the
-// scalar and block paths, including when many requests share one Resident
-// concurrently.
-
-// streamJoinAll joins every query of d one at a time against res (one
-// JoinWith per query, as the resident service does per request) and returns
-// the union re-indexed to d's query indices, sorted like Join's output.
-func streamJoinAll(t *testing.T, res *Resident, d []*graph.Graph, opts Options) []Pair {
-	t.Helper()
-	var all []Pair
-	for qi := range d {
-		pairs, st, err := JoinWith(context.Background(), NewStreamSource(res, d[qi:qi+1]), opts)
-		if err != nil {
-			t.Fatalf("stream join for query %d: %v", qi, err)
-		}
-		if want := int64(res.Len()); st.Pairs != want {
-			t.Fatalf("query %d: Pairs = %d, want %d", qi, st.Pairs, want)
-		}
-		for _, p := range pairs {
-			p.Q = qi
-			all = append(all, p)
-		}
-	}
-	sortPairsQG(all)
-	return all
-}
+// Tests of the streaming-arrivals source beyond the differential oracle
+// (TestJoinOracle): one request per query, many requests sharing one
+// Resident concurrently, and cancellation.
 
 func sortPairsQG(ps []Pair) {
 	sort.Slice(ps, func(i, j int) bool {
@@ -46,23 +21,37 @@ func sortPairsQG(ps []Pair) {
 	})
 }
 
+// TestStreamSourceMatchesJoin joins every query one at a time against a
+// Resident (one JoinWith per query, as the resident service does per
+// request): each request must see the whole resident set, and the union,
+// re-indexed to d's query indices, must equal the batch Join pair for pair.
 func TestStreamSourceMatchesJoin(t *testing.T) {
 	d, u := smallWorkload(23, 12, 10)
 	res := NewResident(u)
-	opts := DefaultOptions()
-	opts.Alpha = 0.5
-	opts.Workers = 2
-
-	want, _, err := Join(d, u, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	for _, bs := range []int{0, 4} {
-		o := opts
-		o.BlockSize = bs
-		got := streamJoinAll(t, res, d, o)
-		assertSamePairs(t, "stream vs batch", got, want)
+	for _, workers := range []int{1, 2} {
+		opts := DefaultOptions()
+		opts.Alpha = 0.5
+		opts.Workers = workers
+		want, _, err := Join(d, u, opts)
+		if err != nil {
+			t.Fatal(err)
+		}
+		var all []Pair
+		for qi := range d {
+			pairs, st, err := JoinWith(context.Background(), NewStreamSource(res, d[qi:qi+1]), opts)
+			if err != nil {
+				t.Fatalf("workers=%d: stream join for query %d: %v", workers, qi, err)
+			}
+			if want := int64(res.Len()); st.Pairs != want {
+				t.Fatalf("workers=%d query %d: Pairs = %d, want %d", workers, qi, st.Pairs, want)
+			}
+			for _, p := range pairs {
+				p.Q = qi
+				all = append(all, p)
+			}
+		}
+		sortPairsQG(all)
+		assertSamePairs(t, fmt.Sprintf("workers=%d: stream vs batch", workers), all, want)
 	}
 }
 
@@ -72,7 +61,6 @@ func TestStreamSourceConcurrentRequests(t *testing.T) {
 	opts := DefaultOptions()
 	opts.Alpha = 0.5
 	opts.Workers = 2
-	opts.BlockSize = 4 // shared cached GBlockSet across requests
 
 	want, _, err := Join(d, u, opts)
 	if err != nil {

@@ -40,7 +40,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		{"a6", func() (*metrics.Table, error) { return AblationTotalProbabilityBound(s) }},
 		{"a7", func() (*metrics.Table, error) { return AblationIndexedJoin(s) }},
 		{"a8", func() (*metrics.Table, error) { return AblationEngines(s) }},
-		{"shardscale", func() (*metrics.Table, error) { return ShardScale(s) }},
 	}
 	for _, c := range cases {
 		c := c

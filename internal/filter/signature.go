@@ -102,24 +102,6 @@ type GSig struct {
 
 	condOnce sync.Once
 	conds    []condSig // nil when the graph has no split vertex
-
-	bandOnce sync.Once
-	bandKey  uint64
-}
-
-// BandKey returns the graph's single-band MinHash key over its union
-// concrete-label set (band 0 of AppendBandKeys) — the same label-signature
-// key the sharded router hashes, usable as a cheap stratum id for per-label-
-// signature adaptive planning. Graphs whose vertices are all wildcards key
-// to EmptyBandKey. Built lazily on first use and cached; concurrency-safe.
-func (s *GSig) BandKey() uint64 {
-	s.bandOnce.Do(func() {
-		var set graph.LabelSet
-		UnionConcreteLabels(s.G, &set)
-		var keys [1]uint64
-		s.bandKey = AppendBandKeys(keys[:0], &set, 1)[0]
-	})
-	return s.bandKey
 }
 
 // Relaxed returns the certain relaxation of the uncertain graph: the same

@@ -181,7 +181,7 @@ func (s *LabelSet) Intersects(t *LabelSet) bool {
 }
 
 // Words exposes the set's backing bit words (word w covers ids 64w..64w+63)
-// for bulk packing into word-major layouts (filter.GBlock). The slice aliases
+// for bulk packing into word-major layouts (core.Index). The slice aliases
 // the set's storage: callers must treat it as read-only.
 func (s *LabelSet) Words() []uint64 {
 	return s.words

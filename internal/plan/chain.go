@@ -14,7 +14,7 @@ import (
 // or a plain walk of the currently adopted order — and recomputes that order
 // at epoch boundaries from its own accumulated per-bound tallies.
 //
-// The state machine per stratum (DESIGN.md §16):
+// The state machine (DESIGN.md §15):
 //
 //	warm-up   pairs 1..WarmupPairs: every pair measures the full chain
 //	          (ProbeAll) to seed every bound's unconditional tallies.
@@ -34,13 +34,22 @@ import (
 //	          static position then name) and adopts it only when its modeled
 //	          expected cost beats the current order's by > Hysteresis.
 //
-// All hot-path state is atomic; the epoch recomputation takes a per-stratum
-// try-lock so at most one worker pays for it while the rest keep joining.
+// All hot-path state is atomic; the epoch recomputation takes a try-lock so
+// at most one worker pays for it while the rest keep joining.
 type ChainController struct {
 	cfg     Config
 	names   []string
-	strata  []stratum
 	onEpoch func(nanos int64)
+
+	pairs     atomic.Int64
+	nextEpoch atomic.Int64
+	// order is the adopted permutation of chain positions, nil while the
+	// static order is still in force.
+	order    atomic.Pointer[[]int]
+	reorders atomic.Int64
+	epochs   atomic.Int64
+	mu       sync.Mutex // serialises epoch recomputation
+	bounds   []boundTally
 }
 
 // Probe dispositions returned by Next alongside the adopted order.
@@ -53,30 +62,13 @@ const (
 	ProbeAll = -2
 )
 
-// stratum is one independent learning domain (the whole join, or one MinHash
-// band-key residue class when Config.Strata > 1).
-type stratum struct {
-	pairs     atomic.Int64
-	nextEpoch atomic.Int64
-	// order is the adopted permutation of chain positions, nil while the
-	// static order is still in force.
-	order atomic.Pointer[[]int]
-	// cost is the modeled expected cost (ns/pair) of the adopted order,
-	// stored as math.Float64bits; 0 means "not yet modeled".
-	cost     atomic.Uint64
-	reorders atomic.Int64
-	epochs   atomic.Int64
-	mu       sync.Mutex // serialises epoch recomputation
-	bounds   []boundTally
-}
-
 // boundTally is one bound's unconditional observation totals, fed only by
 // warm-up pairs and probes.
 type boundTally struct {
 	evals  atomic.Int64
 	prunes atomic.Int64
 	nanos  atomic.Int64
-	// nextProbe is the stratum pair number at or after which this bound is
+	// nextProbe is the pair number at or after which this bound is
 	// due for a probe; gap is its current probe period (0 = not yet probed,
 	// read as SampleEvery), doubling after every probe up to ProbeMaxGap.
 	nextProbe atomic.Int64
@@ -87,16 +79,11 @@ type boundTally struct {
 // cfg is copied with defaults applied; names must match the engine's chain
 // order (names[i] is the bound at static position i).
 func NewChainController(cfg Config, names []string) *ChainController {
-	cfg = cfg.withDefaults()
-	c := &ChainController{
-		cfg:    cfg,
+	return &ChainController{
+		cfg:    cfg.withDefaults(),
 		names:  append([]string(nil), names...),
-		strata: make([]stratum, cfg.Strata),
+		bounds: make([]boundTally, len(names)),
 	}
-	for i := range c.strata {
-		c.strata[i].bounds = make([]boundTally, len(names))
-	}
-	return c
 }
 
 // SetOnEpoch installs a callback invoked with the wall-clock nanoseconds of
@@ -104,36 +91,23 @@ func NewChainController(cfg Config, names []string) *ChainController {
 // Must be set before the controller is shared across workers.
 func (c *ChainController) SetOnEpoch(fn func(nanos int64)) { c.onEpoch = fn }
 
-// Stratified reports whether callers must supply a real band key to Next and
-// Record (false means any key, conventionally 0, lands in the one stratum).
-func (c *ChainController) Stratified() bool { return len(c.strata) > 1 }
-
-func (c *ChainController) stratum(key uint64) *stratum {
-	if len(c.strata) == 1 {
-		return &c.strata[0]
-	}
-	return &c.strata[key%uint64(len(c.strata))]
-}
-
-// Next books one pair into the stratum keyed by key and returns how to
-// evaluate it: probe == ProbeAll means run the *full* chain in static order
+// Next books one pair and returns how to evaluate it: probe == ProbeAll means run the *full* chain in static order
 // and Record every bound (warm-up); probe >= 0 means evaluate the bound at
 // that static position first, Record it, then walk the returned order
 // skipping it; ProbeNone means walk the order (nil = static),
 // short-circuiting on the first prune, recording nothing. At most one bound
 // is probed per pair — the first due one in static order.
-func (c *ChainController) Next(key uint64) (order []int, probe int) {
-	s := c.stratum(key)
-	k := s.pairs.Add(1)
+func (c *ChainController) Next() (order []int, probe int) {
+	k := c.pairs.Add(1)
 	if k <= int64(c.cfg.WarmupPairs) {
 		return nil, ProbeAll
 	}
-	if k > s.nextEpoch.Load() {
-		c.epoch(s, k)
+	if k > c.nextEpoch.Load() {
+		c.epoch(k)
 	}
 	probe = ProbeNone
-	for i := range s.bounds {
-		b := &s.bounds[i]
+	for i := range c.bounds {
+		b := &c.bounds[i]
 		np := b.nextProbe.Load()
 		if np > k {
 			continue
@@ -154,7 +128,7 @@ func (c *ChainController) Next(key uint64) (order []int, probe int) {
 			break
 		}
 	}
-	if p := s.order.Load(); p != nil {
+	if p := c.order.Load(); p != nil {
 		return *p, probe
 	}
 	return nil, probe
@@ -163,9 +137,8 @@ func (c *ChainController) Next(key uint64) (order []int, probe int) {
 // Record books one measured bound evaluation: the bound at static position
 // pos ran for nanos and did or did not prune. Only warm-up pairs and probes
 // may be recorded, or the selectivities stop being unconditional.
-func (c *ChainController) Record(key uint64, pos int, pruned bool, nanos int64) {
-	s := c.stratum(key)
-	b := &s.bounds[pos]
+func (c *ChainController) Record(pos int, pruned bool, nanos int64) {
+	b := &c.bounds[pos]
 	b.evals.Add(1)
 	if pruned {
 		b.prunes.Add(1)
@@ -173,25 +146,25 @@ func (c *ChainController) Record(key uint64, pos int, pruned bool, nanos int64) 
 	b.nanos.Add(nanos)
 }
 
-// epoch recomputes the stratum's order at a boundary. TryLock keeps the hot
-// path wait-free: a worker that loses the race simply keeps joining with the
+// epoch recomputes the order at a boundary. TryLock keeps the hot path
+// wait-free: a worker that loses the race simply keeps joining with the
 // current order.
-func (c *ChainController) epoch(s *stratum, k int64) {
-	if !s.mu.TryLock() {
+func (c *ChainController) epoch(k int64) {
+	if !c.mu.TryLock() {
 		return
 	}
-	defer s.mu.Unlock()
-	if k <= s.nextEpoch.Load() {
+	defer c.mu.Unlock()
+	if k <= c.nextEpoch.Load() {
 		return // another worker already ran this boundary
 	}
 	t0 := time.Now()
 
-	n := len(s.bounds)
+	n := len(c.bounds)
 	sel := make([]float64, n)
 	cost := make([]float64, n)
 	eff := make([]float64, n)
-	for i := range s.bounds {
-		b := &s.bounds[i]
+	for i := range c.bounds {
+		b := &c.bounds[i]
 		evals := b.evals.Load()
 		if evals > 0 {
 			sel[i] = float64(b.prunes.Load()) / float64(evals)
@@ -221,7 +194,7 @@ func (c *ChainController) epoch(s *stratum, k int64) {
 		return c.names[ia] < c.names[ib]
 	})
 
-	cur := s.order.Load()
+	cur := c.order.Load()
 	curOrder := identity(n)
 	if cur != nil {
 		curOrder = *cur
@@ -238,13 +211,12 @@ func (c *ChainController) epoch(s *stratum, k int64) {
 		adopt = candCost < curCost*(1-c.cfg.Hysteresis)
 	}
 	if adopt && !sameOrder(cand, curOrder) {
-		s.order.Store(&cand)
-		s.cost.Store(math.Float64bits(candCost))
-		s.reorders.Add(1)
+		c.order.Store(&cand)
+		c.reorders.Add(1)
 	}
 
-	s.epochs.Add(1)
-	s.nextEpoch.Store(k + int64(c.cfg.EpochPairs))
+	c.epochs.Add(1)
+	c.nextEpoch.Store(k + int64(c.cfg.EpochPairs))
 	if c.onEpoch != nil {
 		c.onEpoch(int64(time.Since(t0)))
 	}
@@ -283,42 +255,21 @@ func sameOrder(a, b []int) bool {
 	return true
 }
 
-// Totals sums reorder and epoch counts across strata.
+// Totals returns the reorder and epoch counts.
 func (c *ChainController) Totals() (reorders, epochs int64) {
-	for i := range c.strata {
-		reorders += c.strata[i].reorders.Load()
-		epochs += c.strata[i].epochs.Load()
-	}
-	return reorders, epochs
+	return c.reorders.Load(), c.epochs.Load()
 }
 
-// OrderNames renders the adopted order(s) as comma-joined bound names; strata
-// still on the static order render as the static chain. Distinct stratum
-// orders are joined with " | " (deduplicated, input order preserved).
+// OrderNames renders the adopted order (the static chain while none has been
+// adopted) as comma-joined bound names.
 func (c *ChainController) OrderNames() string {
-	seen := make([]string, 0, len(c.strata))
-	for i := range c.strata {
-		var ord []int
-		if p := c.strata[i].order.Load(); p != nil {
-			ord = *p
-		} else {
-			ord = identity(len(c.names))
-		}
-		parts := make([]string, len(ord))
-		for j, idx := range ord {
-			parts[j] = c.names[idx]
-		}
-		s := strings.Join(parts, ",")
-		dup := false
-		for _, prev := range seen {
-			if prev == s {
-				dup = true
-				break
-			}
-		}
-		if !dup {
-			seen = append(seen, s)
-		}
+	ord := identity(len(c.names))
+	if p := c.order.Load(); p != nil {
+		ord = *p
 	}
-	return strings.Join(seen, " | ")
+	parts := make([]string, len(ord))
+	for j, idx := range ord {
+		parts[j] = c.names[idx]
+	}
+	return strings.Join(parts, ",")
 }

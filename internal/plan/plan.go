@@ -2,54 +2,43 @@
 // of only *reporting* the per-bound cost model (core's -explain table), it
 // feeds the same observations back into the running join.
 //
-// Two planners live here, both optional and both off by default:
+// The adaptive chain (ChainController) reorders the filter chain online. A
+// warm-up epoch evaluates the full chain on every pair to seed the per-bound
+// selectivity/cost estimates; after that the estimates are kept
+// unconditional and fresh by single-bound probes — each pair evaluates at
+// most one bound ahead of the adopted walk, on a per-bound schedule whose
+// period doubles after every probe (so an expensive bound is measured a
+// handful of times, not on every Nth pair) — while the walk itself runs the
+// bounds in ascending effective-cost order, short-circuiting on the first
+// prune. Every epoch the order is recomputed, and adopted only when the
+// modeled expected chain cost improves by more than the hysteresis margin —
+// a noisy epoch cannot thrash the order. Every bound is sound, so any order
+// admits exactly the same survivor set; only which bound gets credit for a
+// prune moves.
 //
-//   - The adaptive chain (ChainController) reorders the filter chain online.
-//     A warm-up epoch evaluates the full chain on every pair to seed the
-//     per-bound selectivity/cost estimates; after that the estimates are kept
-//     unconditional and fresh by single-bound probes — each pair evaluates at
-//     most one bound ahead of the adopted walk, on a per-bound schedule whose
-//     period doubles after every probe (so an expensive bound is measured a
-//     handful of times, not on every Nth pair) — while the walk itself runs
-//     the bounds in ascending effective-cost order, short-circuiting on the
-//     first prune. Every epoch the order is recomputed, and adopted only when
-//     the modeled expected chain cost improves by more than the hysteresis
-//     margin — a noisy epoch cannot thrash the order. Every bound is sound,
-//     so any order admits exactly the same survivor set; only which bound
-//     gets credit for a prune moves.
-//
-//   - The source planner (Estimator + Config.Decide) predicts the candidate
-//     workload from a label summary of the query side — per-label graph
-//     counts plus a size histogram folded from the existing dictionary-coded
-//     signatures — and picks the candidate source (cross-product, indexed,
-//     block-screened, or sharded) instead of making the caller guess.
-//
-// The package deliberately depends only on the signature layer (filter,
-// graph, ugraph); internal/core imports it, not the other way around.
+// The package has no dependencies inside the module; internal/core imports
+// it, not the other way around.
 package plan
 
 import (
 	"fmt"
-	"runtime"
 	"sort"
 	"strings"
 	"sync"
 )
 
-// Config enables and tunes the planners. The zero value disables both; the
-// Auto* constructors return the standard "turn it on" configurations. All
-// numeric knobs treat <= 0 as "use the default".
+// Config enables and tunes the adaptive chain. The zero value disables it;
+// AutoChain returns the standard "turn it on" configuration. All numeric
+// knobs treat <= 0 as "use the default".
 type Config struct {
 	// Chain enables online filter-chain reordering.
 	Chain bool
-	// Source enables cardinality-aware candidate-source selection.
-	Source bool
 
 	// WarmupPairs is the length of the warm-up epoch: the first WarmupPairs
-	// pairs (per stratum) evaluate the full chain to seed the cost model.
-	// Keeping it short matters — warm-up pays every bound on every pair, the
-	// expensive ones included; the probe schedule keeps refining the
-	// estimates afterwards. Default 32.
+	// pairs evaluate the full chain to seed the cost model. Keeping it short
+	// matters — warm-up pays every bound on every pair, the expensive ones
+	// included; the probe schedule keeps refining the estimates afterwards.
+	// Default 32.
 	WarmupPairs int
 	// EpochPairs is how many pairs pass between order recomputations after
 	// warm-up. Default 4096.
@@ -67,39 +56,14 @@ type Config struct {
 	// cost a candidate order must show before it replaces the current one.
 	// Default 0.15.
 	Hysteresis float64
-	// Strata partitions pairs by the uncertain graph's MinHash band key and
-	// learns an independent order per stratum. Default 1 (no stratification).
-	Strata int
 
-	// ShardPairs is the cross-product size at or above which the source
-	// planner picks the sharded pipelines. Default 1<<22.
-	ShardPairs int64
-	// ShardCount is how many shards the planner asks for when it picks the
-	// sharded source. Default min(8, GOMAXPROCS).
-	ShardCount int
-	// CrossRatio: when the estimated candidate ratio (candidates / pairs) is
-	// at or above it, index probes would skip almost nothing and the plain
-	// cross product wins. Default 0.5.
-	CrossRatio float64
-	// BlockRatio and BlockMinGraphs gate the block-screened source: a low
-	// estimated ratio over a large resident side is where whole-block
-	// screening pays. Defaults 0.2 and 512.
-	BlockRatio     float64
-	BlockMinGraphs int
-
-	// Report, when set, collects what the planners decided (adopted orders,
-	// reorder counts, the source decision) for -explain style output.
+	// Report, when set, collects what the chain controller decided (adopted
+	// orders, reorder counts) for -explain style output.
 	Report *Report
 }
 
-// Auto returns the standard fully-enabled planner configuration.
-func Auto() *Config { return &Config{Chain: true, Source: true, Report: &Report{}} }
-
-// AutoChain enables only the adaptive filter chain.
+// AutoChain enables the adaptive filter chain with default tuning.
 func AutoChain() *Config { return &Config{Chain: true, Report: &Report{}} }
-
-// AutoSource enables only cardinality-aware source selection.
-func AutoSource() *Config { return &Config{Source: true, Report: &Report{}} }
 
 // withDefaults returns a copy with every unset knob at its default.
 func (c Config) withDefaults() Config {
@@ -121,102 +85,17 @@ func (c Config) withDefaults() Config {
 	if c.Hysteresis <= 0 {
 		c.Hysteresis = 0.15
 	}
-	if c.Strata <= 0 {
-		c.Strata = 1
-	}
-	if c.ShardPairs <= 0 {
-		c.ShardPairs = 1 << 22
-	}
-	if c.ShardCount <= 0 {
-		c.ShardCount = runtime.GOMAXPROCS(0)
-		if c.ShardCount > 8 {
-			c.ShardCount = 8
-		}
-	}
-	if c.CrossRatio <= 0 {
-		c.CrossRatio = 0.5
-	}
-	if c.BlockRatio <= 0 {
-		c.BlockRatio = 0.2
-	}
-	if c.BlockMinGraphs <= 0 {
-		c.BlockMinGraphs = 512
-	}
 	return c
 }
 
-// Source is the planner's candidate-source choice.
-type Source string
-
-const (
-	SourceCross   Source = "cross"
-	SourceIndexed Source = "indexed"
-	SourceBlock   Source = "block"
-	SourceSharded Source = "sharded"
-)
-
-// Decision is one source-planning outcome: the chosen source plus the
-// estimates that drove it, kept so -explain can print estimate-vs-actual.
-type Decision struct {
-	Choice Source
-	// EstPairs is the cross-product size |D|·|U|.
-	EstPairs int64
-	// EstCandidates is the predicted number of pairs surviving the size and
-	// label prescreens (the work an index or block screen cannot avoid).
-	EstCandidates int64
-	// Ratio is EstCandidates / EstPairs.
-	Ratio float64
-	// Shards and BlockSize carry the chosen source's sizing, when relevant.
-	Shards    int
-	BlockSize int
-	// Reason is a one-line human explanation of the choice.
-	Reason string
-}
-
-// Decide maps the estimator's prediction onto a candidate source. The
-// decision table, in order:
-//
-//	est. pairs >= ShardPairs                      -> sharded (the cross
-//	    product itself is the bottleneck; partition it)
-//	ratio >= CrossRatio                           -> cross (probing an index
-//	    would skip too little to pay for itself)
-//	ratio <= BlockRatio and |U| >= BlockMinGraphs -> block-screened (sparse
-//	    survivors over a large resident side: screen whole blocks)
-//	otherwise                                     -> indexed
-func (c *Config) Decide(estPairs, estCands int64, numU int) Decision {
-	cfg := c.withDefaults()
-	ratio := 0.0
-	if estPairs > 0 {
-		ratio = float64(estCands) / float64(estPairs)
-	}
-	d := Decision{EstPairs: estPairs, EstCandidates: estCands, Ratio: ratio}
-	switch {
-	case estPairs >= cfg.ShardPairs:
-		d.Choice = SourceSharded
-		d.Shards = cfg.ShardCount
-		d.Reason = fmt.Sprintf("%d pairs >= shard threshold %d", estPairs, cfg.ShardPairs)
-	case ratio >= cfg.CrossRatio:
-		d.Choice = SourceCross
-		d.Reason = fmt.Sprintf("est. candidate ratio %.2f >= %.2f: index would skip too little", ratio, cfg.CrossRatio)
-	case ratio <= cfg.BlockRatio && numU >= cfg.BlockMinGraphs:
-		d.Choice = SourceBlock
-		d.Reason = fmt.Sprintf("est. candidate ratio %.2f <= %.2f over %d graphs: block screening pays", ratio, cfg.BlockRatio, numU)
-	default:
-		d.Choice = SourceIndexed
-		d.Reason = fmt.Sprintf("est. candidate ratio %.2f: size/label index probes pay", ratio)
-	}
-	return d
-}
-
-// Report accumulates what the planners did across one or more engine runs
-// (sharded joins run one engine per shard against the same Report). All
-// methods are safe on a nil receiver and under concurrent use.
+// Report accumulates what the chain controller did across one or more engine
+// runs sharing a Config. All methods are safe on a nil receiver and under
+// concurrent use.
 type Report struct {
 	mu       sync.Mutex
 	orders   []string
 	reorders int64
 	epochs   int64
-	decision *Decision
 }
 
 // NoteChain records one engine's final adopted order and its reorder/epoch
@@ -237,16 +116,6 @@ func (r *Report) NoteChain(order string, reorders, epochs int64) {
 	r.orders = append(r.orders, order)
 }
 
-// NoteDecision records the source planner's decision.
-func (r *Report) NoteDecision(d Decision) {
-	if r == nil {
-		return
-	}
-	r.mu.Lock()
-	r.decision = &d
-	r.mu.Unlock()
-}
-
 // Chain returns the adopted orders (sorted, deduplicated) and the summed
 // reorder/epoch counts.
 func (r *Report) Chain() (orders []string, reorders, epochs int64) {
@@ -260,20 +129,6 @@ func (r *Report) Chain() (orders []string, reorders, epochs int64) {
 	return orders, r.reorders, r.epochs
 }
 
-// Decision returns a copy of the recorded source decision, or nil.
-func (r *Report) Decision() *Decision {
-	if r == nil {
-		return nil
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if r.decision == nil {
-		return nil
-	}
-	d := *r.decision
-	return &d
-}
-
 // String renders the report on one line (used by logs and tests).
 func (r *Report) String() string {
 	if r == nil {
@@ -284,9 +139,6 @@ func (r *Report) String() string {
 	fmt.Fprintf(&b, "plan: epochs=%d reorders=%d", epochs, reorders)
 	if len(orders) > 0 {
 		fmt.Fprintf(&b, " orders=[%s]", strings.Join(orders, " | "))
-	}
-	if d := r.Decision(); d != nil {
-		fmt.Fprintf(&b, " source=%s", d.Choice)
 	}
 	return b.String()
 }

@@ -4,27 +4,23 @@ import (
 	"strings"
 	"sync"
 	"testing"
-
-	"simjoin/internal/filter"
-	"simjoin/internal/graph"
-	"simjoin/internal/ugraph"
 )
 
 // feedPairs drives the controller like the engine does: every pair asks
 // Next; warm-up pairs record every bound's (pruned, nanos) outcome, probed
 // pairs record just the probed bound's.
-func feedPairs(c *ChainController, n int, key uint64, outcome func(pos int) (bool, int64)) {
+func feedPairs(c *ChainController, n int, outcome func(pos int) (bool, int64)) {
 	for p := 0; p < n; p++ {
-		_, probe := c.Next(key)
+		_, probe := c.Next()
 		switch {
 		case probe == ProbeAll:
 			for pos := range c.names {
 				pruned, nanos := outcome(pos)
-				c.Record(key, pos, pruned, nanos)
+				c.Record(pos, pruned, nanos)
 			}
 		case probe >= 0:
 			pruned, nanos := outcome(probe)
-			c.Record(key, probe, pruned, nanos)
+			c.Record(probe, pruned, nanos)
 		}
 	}
 }
@@ -32,12 +28,12 @@ func feedPairs(c *ChainController, n int, key uint64, outcome func(pos int) (boo
 func TestChainControllerWarmupMeasuresEverything(t *testing.T) {
 	c := NewChainController(Config{WarmupPairs: 10, EpochPairs: 100, SampleEvery: 4}, []string{"a", "b"})
 	for i := 0; i < 10; i++ {
-		order, probe := c.Next(0)
+		order, probe := c.Next()
 		if probe != ProbeAll || order != nil {
 			t.Fatalf("pair %d: want full-chain measurement during warm-up, got order=%v probe=%v", i, order, probe)
 		}
 	}
-	if _, probe := c.Next(0); probe == ProbeAll {
+	if _, probe := c.Next(); probe == ProbeAll {
 		t.Fatal("pair 11: warm-up must end after WarmupPairs pairs")
 	}
 }
@@ -46,7 +42,7 @@ func TestChainControllerReordersByEffectiveCost(t *testing.T) {
 	// Bound 0 is expensive and never prunes; bound 1 is cheap and always
 	// prunes. The first epoch must adopt [1, 0].
 	c := NewChainController(Config{WarmupPairs: 8, EpochPairs: 16, SampleEvery: 4, Hysteresis: 0.1}, []string{"slow", "fast"})
-	feedPairs(c, 64, 0, func(pos int) (bool, int64) {
+	feedPairs(c, 64, func(pos int) (bool, int64) {
 		if pos == 0 {
 			return false, 1000
 		}
@@ -54,7 +50,7 @@ func TestChainControllerReordersByEffectiveCost(t *testing.T) {
 	})
 	var order []int
 	for i := 0; i < 16 && order == nil; i++ {
-		order, _ = c.Next(0)
+		order, _ = c.Next()
 	}
 	if order == nil || order[0] != 1 || order[1] != 0 {
 		t.Fatalf("want adopted order [1 0], got %v", order)
@@ -72,7 +68,7 @@ func TestChainControllerKeepsGoodStaticOrder(t *testing.T) {
 	// The static order is already optimal: cheap pruning bound first. No
 	// reorder may happen.
 	c := NewChainController(Config{WarmupPairs: 8, EpochPairs: 16, SampleEvery: 4}, []string{"fast", "slow"})
-	feedPairs(c, 128, 0, func(pos int) (bool, int64) {
+	feedPairs(c, 128, func(pos int) (bool, int64) {
 		if pos == 0 {
 			return true, 10
 		}
@@ -90,7 +86,7 @@ func TestChainControllerHysteresisBlocksMarginalFlips(t *testing.T) {
 	// Both bounds prune identically; costs differ by ~5%, under the 50%
 	// hysteresis margin — the order must not thrash away from static.
 	c := NewChainController(Config{WarmupPairs: 8, EpochPairs: 16, SampleEvery: 2, Hysteresis: 0.5}, []string{"a", "b"})
-	feedPairs(c, 256, 0, func(pos int) (bool, int64) {
+	feedPairs(c, 256, func(pos int) (bool, int64) {
 		if pos == 0 {
 			return false, 105
 		}
@@ -106,15 +102,15 @@ func TestChainControllerProbesKeepRecording(t *testing.T) {
 	c := NewChainController(cfg, []string{"a", "b"})
 	probes := make([]int, len(c.names))
 	for i := 0; i < 200; i++ {
-		_, probe := c.Next(0)
+		_, probe := c.Next()
 		switch {
 		case probe == ProbeAll:
 			for pos := range c.names {
-				c.Record(0, pos, false, 1)
+				c.Record(pos, false, 1)
 			}
 		case probe >= 0:
 			probes[probe]++
-			c.Record(0, probe, false, 1)
+			c.Record(probe, false, 1)
 		}
 	}
 	// Each bound's probe period starts at SampleEvery=4 and doubles to the
@@ -134,151 +130,35 @@ func TestChainControllerProbesKeepRecording(t *testing.T) {
 	}
 }
 
-func TestChainControllerStratified(t *testing.T) {
-	// Two strata with opposite optimal orders must learn independently.
-	c := NewChainController(Config{WarmupPairs: 8, EpochPairs: 16, SampleEvery: 4, Strata: 2}, []string{"a", "b"})
-	if !c.Stratified() {
-		t.Fatal("want Stratified() with Strata=2")
-	}
-	feedPairs(c, 64, 0, func(pos int) (bool, int64) { // stratum 0: b first
-		if pos == 0 {
-			return false, 1000
-		}
-		return true, 10
-	})
-	feedPairs(c, 64, 1, func(pos int) (bool, int64) { // stratum 1: a first
-		if pos == 0 {
-			return true, 10
-		}
-		return false, 1000
-	})
-	names := c.OrderNames()
-	if !strings.Contains(names, "b,a") || !strings.Contains(names, "a,b") {
-		t.Fatalf("want both stratum orders in %q", names)
-	}
-}
-
 func TestChainControllerConcurrent(t *testing.T) {
 	// Hammer Next/Record from several goroutines; the race detector is the
 	// real assertion, plus totals must stay consistent.
-	c := NewChainController(Config{WarmupPairs: 16, EpochPairs: 32, SampleEvery: 4, Strata: 2}, []string{"a", "b", "c"})
+	c := NewChainController(Config{WarmupPairs: 16, EpochPairs: 32, SampleEvery: 4}, []string{"a", "b", "c"})
 	var wg sync.WaitGroup
 	for w := 0; w < 4; w++ {
 		wg.Add(1)
-		go func(seed uint64) {
+		go func() {
 			defer wg.Done()
 			for i := 0; i < 500; i++ {
-				key := seed + uint64(i)
-				order, probe := c.Next(key)
+				order, probe := c.Next()
 				switch {
 				case probe == ProbeAll:
 					for pos := range c.names {
-						c.Record(key, pos, pos == 0, int64(10*(pos+1)))
+						c.Record(pos, pos == 0, int64(10*(pos+1)))
 					}
 				case probe >= 0:
-					c.Record(key, probe, probe == 0, int64(10*(probe+1)))
+					c.Record(probe, probe == 0, int64(10*(probe+1)))
 				}
 				if probe != ProbeAll && order != nil && len(order) != 3 {
 					t.Errorf("bad order length %d", len(order))
 					return
 				}
 			}
-		}(uint64(w))
+		}()
 	}
 	wg.Wait()
 	if _, epochs := c.Totals(); epochs == 0 {
 		t.Fatal("want at least one epoch across 2000 pairs")
-	}
-}
-
-func TestDecideTable(t *testing.T) {
-	cfg := Config{ShardPairs: 1000, ShardCount: 4, CrossRatio: 0.5, BlockRatio: 0.2, BlockMinGraphs: 10}
-	cases := []struct {
-		pairs, cands int64
-		numU         int
-		want         Source
-	}{
-		{2000, 100, 20, SourceSharded}, // cross product over threshold
-		{500, 400, 20, SourceCross},    // ratio 0.8: index skips too little
-		{500, 50, 20, SourceBlock},     // ratio 0.1 over a large side
-		{500, 50, 5, SourceIndexed},    // sparse but tiny side: no blocks
-		{500, 150, 20, SourceIndexed},  // mid ratio
-		{0, 0, 0, SourceIndexed},       // empty join: any choice is fine
-	}
-	for _, tc := range cases {
-		d := cfg.Decide(tc.pairs, tc.cands, tc.numU)
-		if d.Choice != tc.want {
-			t.Errorf("Decide(%d, %d, %d) = %s, want %s (%s)", tc.pairs, tc.cands, tc.numU, d.Choice, tc.want, d.Reason)
-		}
-		if d.Reason == "" {
-			t.Errorf("Decide(%d, %d, %d): empty reason", tc.pairs, tc.cands, tc.numU)
-		}
-	}
-	if d := cfg.Decide(2000, 100, 20); d.Shards != 4 {
-		t.Errorf("sharded decision carries Shards=%d, want 4", d.Shards)
-	}
-}
-
-func TestEstimatorCandidates(t *testing.T) {
-	// Two disjoint label families; the estimator must predict that a graph
-	// carrying only family-A labels reaches only the family-A queries.
-	mk := func(labels ...string) *graph.Graph {
-		g := graph.New(len(labels))
-		for _, l := range labels {
-			g.AddVertex(l)
-		}
-		return g
-	}
-	var d []*graph.Graph
-	for i := 0; i < 4; i++ {
-		d = append(d, mk("A1", "A2"))
-	}
-	for i := 0; i < 4; i++ {
-		d = append(d, mk("B1", "B2"))
-	}
-	e := NewEstimator(filter.NewQSigs(d))
-
-	var set graph.LabelSet
-	probe := mk("A1", "A2")
-	for _, id := range probe.VertexLabelIDs() {
-		set.Add(id)
-	}
-	// All 8 queries have size 2 (2 vertices, 0 edges); the A-side graph can
-	// only reach the 4 A-family queries.
-	got := e.Candidates(2, &set, 0, 0)
-	if got != 4 {
-		t.Fatalf("Candidates = %d, want 4 (the A family)", got)
-	}
-	// A wildcard-bearing graph reaches everything in the size window.
-	if got := e.Candidates(2, &set, 1, 0); got != 8 {
-		t.Fatalf("wildcard graph Candidates = %d, want 8", got)
-	}
-	// Size window excludes everything.
-	if got := e.Candidates(50, &set, 1, 0); got != 0 {
-		t.Fatalf("out-of-window Candidates = %d, want 0", got)
-	}
-}
-
-func TestEstimateJoinExtrapolates(t *testing.T) {
-	mk := func(labels ...string) *graph.Graph {
-		g := graph.New(len(labels))
-		for _, l := range labels {
-			g.AddVertex(l)
-		}
-		return g
-	}
-	d := []*graph.Graph{mk("X", "Y"), mk("X", "Y"), mk("Z", "W")}
-	var u []*ugraph.Graph
-	for i := 0; i < 6; i++ {
-		u = append(u, ugraph.FromCertain(mk("X", "Y")))
-	}
-	pairs, cands := EstimateJoin(NewEstimator(filter.NewQSigs(d)), u, 0)
-	if pairs != 18 {
-		t.Fatalf("estPairs = %d, want 18", pairs)
-	}
-	// Each uncertain graph reaches the two X/Y queries: 2 × 6 = 12.
-	if cands != 12 {
-		t.Fatalf("estCands = %d, want 12", cands)
 	}
 }
 
@@ -293,11 +173,7 @@ func TestReportAccumulates(t *testing.T) {
 	if len(orders) != 2 || reorders != 3 || epochs != 6 {
 		t.Fatalf("Chain() = %v, %d, %d; want 2 orders, 3 reorders, 6 epochs", orders, reorders, epochs)
 	}
-	r.NoteDecision(Decision{Choice: SourceIndexed, Reason: "test"})
-	if d := r.Decision(); d == nil || d.Choice != SourceIndexed {
-		t.Fatalf("Decision() = %+v", d)
-	}
-	if s := r.String(); !strings.Contains(s, "source=indexed") {
+	if s := r.String(); !strings.Contains(s, "reorders=3") || !strings.Contains(s, "a,b | b,a") {
 		t.Fatalf("String() = %q", s)
 	}
 }
@@ -307,18 +183,10 @@ func TestConfigDefaults(t *testing.T) {
 	if c.ProbeMaxGap < c.SampleEvery {
 		t.Fatalf("ProbeMaxGap %d below SampleEvery %d", c.ProbeMaxGap, c.SampleEvery)
 	}
-	if c.WarmupPairs <= 0 || c.EpochPairs <= 0 || c.SampleEvery <= 0 || c.Hysteresis <= 0 ||
-		c.Strata != 1 || c.ShardPairs <= 0 || c.ShardCount <= 0 || c.CrossRatio <= 0 ||
-		c.BlockRatio <= 0 || c.BlockMinGraphs <= 0 {
+	if c.WarmupPairs <= 0 || c.EpochPairs <= 0 || c.SampleEvery <= 0 || c.Hysteresis <= 0 {
 		t.Fatalf("withDefaults left a zero knob: %+v", c)
 	}
-	if a := Auto(); !a.Chain || !a.Source || a.Report == nil {
-		t.Fatalf("Auto() = %+v", a)
-	}
-	if a := AutoChain(); !a.Chain || a.Source {
+	if a := AutoChain(); !a.Chain || a.Report == nil {
 		t.Fatalf("AutoChain() = %+v", a)
-	}
-	if a := AutoSource(); a.Chain || !a.Source {
-		t.Fatalf("AutoSource() = %+v", a)
 	}
 }

@@ -1,5 +1,5 @@
 // Package server is the resident join/Q-A service: it keeps one core.Resident
-// (the uncertain side with its signatures and SoA blocks) and, optionally, a
+// (the uncertain side with its signatures) and, optionally, a
 // trained qa.System warm in memory, and serves per-request delta joins
 // (POST /join) and template-based question answering (POST /ask) behind an
 // overload envelope — bounded admission, load-shedding tiers mapped onto the

@@ -2,19 +2,19 @@ package workload
 
 // The milestone-scale workload generator.
 //
-// The ER/SF generators above are sized for functional tests; the sharded-join
-// milestone (DESIGN.md §15) needs 10^6 queries against 10^5 uncertain graphs
-// without drowning the join in either all-misses (random labels never match)
-// or all-hits (every pair verifies). Scaled generates both sides from a
+// The ER/SF generators above are sized for functional tests; the candidate
+// generation milestone (DESIGN.md §13) needs 10^6 queries against 10^5
+// uncertain graphs without drowning the join in either all-misses (random
+// labels never match) or all-hits (every pair verifies). Scaled generates both sides from a
 // shared pool of templates, so similarity is controlled: a tunable fraction
 // of each side are exact template copies (guaranteeing join results), the
 // rest are small in-cluster perturbations (guaranteeing near-misses that
 // exercise the bound ladder rather than falling to the cheap label screens).
 //
 // Labels come from a large alphabet partitioned into small clusters; each
-// template draws all its labels from one cluster, so banded signatures
-// (internal/filter) spread templates across shards while keeping each
-// template's derived graphs together.
+// template draws all its labels from one cluster, so the index's label screen
+// separates template families while each template's derived graphs stay
+// close.
 
 import (
 	"fmt"
@@ -37,8 +37,8 @@ type ScaledConfig struct {
 	ExtraEdges int
 	// LabelAlphabet is the total number of distinct vertex labels;
 	// ClusterLabels is the span of the contiguous slice each template draws
-	// from. Small clusters inside a large alphabet give banded signatures
-	// their selectivity.
+	// from. Small clusters inside a large alphabet give the label screen
+	// its selectivity.
 	LabelAlphabet, ClusterLabels int
 	// PerturbEdits counts in-cluster edits applied to non-exact copies.
 	PerturbEdits int
@@ -52,7 +52,7 @@ type ScaledConfig struct {
 }
 
 // MilestoneScaledConfig is the 10^6 x 10^5 benchmark workload
-// (BenchmarkShardMilestone and the shardscale experiment at scale 1).
+// (BenchmarkJoinIndexedScaledMilestone at fraction 1).
 func MilestoneScaledConfig() ScaledConfig {
 	return ScaledConfig{
 		Seed:              7,

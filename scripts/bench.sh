@@ -2,11 +2,11 @@
 # Benchmark the join hot paths and emit a machine-readable summary.
 #
 # Runs the join suite (BenchmarkJoinER, BenchmarkJoinIndexedER,
-# BenchmarkJoinTopK, the screening-bound BenchmarkJoinERScreen, and their
-# block-screened *Block variants) plus the per-pair kernel micro-benchmarks
-# (BenchmarkFilterChainSig, BenchmarkWorldLowerBound, BenchmarkBlockScreen)
-# with -benchmem,
-# averages the repetitions, and writes
+# BenchmarkJoinTopK, the screening-bound BenchmarkJoinERScreen and
+# BenchmarkJoinIndexedERScreen, and the template-workload
+# BenchmarkJoinIndexedScaled plus its milestone twin) and the per-pair kernel
+# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound) with
+# -benchmem, averages the repetitions, and writes
 # BENCH_join.json in the v2 schema: {"benchmarks": {name: {ns_per_op,
 # allocs_per_op, bytes_per_op, samples}}}. The raw `go test` output is echoed
 # so regressions are visible in logs too.
@@ -14,17 +14,22 @@
 # Note: refreshing the baseline this way drops its prune_rates section; re-bake
 # it with `go run ./scripts/benchgate -update-prune -stats <stats.json>`.
 #
+# BenchmarkJoinIndexedScaledMilestone runs only when SHARD_MILESTONE names a
+# milestone fraction (the committed baseline was measured at 0.02); CI gates
+# without it, passing the entry through benchgate's -optional.
+#
 # Environment overrides:
-#   COUNT   repetitions per benchmark (default 5)
-#   PATTERN benchmark regexp (default covers the join + kernel suite above)
-#   OUT     output JSON path (default BENCH_join.json)
+#   COUNT            repetitions per benchmark (default 5)
+#   PATTERN          benchmark regexp (default covers the suite above)
+#   OUT              output JSON path (default BENCH_join.json)
+#   SHARD_MILESTONE  milestone fraction in (0, 1]; empty skips the milestone
 set -eu
 
 COUNT="${COUNT:-5}"
-PATTERN="${PATTERN:-^Benchmark(Join(ER|IndexedER|TopK|ERScreen)(Block)?|FilterChainSig|WorldLowerBound|BlockScreen)\$}"
+PATTERN="${PATTERN:-^Benchmark(Join(ER|IndexedER|TopK|ERScreen|IndexedERScreen|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound)\$}"
 OUT="${OUT:-BENCH_join.json}"
 
-raw=$(go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" .)
+raw=$(SHARD_MILESTONE="${SHARD_MILESTONE:-}" go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 2h .)
 echo "$raw"
 
 echo "$raw" | awk -v out="$OUT" '

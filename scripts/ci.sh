@@ -20,22 +20,20 @@ go build ./...
 echo "== go test (shuffled)"
 go test -shuffle=on ./...
 
-echo "== go test -race, shuffled (core, filter, shard, ged, obs, fault, server, plan)"
-go test -race -shuffle=on ./internal/core ./internal/filter ./internal/shard ./internal/ged ./internal/obs ./internal/fault ./internal/server ./internal/plan
+echo "== go test -race, shuffled (core, filter, ged, obs, fault, server, plan)"
+go test -race -shuffle=on ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server ./internal/plan
+
+echo "== benchmark module (bench/: vet + smoke test)"
+# bench/ is its own Go module (replace simjoin => ../), so the root
+# `go test ./...` never builds it: an API change here could break the
+# benchmark unnoticed.
+(cd bench && go vet ./... && go test ./...)
 
 echo "== fault injection (failpoints armed end-to-end)"
 # Arm failpoints through the environment and run a small join: the pipeline
 # must complete, quarantine the panicking pair, and report it — not crash.
 SIMJOIN_FAILPOINTS='ged.compute=error#5,core.pair=panic#1' \
 	go run ./cmd/simjoin -workload er -scale 0.3 -tau 1 -alpha 0.5 -mode simj >/dev/null
-# Same failpoints through the block-screened path: survivors of the SoA block
-# kernels must flow into the identical quarantine/recovery machinery.
-SIMJOIN_FAILPOINTS='ged.compute=error#5,core.pair=panic#1' \
-	go run ./cmd/simjoin -workload er -scale 0.3 -tau 1 -alpha 0.5 -mode simj -block-size 256 >/dev/null
-# And through the sharded pipelines: a fault in one shard's engine must be
-# quarantined there while the other shards' results merge normally.
-SIMJOIN_FAILPOINTS='ged.compute=error#5,core.pair=panic#1' \
-	go run ./cmd/simjoin -workload er -scale 0.3 -tau 1 -alpha 0.5 -mode simj -shards 4 >/dev/null
 
 echo "== observability artifacts (explain report, event log, trace, metrics)"
 # Run the deterministic CI workload fully instrumented and archive what it
@@ -50,20 +48,8 @@ go run ./cmd/simjoin -workload er -scale 0.5 -tau 1 -alpha 0.5 -mode opt \
 	-stats-json "$ART/stats.json" -trace-out "$ART/trace.json" > "$ART/join-explain.txt"
 grep -q 'effective-cost order' "$ART/join-explain.txt"
 test -s "$ART/events.jsonl"
-# The same workload through the block-screened path (kept out of stats.json so
-# the benchgate prune-rate baseline stays pinned to the scalar chain): the
-# explain report must rank the block stage at chain position -1.
-go run ./cmd/simjoin -workload er -scale 0.5 -tau 1 -alpha 0.5 -mode opt \
-	-block-size 256 -explain > "$ART/join-explain-block.txt"
-grep -Eq '^[[:space:]]*-1[[:space:]]+block' "$ART/join-explain-block.txt"
-# The sharded merge stage's -explain view: the per-shard balance table and
-# the max/mean imbalance line must render with one row per shard.
-go run ./cmd/simjoin -workload er -scale 0.5 -tau 1 -alpha 0.5 -mode opt \
-	-shards 4 -explain > "$ART/join-explain-shard.txt"
-grep -q 'per-shard balance (merge stage):' "$ART/join-explain-shard.txt"
-grep -q 'shard imbalance (max/mean pairs):' "$ART/join-explain-shard.txt"
 
-echo "== adaptive-vs-static equivalence (-plan chain must not change the join)"
+echo "== adaptive-vs-static equivalence (-filters auto must not change the join)"
 # The race matrix above already pins the equivalence property tests
 # (TestAdaptiveChainMatchesStatic and friends); this drives the same contract
 # end-to-end through the CLI on the deterministic workload: the adaptive
@@ -71,9 +57,9 @@ echo "== adaptive-vs-static equivalence (-plan chain must not change the join)"
 # same pair total. Result lines are rank-stripped and sorted so only the
 # match set and its SimP/ged values are compared.
 static_out=$(go run ./cmd/simjoin -workload er -scale 0.5 -tau 2 -alpha 0.3 -mode simj \
-	-filters count,lm,cstar,css,prob -show 100000)
+	-show 100000)
 adaptive_out=$(go run ./cmd/simjoin -workload er -scale 0.5 -tau 2 -alpha 0.3 -mode simj \
-	-filters count,lm,cstar,css,prob -show 100000 -plan chain)
+	-filters auto -show 100000)
 norm_matches() { printf '%s\n' "$1" | sed -n 's/^\[[0-9]*\] //p' | sort; }
 pair_total() { printf '%s\n' "$1" | sed -n 's/^pairs: \([0-9]*\) .*/\1/p'; }
 # Guard against the comparison going vacuous: this workload must keep
@@ -126,28 +112,24 @@ go test -run '^$' -fuzz '^FuzzParseQuery$' -fuzztime 20s ./internal/sparql
 go test -run '^$' -fuzz '^FuzzParseTriples$' -fuzztime 20s ./internal/rdf
 go test -run '^$' -fuzz '^FuzzDecodeJoinRequest$' -fuzztime 20s ./internal/server
 go test -run '^$' -fuzz '^FuzzDecodeAskRequest$' -fuzztime 20s ./internal/server
+go test -run '^$' -fuzz '^FuzzJoinOracle$' -fuzztime 20s ./internal/core
 
 echo "== benchmark regression gate (vs BENCH_join.json, +25% ns/op, +10% allocs/op, ±5pp prune rate)"
-# bench.sh covers the join drivers (BenchmarkJoinER/IndexedER/TopK plus the
-# block-screened JoinERBlock/JoinIndexedERBlock variants) and the per-pair
-# kernel micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound,
-# BenchmarkBlockScreen); the allocs gate keeps the zero-alloc kernels at
-# exactly zero. -stats replays the metrics snapshot archived above to pin the
-# filter chain's per-bound prune rates against the baseline's prune_rates.
+# bench.sh covers the join drivers (BenchmarkJoinER/IndexedER/TopK, the
+# screening-bound JoinERScreen/JoinIndexedERScreen pair and the smoke-size
+# template workload BenchmarkJoinIndexedScaled) and the per-pair kernel
+# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound); the
+# allocs gate keeps the zero-alloc kernels at exactly zero. The baseline also
+# carries the env-gated milestone entry (measured with SHARD_MILESTONE set);
+# routine CI skips it, so it passes through -optional. -stats replays the
+# metrics snapshot archived above to pin the filter chain's per-bound prune
+# rates against the baseline's prune_rates.
 benchtmp=$(mktemp -d)
 trap 'rm -rf "$benchtmp"' EXIT
 OUT="$benchtmp/bench.json" COUNT=3 make bench-join >/dev/null
 go run ./scripts/benchgate -baseline BENCH_join.json -current "$benchtmp/bench.json" \
-	-max-regress 25 -max-allocs-regress 10 -stats "$ART/stats.json" -max-prune-drift 5
-
-echo "== sharded-join regression gate (vs BENCH_shard.json, milestone entries optional)"
-# bench_shard.sh measures the sharded pipelines against the single engine on
-# the smoke template workload. The committed baseline also carries the
-# env-gated BenchmarkShardMilestone trajectory (measured with SHARD_MILESTONE
-# set); routine CI skips it, so those entries pass through -optional.
-OUT="$benchtmp/bench_shard.json" COUNT=3 make bench-shard >/dev/null
-go run ./scripts/benchgate -baseline BENCH_shard.json -current "$benchtmp/bench_shard.json" \
-	-max-regress 25 -max-allocs-regress 10 -optional '^BenchmarkShardMilestone'
+	-max-regress 25 -max-allocs-regress 10 -stats "$ART/stats.json" -max-prune-drift 5 \
+	-optional '^BenchmarkJoinIndexedScaledMilestone$'
 
 echo "== planner regression gate (vs BENCH_plan.json; adaptive must beat static)"
 # bench_plan.sh measures the adaptive chain against the static chain on the
