@@ -328,28 +328,11 @@ func BenchmarkGEDApproximate(b *testing.B) {
 	}
 }
 
-func BenchmarkJoinIndexedER(b *testing.B) {
-	cfg := workload.DefaultSyntheticConfig()
-	cfg.Count = 15
-	d, u := workload.ER(cfg)
-	idx := core.BuildIndex(d)
-	opts := core.DefaultOptions()
-	opts.Tau = 2
-	opts.Alpha = 0.5
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.JoinIndexed(idx, u, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-// BenchmarkJoinERScreen and its indexed twin isolate the screening-bound
-// regime: a 240×240 ER join at tau=0, alpha=0.9 in CSS-only mode prunes
-// essentially every one of its 57.6k pairs, so wall-clock is dominated by the
-// cost of *deciding* pairs rather than verifying survivors. The cross product
-// pays the per-pair chain for each pair; the index answers most of them with
-// its size-run sweep before any bound runs.
+// BenchmarkJoinERScreen isolates the screening-bound regime: a 240×240 ER
+// join at tau=0, alpha=0.9 in CSS-only mode prunes essentially every one of
+// its 57.6k pairs, so wall-clock is dominated by the cost of *deciding* pairs
+// rather than verifying survivors. Join's index answers most of them with its
+// size-run sweep before any bound runs.
 func BenchmarkJoinERScreen(b *testing.B) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.Count = 240
@@ -361,23 +344,6 @@ func BenchmarkJoinERScreen(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		if _, _, err := core.Join(d, u, opts); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkJoinIndexedERScreen(b *testing.B) {
-	cfg := workload.DefaultSyntheticConfig()
-	cfg.Count = 240
-	d, u := workload.ER(cfg)
-	idx := core.BuildIndex(d)
-	opts := core.DefaultOptions()
-	opts.Tau = 0
-	opts.Alpha = 0.9
-	opts.Mode = core.ModeCSSOnly
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, _, err := core.JoinIndexed(idx, u, opts); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -318,8 +318,10 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 		return err
 	}
 	fmt.Printf("pairs: %d in %v\n", len(pairs), time.Since(start).Round(time.Millisecond))
-	fmt.Printf("stats: css-pruned=%d prob-pruned=%d candidates=%d (ratio %.4f) worlds=%d ged-calls=%d\n",
-		st.CSSPruned, st.ProbPruned, st.Candidates, st.CandidateRatio(), st.WorldsChecked, st.GEDCalls)
+	// css-pruned includes the index prescreen's skips, which never reach a
+	// bound and so are missing from the pruned-by line below.
+	fmt.Printf("stats: css-pruned=%d (index-skipped=%d) prob-pruned=%d candidates=%d (ratio %.4f) worlds=%d ged-calls=%d\n",
+		st.CSSPruned, st.IndexSkipped, st.ProbPruned, st.Candidates, st.CandidateRatio(), st.WorldsChecked, st.GEDCalls)
 	fmt.Printf("verdicts: exact=%d sampled=%d approx=%d undecided=%d (budget-fallbacks=%d deadline-hits=%d)\n",
 		st.ExactPairs, st.SampledPairs, st.ApproxPairs, st.SkippedPairs, st.BudgetFallbacks, st.DeadlineHits)
 	if len(st.PrunedBy) > 0 {

@@ -8,8 +8,10 @@ package core
 //
 // The engine below owns everything the stages share — the worker pool, the
 // per-pair panic quarantine, soft deadlines, the watchdog heartbeats, and the
-// Stats accumulator — so Join and JoinIndexed differ only in the
-// CandidateSource they plug in.
+// Stats accumulator — so the drivers differ only in the CandidateSource they
+// plug in: Join and JoinIndexed the index (Index.Source), JoinWith whatever
+// source the caller passes (NewCrossSource for every pair, NewStreamSource
+// for a resident uncertain side).
 
 import (
 	"context"
@@ -64,9 +66,20 @@ func JoinWith(ctx context.Context, src CandidateSource, opts Options) ([]Pair, S
 }
 
 // NewCrossSource is the prescreen-free source pairing every query with every
-// uncertain graph — the source behind Join.
+// uncertain graph, for JoinWith callers whose per-pair chain accounting must
+// cover all of |D| × |U| (Join prescreens through the index instead).
 func NewCrossSource(d []*graph.Graph, u []*ugraph.Graph) CandidateSource {
-	return newCrossSource(d, u)
+	qis := make([]int, len(d))
+	for i := range qis {
+		qis[i] = i
+	}
+	return &crossSource{
+		d:     d,
+		qsigs: filter.NewQSigs(d),
+		u:     u,
+		gsigs: filter.NewGSigs(u),
+		qis:   qis,
+	}
 }
 
 // testPairHook, when non-nil, is called by every engine worker after
@@ -201,20 +214,6 @@ type crossSource struct {
 	u     []*ugraph.Graph
 	gsigs []*filter.GSig
 	qis   []int // 0..len(d)-1, chunked into batches
-}
-
-func newCrossSource(d []*graph.Graph, u []*ugraph.Graph) *crossSource {
-	qis := make([]int, len(d))
-	for i := range qis {
-		qis[i] = i
-	}
-	return &crossSource{
-		d:     d,
-		qsigs: filter.NewQSigs(d),
-		u:     u,
-		gsigs: filter.NewGSigs(u),
-		qis:   qis,
-	}
 }
 
 func (s *crossSource) Queries() ([]*graph.Graph, []*filter.QSig) { return s.d, s.qsigs }

@@ -70,38 +70,6 @@ func TestFilterChainReorderMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestFilterChainIndexedEquivalence checks Join and JoinIndexed agree under a
-// custom chain: same engine, different candidate source.
-func TestFilterChainIndexedEquivalence(t *testing.T) {
-	d, u := smallWorkload(31, 10, 10)
-	opts := Options{Tau: 1, Alpha: 0.6, GroupCount: 4, Workers: 3,
-		FilterChain: chainOf(t, "count", "css", "group")}
-	flat, fs, err := Join(d, u, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	idx := BuildIndex(d)
-	indexed, is, err := JoinIndexed(idx, u, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(flat) != len(indexed) {
-		t.Fatalf("flat join found %d pairs, indexed %d", len(flat), len(indexed))
-	}
-	for i := range flat {
-		if flat[i].Q != indexed[i].Q || flat[i].G != indexed[i].G {
-			t.Fatalf("pair %d differs: flat (%d,%d) vs indexed (%d,%d)",
-				i, flat[i].Q, flat[i].G, indexed[i].Q, indexed[i].G)
-		}
-	}
-	if fs.Pairs != is.Pairs {
-		t.Errorf("Pairs differ: flat %d, indexed %d", fs.Pairs, is.Pairs)
-	}
-	if is.IndexSkipped == 0 {
-		t.Log("index screened nothing on this workload (not a failure, but unusual)")
-	}
-}
-
 // TestJoinWithSources exercises the exported engine entry point directly with
 // both source kinds and confirms it matches the wrapper APIs.
 func TestJoinWithSources(t *testing.T) {
@@ -151,9 +119,9 @@ func TestPrunedByAccounting(t *testing.T) {
 			err error
 		)
 		if indexed {
-			_, st, err = JoinIndexed(BuildIndex(d), u, opts)
-		} else {
 			_, st, err = Join(d, u, opts)
+		} else {
+			_, st, err = JoinWith(context.Background(), NewCrossSource(d, u), opts)
 		}
 		if err != nil {
 			t.Fatal(err)

@@ -22,8 +22,9 @@ import (
 //     costs O(labels) instead of the O(V³) matching
 //     (filter.LabelOverlapScreen).
 //
-// Both screens are implied by bounds the pipeline applies anyway, so
-// JoinIndexed returns exactly the same pairs as Join.
+// Both screens are implied by the CSS bound, so the index feed returns
+// exactly the pairs of the cross product (JoinWith with NewCrossSource).
+// Join builds a one-shot Index per call; JoinIndexed reuses a prebuilt one.
 //
 // The queries are packed once, at BuildIndex time, into a size-sorted
 // structure of arrays: contiguous size runs make the ±τ window one position
@@ -160,9 +161,10 @@ func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
 	return slices.Clone(out)
 }
 
-// JoinIndexed is Join using a prebuilt index over D. It returns exactly the
-// pairs Join(idx.d, u, opts) returns; Stats.IndexSkipped counts the pairs
-// the prescreens eliminated without touching the bound machinery.
+// JoinIndexed is Join with a prebuilt index over D, for callers joining the
+// same D repeatedly. It returns exactly the pairs and Stats counters of
+// Join(idx.d, u, opts); Stats.IndexSkipped counts the pairs the prescreens
+// eliminated without touching the bound machinery.
 func JoinIndexed(idx *Index, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
 	return JoinIndexedContext(context.Background(), idx, u, opts)
 }

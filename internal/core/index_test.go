@@ -9,38 +9,6 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-func TestJoinIndexedMatchesJoin(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		d, u := smallWorkload(seed, 12, 10)
-		idx := BuildIndex(d)
-		for _, tau := range []int{0, 1, 2} {
-			opts := Options{Tau: tau, Alpha: 0.5, Mode: ModeSimJ, Workers: 2}
-			want, wantStats, err := Join(d, u, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gotStats, err := JoinIndexed(idx, u, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed=%d tau=%d: indexed %d pairs, plain %d", seed, tau, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Q != want[i].Q || got[i].G != want[i].G {
-					t.Fatalf("pair %d differs: (%d,%d) vs (%d,%d)", i, got[i].Q, got[i].G, want[i].Q, want[i].G)
-				}
-			}
-			if gotStats.Pairs != wantStats.Pairs {
-				t.Errorf("accounting: indexed pairs %d != %d", gotStats.Pairs, wantStats.Pairs)
-			}
-			if tau <= 1 && gotStats.IndexSkipped == 0 {
-				t.Errorf("tau=%d: index skipped nothing", tau)
-			}
-		}
-	}
-}
-
 func TestIndexCandidatesSound(t *testing.T) {
 	// Every pair the index skips must be beyond tau for every world.
 	d, u := smallWorkload(7, 10, 8)

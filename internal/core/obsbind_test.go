@@ -11,7 +11,9 @@ import (
 	"time"
 
 	"simjoin/internal/filter"
+	"simjoin/internal/graph"
 	"simjoin/internal/obs"
+	"simjoin/internal/ugraph"
 )
 
 // fillStats sets every field of a Stats to a distinct nonzero value via
@@ -182,58 +184,83 @@ func TestPublishStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJoinStatsMatchRegistry runs real joins with a registry attached and
-// checks (a) the returned Stats equal the snapshot-derived Stats and (b) the
-// per-filter counters sum consistently with the lumped Stats fields.
+// TestJoinStatsMatchRegistry runs real joins with a registry attached, through
+// Join's index feed and through the every-pair cross product, and checks (a)
+// the returned Stats equal the snapshot-derived Stats and (b) the per-filter
+// counters sum consistently with the lumped Stats fields: the chain sees
+// every pair the prescreens did not skip.
 func TestJoinStatsMatchRegistry(t *testing.T) {
 	d, u := smallWorkload(7, 8, 8)
-	for _, mode := range []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt} {
-		reg := obs.New()
-		opts := DefaultOptions()
-		opts.Mode = mode
-		opts.Tau = 1
-		opts.Alpha = 0.5
-		opts.Obs = reg
-		opts.Tracer = obs.NewTracer(128)
-		_, st, err := Join(d, u, opts)
-		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+	for _, cross := range []bool{false, true} {
+		for _, mode := range []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt} {
+			t.Run(fmt.Sprintf("cross=%v/%v", cross, mode), func(t *testing.T) {
+				checkJoinRegistry(t, d, u, mode, cross)
+			})
 		}
-		snap := reg.Snapshot()
-		from := StatsFromSnapshot(snap)
-		// Durations are re-measured per field; counters must match exactly.
-		from.PruneTime, from.VerifyTime = st.PruneTime, st.VerifyTime
-		if !statsEqual(from, counterPart(st)) {
-			t.Errorf("mode %v: snapshot stats diverge:\n got %+v\nwant %+v", mode, from, counterPart(st))
-		}
-		c := snap.Counters
-		if got := c["filter_css_pruned_total"]; got != st.CSSPruned {
-			t.Errorf("mode %v: filter_css_pruned_total = %d, Stats.CSSPruned = %d", mode, got, st.CSSPruned)
-		}
-		probSum := c["filter_prob_pruned_total"] + c["filter_prob_tight_pruned_total"] + c["filter_group_bound_pruned_total"]
-		if probSum != st.ProbPruned {
-			t.Errorf("mode %v: per-filter prob prunes sum to %d, Stats.ProbPruned = %d", mode, probSum, st.ProbPruned)
-		}
-		if got := c["filter_group_css_pruned_total"]; got != st.GroupsPruned {
-			t.Errorf("mode %v: filter_group_css_pruned_total = %d, Stats.GroupsPruned = %d", mode, got, st.GroupsPruned)
-		}
-		if got := c["ged_compute_total"]; got != st.GEDCalls {
-			t.Errorf("mode %v: ged_compute_total = %d, Stats.GEDCalls = %d", mode, got, st.GEDCalls)
-		}
-		if got := c["ged_budget_exhausted_total"]; got != st.GEDBudgetHits {
-			t.Errorf("mode %v: ged_budget_exhausted_total = %d, Stats.GEDBudgetHits = %d", mode, got, st.GEDBudgetHits)
-		}
-		// Evaluated counts: the CSS bound sees every pair once.
-		if got := c["filter_css_evaluated_total"]; got != st.Pairs {
-			t.Errorf("mode %v: filter_css_evaluated_total = %d, Stats.Pairs = %d", mode, got, st.Pairs)
-		}
-		// Stage histograms observed once per pair surviving to each stage.
-		if h, ok := snap.Histograms["simjoin_prune_seconds"]; !ok || h.Count != st.Pairs {
-			t.Errorf("mode %v: simjoin_prune_seconds count = %d, want %d", mode, h.Count, st.Pairs)
-		}
-		if h, ok := snap.Histograms["simjoin_verify_seconds"]; !ok || h.Count != st.Candidates {
-			t.Errorf("mode %v: simjoin_verify_seconds count = %d, want %d", mode, h.Count, st.Candidates)
-		}
+	}
+}
+
+func checkJoinRegistry(t *testing.T, d []*graph.Graph, u []*ugraph.Graph, mode Mode, cross bool) {
+	t.Helper()
+	reg := obs.New()
+	opts := DefaultOptions()
+	opts.Mode = mode
+	opts.Tau = 1
+	opts.Alpha = 0.5
+	opts.Obs = reg
+	opts.Tracer = obs.NewTracer(128)
+	var st Stats
+	var err error
+	if cross {
+		_, st, err = JoinWith(context.Background(), NewCrossSource(d, u), opts)
+	} else {
+		_, st, err = Join(d, u, opts)
+	}
+	if err != nil {
+		t.Fatalf("mode %v cross=%v: %v", mode, cross, err)
+	}
+	switch {
+	case cross && st.IndexSkipped != 0:
+		t.Fatalf("mode %v: cross product skipped %d pairs", mode, st.IndexSkipped)
+	case !cross && st.IndexSkipped == 0:
+		t.Fatalf("mode %v: Join's prescreens skipped nothing", mode)
+	}
+	chained := st.Pairs - st.IndexSkipped
+	snap := reg.Snapshot()
+	from := StatsFromSnapshot(snap)
+	// Durations are re-measured per field; counters must match exactly.
+	from.PruneTime, from.VerifyTime = st.PruneTime, st.VerifyTime
+	if !statsEqual(from, counterPart(st)) {
+		t.Errorf("mode %v: snapshot stats diverge:\n got %+v\nwant %+v", mode, from, counterPart(st))
+	}
+	c := snap.Counters
+	if got := c["filter_css_pruned_total"]; got != st.CSSPruned-st.IndexSkipped {
+		t.Errorf("mode %v: filter_css_pruned_total = %d, Stats.CSSPruned %d - IndexSkipped %d",
+			mode, got, st.CSSPruned, st.IndexSkipped)
+	}
+	probSum := c["filter_prob_pruned_total"] + c["filter_prob_tight_pruned_total"] + c["filter_group_bound_pruned_total"]
+	if probSum != st.ProbPruned {
+		t.Errorf("mode %v: per-filter prob prunes sum to %d, Stats.ProbPruned = %d", mode, probSum, st.ProbPruned)
+	}
+	if got := c["filter_group_css_pruned_total"]; got != st.GroupsPruned {
+		t.Errorf("mode %v: filter_group_css_pruned_total = %d, Stats.GroupsPruned = %d", mode, got, st.GroupsPruned)
+	}
+	if got := c["ged_compute_total"]; got != st.GEDCalls {
+		t.Errorf("mode %v: ged_compute_total = %d, Stats.GEDCalls = %d", mode, got, st.GEDCalls)
+	}
+	if got := c["ged_budget_exhausted_total"]; got != st.GEDBudgetHits {
+		t.Errorf("mode %v: ged_budget_exhausted_total = %d, Stats.GEDBudgetHits = %d", mode, got, st.GEDBudgetHits)
+	}
+	// Evaluated counts: the CSS bound sees every chained pair once.
+	if got := c["filter_css_evaluated_total"]; got != chained {
+		t.Errorf("mode %v: filter_css_evaluated_total = %d, want %d", mode, got, chained)
+	}
+	// Stage histograms observed once per pair surviving to each stage.
+	if h, ok := snap.Histograms["simjoin_prune_seconds"]; !ok || h.Count != chained {
+		t.Errorf("mode %v: simjoin_prune_seconds count = %d, want %d", mode, h.Count, chained)
+	}
+	if h, ok := snap.Histograms["simjoin_verify_seconds"]; !ok || h.Count != st.Candidates {
+		t.Errorf("mode %v: simjoin_verify_seconds count = %d, want %d", mode, h.Count, st.Candidates)
 	}
 }
 

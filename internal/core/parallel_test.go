@@ -49,68 +49,3 @@ func TestJoinIndexedUsesMultipleWorkers(t *testing.T) {
 		t.Fatalf("only %d worker(s) processed pairs; want at least 2", len(seen))
 	}
 }
-
-// TestJoinIndexedEquivalenceProperty is a seeded randomized property test:
-// for random workloads across all three modes, JoinIndexed must return
-// exactly Join's pairs — same (Q, G), same SimP to the bit, same best-world
-// distance — with consistent Stats accounting. It runs under -race in CI, so
-// it also exercises the parallel indexed join for data races.
-func TestJoinIndexedEquivalenceProperty(t *testing.T) {
-	modes := []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt}
-	for seed := int64(100); seed < 106; seed++ {
-		d, u := smallWorkload(seed, 10, 8)
-		idx := BuildIndex(d)
-		for _, mode := range modes {
-			opts := Options{
-				Tau:        1 + int(seed%2),
-				Alpha:      0.4,
-				Mode:       mode,
-				GroupCount: 4,
-				Workers:    3,
-			}
-			want, ws, err := Join(d, u, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, gs, err := JoinIndexed(idx, u, opts)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("seed=%d mode=%v: indexed %d pairs, plain %d", seed, mode, len(got), len(want))
-			}
-			for i := range got {
-				if got[i].Q != want[i].Q || got[i].G != want[i].G {
-					t.Fatalf("seed=%d mode=%v pair %d: (%d,%d) vs (%d,%d)",
-						seed, mode, i, got[i].Q, got[i].G, want[i].Q, want[i].G)
-				}
-				if got[i].SimP != want[i].SimP {
-					t.Fatalf("seed=%d mode=%v pair %d: SimP %v != %v",
-						seed, mode, i, got[i].SimP, want[i].SimP)
-				}
-				if got[i].Distance != want[i].Distance {
-					t.Fatalf("seed=%d mode=%v pair %d: distance %d != %d",
-						seed, mode, i, got[i].Distance, want[i].Distance)
-				}
-			}
-			// Stats consistency: the prescreens only move pairs from the
-			// candidate path into IndexSkipped — totals and results agree,
-			// both runs partition their pairs exactly, and the index never
-			// admits more candidates than the plain join.
-			if gs.Pairs != ws.Pairs || gs.Results != ws.Results {
-				t.Fatalf("seed=%d mode=%v: stats pairs/results %d/%d vs %d/%d",
-					seed, mode, gs.Pairs, gs.Results, ws.Pairs, ws.Results)
-			}
-			if gs.Candidates > ws.Candidates {
-				t.Fatalf("seed=%d mode=%v: indexed candidates %d > plain %d",
-					seed, mode, gs.Candidates, ws.Candidates)
-			}
-			if gs.CSSPruned+gs.ProbPruned+gs.Candidates != gs.Pairs {
-				t.Fatalf("seed=%d mode=%v: indexed accounting %+v", seed, mode, gs)
-			}
-			if ws.CSSPruned+ws.ProbPruned+ws.Candidates != ws.Pairs {
-				t.Fatalf("seed=%d mode=%v: plain accounting %+v", seed, mode, ws)
-			}
-		}
-	}
-}

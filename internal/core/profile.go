@@ -241,6 +241,10 @@ func WriteExplain(w io.Writer, st *Stats, snap obs.Snapshot) {
 	if len(prof) == 0 {
 		prof = boundProfileFromSnapshot(snap)
 	}
+	if st.IndexSkipped > 0 {
+		fmt.Fprintf(w, "index prescreen: %d of %d pairs skipped before the chain (in CSSPruned, not in the table)\n",
+			st.IndexSkipped, st.Pairs)
+	}
 	if len(prof) == 0 {
 		fmt.Fprintln(w, "explain: no per-bound profile recorded (run the join with observability enabled)")
 	} else {

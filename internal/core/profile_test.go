@@ -4,6 +4,7 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
+	"fmt"
 	"math"
 	"strings"
 	"testing"
@@ -143,8 +144,9 @@ func TestPrunephaseProfiledZeroAlloc(t *testing.T) {
 }
 
 // TestJoinEventLogEndToEnd drives the sampled event log through a real join
-// at every=1 and checks every pair produced one valid JSONL record whose
-// verdicts partition exactly like the Stats.
+// at every=1 and checks every pair the chain saw (all but the prescreen
+// skips) produced one valid JSONL record whose verdicts partition exactly
+// like the Stats.
 func TestJoinEventLogEndToEnd(t *testing.T) {
 	d, u := smallWorkload(11, 9, 9)
 	var sink bytes.Buffer
@@ -156,8 +158,11 @@ func TestJoinEventLogEndToEnd(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := opts.Events.Emitted(); got != st.Pairs {
-		t.Fatalf("emitted %d events at every=1, want %d (one per pair)", got, st.Pairs)
+	if st.IndexSkipped == 0 {
+		t.Fatal("prescreens skipped nothing; the event count below would not tell skips apart")
+	}
+	if got, want := opts.Events.Emitted(), st.Pairs-st.IndexSkipped; got != want {
+		t.Fatalf("emitted %d events at every=1, want %d (one per chained pair)", got, want)
 	}
 	if opts.Events.Dropped() != 0 {
 		t.Fatalf("dropped %d events on an in-memory sink", opts.Events.Dropped())
@@ -187,8 +192,8 @@ func TestJoinEventLogEndToEnd(t *testing.T) {
 			t.Fatalf("negative total_ns in %q", sc.Text())
 		}
 	}
-	if got := counts["pruned"]; got != st.CSSPruned+st.ProbPruned {
-		t.Errorf("%d pruned events, Stats prunes = %d", got, st.CSSPruned+st.ProbPruned)
+	if got, want := counts["pruned"], st.CSSPruned+st.ProbPruned-st.IndexSkipped; got != want {
+		t.Errorf("%d pruned events, Stats chain prunes = %d", got, want)
 	}
 	if got := counts["exact"]; got != st.ExactPairs {
 		t.Errorf("%d exact events, Stats.ExactPairs = %d", got, st.ExactPairs)
@@ -257,8 +262,9 @@ func TestEffectiveCost(t *testing.T) {
 }
 
 // TestWriteExplain renders the explain report off a real profiled join and
-// checks the promised surfaces are present: the per-bound cost table, the
-// effective-cost ordering, and the stage latency quantiles.
+// checks the promised surfaces are present: the index prescreen line, the
+// per-bound cost table, the effective-cost ordering, and the stage latency
+// quantiles.
 func TestWriteExplain(t *testing.T) {
 	d, u := smallWorkload(13, 8, 8)
 	opts := DefaultOptions()
@@ -271,7 +277,11 @@ func TestWriteExplain(t *testing.T) {
 	var out strings.Builder
 	WriteExplain(&out, &st, opts.Obs.Snapshot())
 	text := out.String()
+	if st.IndexSkipped == 0 {
+		t.Fatal("prescreens skipped nothing; the prescreen line would be absent")
+	}
 	for _, want := range []string{
+		fmt.Sprintf("index prescreen: %d of %d pairs", st.IndexSkipped, st.Pairs),
 		"per-bound cost model", "pos", "bound", "evals", "prunes", "sel", "ns/eval", "eff-cost", "rank",
 		"css", "group",
 		"effective-cost order",

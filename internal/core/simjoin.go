@@ -286,8 +286,8 @@ type Stats struct {
 	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
 	// eliminated each one, under the bounds' registry names. Summed over the
 	// bounds it equals CSSPruned + ProbPruned minus IndexSkipped (pairs the
-	// index prescreens removed never reach a bound). Nil when nothing was
-	// pruned.
+	// index prescreens of Join and JoinIndexed removed never reach a bound).
+	// Nil when nothing was pruned.
 	PrunedBy map[string]int64 `json:",omitempty"`
 	// BoundProfile is the per-bound cost/selectivity profile in chain order:
 	// one entry per chain position with the bound's evaluation count, prune
@@ -297,9 +297,10 @@ type Stats struct {
 	BoundProfile []BoundCost `json:",omitempty"`
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α
-	// IndexSkipped counts pairs eliminated by JoinIndexed's prescreens
-	// (also counted in CSSPruned: the prescreens are implied by the CSS
-	// bound).
+	// IndexSkipped counts pairs eliminated by the index's size and label
+	// prescreens before the filter chain — the feed of Join and JoinIndexed;
+	// 0 for the cross-product and stream sources. They are also counted in
+	// CSSPruned: the prescreens are implied by the CSS bound.
 	IndexSkipped int64
 	SampledPairs int64 // pairs decided by the Monte Carlo sampling rung
 	ExactPairs   int64 // pairs decided by exact possible-world enumeration
@@ -405,7 +406,8 @@ func (s *Stats) Merge(o *Stats) {
 
 // Join performs the similarity join of Def. 7 between the certain graphs D
 // and the uncertain graphs U, returning all pairs with SimPτ ≥ α sorted by
-// (Q, G).
+// (Q, G). It indexes D for this one call (see JoinContext); JoinIndexed
+// reuses an index across calls.
 func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
 	return JoinContext(context.Background(), d, u, opts)
 }
@@ -414,9 +416,14 @@ func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, err
 // stop picking up new pairs, in-flight pairs finish, and ctx.Err() is
 // returned along with the Stats accumulated so far (results are dropped —
 // a partial join result would be silently incomplete). It is a thin wrapper
-// over the pipeline engine (see engine.go) with the cross-product source.
+// over the pipeline engine (see engine.go) with a one-shot Index over D as
+// the candidate source: the index's size and label prescreens are implied by
+// the CSS bound, so the answer set is the cross product's, while the pairs
+// they rule out never reach the filter chain (Stats.IndexSkipped). Callers
+// that need every pair shown to the chain use
+// JoinWith(ctx, NewCrossSource(d, u), opts).
 func JoinContext(ctx context.Context, d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
-	return joinEngine(ctx, newCrossSource(d, u), opts)
+	return joinEngine(ctx, BuildIndex(d).Source(u), opts)
 }
 
 // finishStats orders the quarantine log deterministically, publishes the
@@ -841,6 +848,9 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 
 	simP := 0.0
 	remaining := totalMass
+	// Accept and reject against α up to the rounding of the mass sums (see
+	// filter.MassSlack): at α = 1 an exact SimP of 1 can sum a few ulps short.
+	alphaLo := opts.Alpha - filter.MassSlack
 	best := Pair{Q: qi, G: gi, Distance: opts.Tau + 1}
 	outcome := exactDecided
 	decided := false
@@ -918,12 +928,12 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 				}
 			}
 			if !opts.DisableEarlyExit {
-				if simP >= opts.Alpha {
+				if simP >= alphaLo {
 					st.EarlyAccepts++
 					decided, accepted = true, true
 					return false
 				}
-				if simP+remaining < opts.Alpha {
+				if simP+remaining < alphaLo {
 					st.EarlyRejects++
 					decided, accepted = true, false
 					return false
@@ -938,7 +948,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 		return Pair{}, false, outcome, assisted
 	}
 	if !decided {
-		accepted = simP >= opts.Alpha
+		accepted = simP >= alphaLo
 	}
 	if !accepted {
 		return Pair{}, false, exactDecided, assisted

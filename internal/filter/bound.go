@@ -88,6 +88,19 @@ type PairContext struct {
 	HasCSSLB bool
 }
 
+// MassSlack absorbs floating-point rounding wherever a probability-mass sum
+// is compared against α. Conditioned group masses do not sum bit-exactly to
+// the graph's mass, nor world probabilities to their group's, so at α = 1 a
+// pair whose every world qualifies can fall a few ulps short of α and be
+// pruned or rejected. Comparing against α − MassSlack stays sound: summing
+// the default 2^20 world budget errs by at most about 2^20 · 2^-53 ≈ 1.2e-10,
+// so no accepted pair's exact SimP is below α − 1e-9.
+const MassSlack = 1e-10
+
+// belowAlpha reports whether a similarity-probability upper bound proves
+// SimP < α, up to MassSlack.
+func (pc *PairContext) belowAlpha(ub float64) bool { return ub < pc.Alpha-MassSlack }
+
 // cssLowerBound returns the pair's CSS lower bound, computing and caching it
 // in the context on first use.
 func (pc *PairContext) cssLowerBound() int {
@@ -251,7 +264,7 @@ func (b probBound) Apply(pc *PairContext) Outcome {
 	} else {
 		ub = SimilarityUpperBoundSig(pc.QS, pc.GS, pc.Tau)
 	}
-	return Outcome{Pruned: ub < pc.Alpha}
+	return Outcome{Pruned: pc.belowAlpha(ub)}
 }
 
 // groupBound is Algorithm 2's grouped probabilistic bound: partition the
@@ -284,7 +297,7 @@ func (groupBound) Apply(pc *PairContext) Outcome {
 		ubSum += ub
 		kept = append(kept, gr)
 	}
-	if ubSum < pc.Alpha {
+	if pc.belowAlpha(ubSum) {
 		out.Pruned = true
 		return out
 	}

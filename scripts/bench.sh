@@ -1,9 +1,8 @@
 #!/bin/sh
 # Benchmark the join hot paths and emit a machine-readable summary.
 #
-# Runs the join suite (BenchmarkJoinER, BenchmarkJoinIndexedER,
-# BenchmarkJoinTopK, the screening-bound BenchmarkJoinERScreen and
-# BenchmarkJoinIndexedERScreen, and the template-workload
+# Runs the join suite (BenchmarkJoinER, BenchmarkJoinTopK, the
+# screening-bound BenchmarkJoinERScreen, and the template-workload
 # BenchmarkJoinIndexedScaled plus its milestone twin) and the per-pair kernel
 # micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound) with
 # -benchmem, averages the repetitions, and writes
@@ -26,7 +25,7 @@
 set -eu
 
 COUNT="${COUNT:-5}"
-PATTERN="${PATTERN:-^Benchmark(Join(ER|IndexedER|TopK|ERScreen|IndexedERScreen|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound)\$}"
+PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound)\$}"
 OUT="${OUT:-BENCH_join.json}"
 
 raw=$(SHARD_MILESTONE="${SHARD_MILESTONE:-}" go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 2h .)

@@ -115,15 +115,17 @@ go test -run '^$' -fuzz '^FuzzDecodeAskRequest$' -fuzztime 20s ./internal/server
 go test -run '^$' -fuzz '^FuzzJoinOracle$' -fuzztime 20s ./internal/core
 
 echo "== benchmark regression gate (vs BENCH_join.json, +25% ns/op, +10% allocs/op, ±5pp prune rate)"
-# bench.sh covers the join drivers (BenchmarkJoinER/IndexedER/TopK, the
-# screening-bound JoinERScreen/JoinIndexedERScreen pair and the smoke-size
-# template workload BenchmarkJoinIndexedScaled) and the per-pair kernel
-# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound); the
-# allocs gate keeps the zero-alloc kernels at exactly zero. The baseline also
-# carries the env-gated milestone entry (measured with SHARD_MILESTONE set);
-# routine CI skips it, so it passes through -optional. -stats replays the
-# metrics snapshot archived above to pin the filter chain's per-bound prune
-# rates against the baseline's prune_rates.
+# bench.sh covers the join drivers (BenchmarkJoinER/TopK, the
+# screening-bound JoinERScreen and the smoke-size template workload
+# BenchmarkJoinIndexedScaled) and the per-pair kernel micro-benchmarks
+# (BenchmarkFilterChainSig, BenchmarkWorldLowerBound); the allocs gate keeps
+# the zero-alloc kernels at exactly zero. The baseline also carries the
+# env-gated milestone entry (measured with SHARD_MILESTONE set); routine CI
+# skips it, so it passes through -optional. -stats replays the metrics
+# snapshot archived above to pin the filter chain's per-bound prune rates
+# against the baseline's prune_rates. The CLI joins through the index, so
+# those rates cover only the pairs its size/label prescreens let through to
+# the chain (the prescreened pairs never reach a bound).
 benchtmp=$(mktemp -d)
 trap 'rm -rf "$benchtmp"' EXIT
 OUT="$benchtmp/bench.json" COUNT=3 make bench-join >/dev/null
