@@ -1,6 +1,6 @@
 GO ?= go
 
-.PHONY: all build test race vet fmt fuzz ci bench bench-join bench-plan clean
+.PHONY: all build test race vet fmt fuzz ci bench bench-join clean
 
 all: build
 
@@ -14,7 +14,7 @@ test:
 # pooled/scratch-reusing filter and GED kernels they call, and the
 # observability instruments they write through.
 race:
-	$(GO) test -race ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server ./internal/plan
+	$(GO) test -race ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server
 
 # Coverage-guided smoke on each fuzz target (seed corpora live under
 # internal/*/testdata/fuzz; crashers found in CI land there too).
@@ -46,11 +46,6 @@ bench:
 # SHARD_MILESTONE to also measure the milestone workload fraction).
 bench-join:
 	./scripts/bench.sh
-
-# Adaptive-planner vs static-chain benchmarks, emitted as BENCH_plan.json
-# (see scripts/bench_plan.sh for knobs).
-bench-plan:
-	./scripts/bench_plan.sh
 
 clean:
 	$(GO) clean ./...

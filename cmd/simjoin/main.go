@@ -16,7 +16,6 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"sort"
 	"strings"
 	"syscall"
 	"time"
@@ -27,7 +26,6 @@ import (
 	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
-	"simjoin/internal/plan"
 	"simjoin/internal/ugraph"
 	"simjoin/internal/workload"
 )
@@ -38,7 +36,7 @@ func main() {
 		tau       = flag.Int("tau", 1, "GED threshold")
 		alpha     = flag.Float64("alpha", 0.9, "similarity probability threshold")
 		mode      = flag.String("mode", "opt", "pruning mode: css|simj|opt")
-		filters   = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob', or 'auto' to reorder the mode's chain online by measured effective cost (bounds: "+strings.Join(filter.BoundNames(), ", ")+")")
+		filters   = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob'; -explain prints a measured order to pass here (bounds: "+strings.Join(filter.BoundNames(), ", ")+")")
 		gn        = flag.Int("gn", 10, "possible-world group count (opt mode)")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		show      = flag.Int("show", 5, "matched pairs to print")
@@ -241,12 +239,7 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 	default:
 		return fmt.Errorf("unknown mode %q", modeName)
 	}
-	switch {
-	case filters == "auto":
-		// Keep the mode's chain but let the optimizer reorder it online.
-		opts.Planner = plan.AutoChain()
-		chainDesc += " (adaptive)"
-	case filters != "":
+	if filters != "" {
 		chain, err := filter.ParseChain(filters)
 		if err != nil {
 			return err
@@ -325,22 +318,11 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 	fmt.Printf("verdicts: exact=%d sampled=%d approx=%d undecided=%d (budget-fallbacks=%d deadline-hits=%d)\n",
 		st.ExactPairs, st.SampledPairs, st.ApproxPairs, st.SkippedPairs, st.BudgetFallbacks, st.DeadlineHits)
 	if len(st.PrunedBy) > 0 {
+		// Chain order: the profile lists every bound at its chain position,
+		// including bounds that pruned nothing; PrunedBy is its prunes.
 		fmt.Printf("pruned-by:")
-		if len(st.BoundProfile) > 0 {
-			// Deterministic chain order: the profile lists every bound at its
-			// chain position, including bounds that pruned nothing.
-			for _, bc := range st.BoundProfile {
-				fmt.Printf(" %s=%d", bc.Bound, bc.Prunes)
-			}
-		} else {
-			bounds := make([]string, 0, len(st.PrunedBy))
-			for b := range st.PrunedBy {
-				bounds = append(bounds, b)
-			}
-			sort.Strings(bounds)
-			for _, b := range bounds {
-				fmt.Printf(" %s=%d", b, st.PrunedBy[b])
-			}
+		for _, bc := range st.BoundProfile {
+			fmt.Printf(" %s=%d", bc.Bound, bc.Prunes)
 		}
 		fmt.Println()
 	}
@@ -353,10 +335,6 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 	if oc.explain {
 		fmt.Println()
 		core.WriteExplain(os.Stdout, &st, reg.Snapshot())
-		if opts.Planner != nil {
-			fmt.Println()
-			core.WritePlanReport(os.Stdout, opts.Planner, &st)
-		}
 	}
 	if err := flushArtifacts(oc, &st, reg, tr, opts.Events, eventsFile); err != nil {
 		return err

@@ -33,7 +33,6 @@ import (
 	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
-	"simjoin/internal/plan"
 	"simjoin/internal/qa"
 	"simjoin/internal/server"
 	"simjoin/internal/ugraph"
@@ -45,7 +44,7 @@ func main() {
 		wl      = flag.String("workload", "er", "workload: er|sf|qald|webq|mm")
 		tau     = flag.Int("tau", 2, "GED threshold")
 		alpha   = flag.Float64("alpha", 0.5, "similarity probability threshold")
-		filters = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob', or 'auto' to reorder the chain online by measured effective cost (bounds: "+strings.Join(filter.BoundNames(), ", ")+"); per-request \"filters\" fields override this")
+		filters = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob' (bounds: "+strings.Join(filter.BoundNames(), ", ")+"); per-request \"filters\" fields override this")
 		scale   = flag.Float64("scale", 1.0, "workload scale factor")
 		minPhi  = flag.Float64("phi", 0.5, "minimum template matching proportion (QA workloads)")
 
@@ -102,10 +101,7 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Tau = *tau
 	opts.Alpha = *alpha
-	switch {
-	case *filters == "auto":
-		opts.Planner = plan.AutoChain()
-	case *filters != "":
+	if *filters != "" {
 		chain, err := filter.ParseChain(*filters)
 		if err != nil {
 			fatal(err)

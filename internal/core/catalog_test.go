@@ -72,11 +72,10 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	if _, _, err := Join(d, u, opts); err != nil {
 		t.Fatal(err)
 	}
-	// The index feed and the adaptive chain publish into the same registry.
+	// The prebuilt-index feed publishes into the same registry.
 	iopts := opts
 	iopts.Events = nil
 	iopts.Mode = ModeSimJ
-	iopts.Planner = fastAdaptive()
 	if _, _, err := JoinIndexed(BuildIndex(d), u, iopts); err != nil {
 		t.Fatal(err)
 	}

@@ -11,7 +11,7 @@ package core
 // Stats accumulator — so the drivers differ only in the CandidateSource they
 // plug in: Join and JoinIndexed the index (Index.Source), JoinWith whatever
 // source the caller passes (NewCrossSource for every pair, NewStreamSource
-// for a resident uncertain side).
+// for every pair against a resident uncertain side).
 
 import (
 	"context"
@@ -69,17 +69,17 @@ func JoinWith(ctx context.Context, src CandidateSource, opts Options) ([]Pair, S
 // uncertain graph, for JoinWith callers whose per-pair chain accounting must
 // cover all of |D| × |U| (Join prescreens through the index instead).
 func NewCrossSource(d []*graph.Graph, u []*ugraph.Graph) CandidateSource {
+	return newCrossSource(d, u, filter.NewGSigs(u))
+}
+
+// newCrossSource pairs every query of d with every graph of u, whose filter
+// signatures gsigs the caller supplies (freshly built, or a Resident's).
+func newCrossSource(d []*graph.Graph, u []*ugraph.Graph, gsigs []*filter.GSig) *crossSource {
 	qis := make([]int, len(d))
 	for i := range qis {
 		qis[i] = i
 	}
-	return &crossSource{
-		d:     d,
-		qsigs: filter.NewQSigs(d),
-		u:     u,
-		gsigs: filter.NewGSigs(u),
-		qis:   qis,
-	}
+	return &crossSource{d: d, qsigs: filter.NewQSigs(d), u: u, gsigs: gsigs, qis: qis}
 }
 
 // testPairHook, when non-nil, is called by every engine worker after
@@ -101,7 +101,6 @@ func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair,
 		return nil, Stats{}, err
 	}
 	jo := newJoinObs(&opts)
-	jo.startPlanner(&opts, chain)
 	stopProgress := jo.startProgress(&opts, src.TotalPairs())
 	defer stopProgress()
 	stopWatchdog := jo.startWatchdog(&opts)
@@ -189,7 +188,6 @@ func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair,
 	total.Pairs += skipped
 	total.CSSPruned += skipped // prescreens are implied by the CSS stage
 	total.IndexSkipped += skipped
-	jo.finishPlanner(&opts, &total)
 	finishStats(&total, jo)
 	if err := ctx.Err(); err != nil {
 		total.Cancelled = true

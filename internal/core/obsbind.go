@@ -7,7 +7,6 @@ import (
 	"simjoin/internal/filter"
 	"simjoin/internal/ged"
 	"simjoin/internal/obs"
-	"simjoin/internal/plan"
 	"simjoin/internal/ugraph"
 )
 
@@ -48,13 +47,6 @@ type joinObs struct {
 	// The watchdog goroutine scans them to spot workers stuck on one pair.
 	beats          []atomic.Int64
 	watchdogStalls *obs.Counter
-
-	// ctrl is the adaptive filter-chain controller (nil unless
-	// Options.Planner asks for chain adaptation); epochSeconds and epochNanos
-	// record the wall-clock cost of its epoch recomputations.
-	ctrl         *plan.ChainController
-	epochSeconds *obs.Histogram
-	epochNanos   atomic.Int64
 }
 
 func newJoinObs(o *Options) *joinObs {
@@ -78,47 +70,6 @@ func newJoinObs(o *Options) *joinObs {
 		jo.watchdogStalls = o.Obs.Counter("simjoin_watchdog_stalls_total")
 	}
 	return jo
-}
-
-// startPlanner creates the adaptive chain controller when Options.Planner
-// asks for chain adaptation and the chain has anything to reorder. The
-// controller is shared by all workers (its hot path is atomic); every epoch
-// recomputation reports its wall-clock cost here for the epoch histogram and
-// Stats.PlanEpochTime.
-func (jo *joinObs) startPlanner(o *Options, chain []filter.Bound) {
-	p := o.Planner
-	if p == nil || !p.Chain || len(chain) < 2 {
-		return
-	}
-	names := make([]string, len(chain))
-	for i, b := range chain {
-		names[i] = b.Name()
-	}
-	jo.ctrl = plan.NewChainController(*p, names)
-	if o.Obs != nil {
-		jo.epochSeconds = o.Obs.Histogram("simjoin_plan_epoch_seconds", obs.DurationBuckets)
-	}
-	jo.ctrl.SetOnEpoch(func(nanos int64) {
-		jo.epochNanos.Add(nanos)
-		if jo.epochSeconds != nil {
-			jo.epochSeconds.ObserveDuration(time.Duration(nanos))
-		}
-	})
-}
-
-// finishPlanner folds the controller's totals into the run's Stats and the
-// planner's Report at join end. No-op without an active controller.
-func (jo *joinObs) finishPlanner(o *Options, total *Stats) {
-	if jo.ctrl == nil {
-		return
-	}
-	reorders, epochs := jo.ctrl.Totals()
-	total.PlanReorders += reorders
-	total.PlanEpochs += epochs
-	total.PlanEpochTime += time.Duration(jo.epochNanos.Load())
-	if o.Planner != nil {
-		o.Planner.Report.NoteChain(jo.ctrl.OrderNames(), reorders, epochs)
-	}
 }
 
 // syncAux publishes the auxiliary instruments' tallies into the registry at
@@ -267,8 +218,6 @@ var statsCounterSpec = []struct {
 	{"simjoin_approx_pairs_total", func(s *Stats) *int64 { return &s.ApproxPairs }},
 	{"simjoin_budget_fallbacks_total", func(s *Stats) *int64 { return &s.BudgetFallbacks }},
 	{"simjoin_deadline_hits_total", func(s *Stats) *int64 { return &s.DeadlineHits }},
-	{"simjoin_plan_epochs_total", func(s *Stats) *int64 { return &s.PlanEpochs }},
-	{"simjoin_plan_reorders_total", func(s *Stats) *int64 { return &s.PlanReorders }},
 	{"simjoin_quarantined_pairs_total", func(s *Stats) *int64 { return &s.QuarantinedPairs }},
 }
 
@@ -280,7 +229,6 @@ var statsDurationSpec = []struct {
 }{
 	{"simjoin_prune_time_nanoseconds_total", func(s *Stats) *time.Duration { return &s.PruneTime }},
 	{"simjoin_verify_time_nanoseconds_total", func(s *Stats) *time.Duration { return &s.VerifyTime }},
-	{"simjoin_plan_epoch_time_nanoseconds_total", func(s *Stats) *time.Duration { return &s.PlanEpochTime }},
 }
 
 // prunedByMetric maps a bound's registry name to the counter carrying its

@@ -10,8 +10,9 @@ package core
 // Each worker accumulates per-position shards (plain int64 fields, no
 // atomics, no allocation in steady state); at join end the shards fold into
 // Stats.BoundProfile, in chain order, and publish to the registry as
-// labelled counters. WriteExplain renders the resulting cost model — exactly
-// the input a cost-based chain optimizer (ROADMAP item 3) will consume.
+// labelled counters. WriteExplain renders the resulting cost model; its
+// effective-cost order is a measured chain to pass back as
+// Options.FilterChain (simjoin -explain, then -filters).
 
 import (
 	"fmt"
@@ -22,7 +23,6 @@ import (
 
 	"simjoin/internal/filter"
 	"simjoin/internal/obs"
-	"simjoin/internal/plan"
 )
 
 // BoundCost is one filter-chain stage's accumulated profile: how many pairs
@@ -92,21 +92,34 @@ func newRec(jo *joinObs, opts *Options, chain []filter.Bound) rec {
 	return r
 }
 
-// finish folds the worker's shards into its Stats (chain-ordered
-// BoundProfile) and flushes any pending events; called once per worker
-// after its task loop drains, before the Stats merge.
+// finish folds the worker's shards into its Stats and flushes any pending
+// events; called once per worker after its task loop drains, before the
+// Stats merge. The shards become the chain-ordered BoundProfile and, since
+// the walk stops at the first prune, a position's prunes are exactly the
+// pairs it removed: they sum into PrunedBy by bound name and into CSSPruned
+// or ProbPruned by bound kind.
 func (st *rec) finish(chain []filter.Bound) {
-	if st.prof != nil {
-		st.BoundProfile = make([]BoundCost, len(st.prof))
-		for i := range st.prof {
-			sh := &st.prof[i]
-			st.BoundProfile[i] = BoundCost{
-				Pos:    i,
-				Bound:  chain[i].Name(),
-				Evals:  sh.evals,
-				Prunes: sh.prunes,
-				Nanos:  sh.nanos,
-			}
+	st.BoundProfile = make([]BoundCost, len(st.prof))
+	for i := range st.prof {
+		sh, b := &st.prof[i], chain[i]
+		st.BoundProfile[i] = BoundCost{
+			Pos:    i,
+			Bound:  b.Name(),
+			Evals:  sh.evals,
+			Prunes: sh.prunes,
+			Nanos:  sh.nanos,
+		}
+		if sh.prunes == 0 {
+			continue
+		}
+		if st.PrunedBy == nil {
+			st.PrunedBy = make(map[string]int64)
+		}
+		st.PrunedBy[b.Name()] += sh.prunes
+		if b.Kind() == filter.Structural {
+			st.CSSPruned += sh.prunes
+		} else {
+			st.ProbPruned += sh.prunes
 		}
 	}
 	st.eb.Flush()
@@ -280,26 +293,6 @@ func WriteBoundTable(w io.Writer, prof []BoundCost) {
 	fmt.Fprintf(w, "effective-cost order (cheapest pruning first): %s\n", EffectiveCostOrder(prof))
 }
 
-// WritePlanReport renders what the adaptive chain did — the adopted orders
-// with their reorder/epoch totals and the epoch recomputation time from st —
-// for -explain output. No-op when the config carries no report or the report
-// recorded no order.
-func WritePlanReport(w io.Writer, p *plan.Config, st *Stats) {
-	if p == nil {
-		return
-	}
-	orders, reorders, epochs := p.Report.Chain()
-	if len(orders) == 0 {
-		return
-	}
-	fmt.Fprintln(w, "planner:")
-	fmt.Fprintf(w, "  adaptive chain: epochs=%d reorders=%d epoch-time=%s\n",
-		epochs, reorders, st.PlanEpochTime)
-	for _, o := range orders {
-		fmt.Fprintf(w, "    order: %s\n", o)
-	}
-}
-
 // effectiveCostLess is the one deterministic comparator behind every
 // effective-cost ranking: ascending effective cost, ties broken by chain
 // position, then by bound name. The name tie-break matters for name-folded
@@ -362,8 +355,7 @@ func EffectiveCostOrder(prof []BoundCost) string {
 // ProfileByBound folds a profile by bound name, summing evals, prunes and
 // nanos across chain positions; each entry keeps the smallest position the
 // bound appeared at, and the result is sorted by name. This is the positional
-// profile's order-independent view: two runs of the same chain under
-// different adaptive orders (or differently-ordered explicit chains)
+// profile's order-independent view: runs of differently-ordered chains
 // produce name-folded profiles whose eval/prune totals are directly
 // comparable, which is why the prune-drift tooling keys on it.
 func ProfileByBound(prof []BoundCost) []BoundCost {

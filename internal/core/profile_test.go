@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -299,5 +300,86 @@ func TestWriteExplain(t *testing.T) {
 	WriteExplain(&out2, &Stats{}, opts.Obs.Snapshot())
 	if !strings.Contains(out2.String(), "css") {
 		t.Errorf("snapshot-only explain lacks the bound table:\n%s", out2.String())
+	}
+}
+
+// TestStatsMergeFoldsCrossOrderProfiles asserts Stats.Merge and
+// ProfileByBound keep eval/prune totals exact when the merged joins profiled
+// the same bounds at *different* chain positions — the shape merged Stats
+// take when joins run differently-ordered explicit chains.
+func TestStatsMergeFoldsCrossOrderProfiles(t *testing.T) {
+	a := Stats{BoundProfile: []BoundCost{
+		{Pos: 0, Bound: "css", Evals: 100, Prunes: 90, Nanos: 1000},
+		{Pos: 1, Bound: "prob", Evals: 10, Prunes: 4, Nanos: 500},
+	}}
+	b := Stats{BoundProfile: []BoundCost{
+		{Pos: 0, Bound: "prob", Evals: 80, Prunes: 20, Nanos: 4000},
+		{Pos: 1, Bound: "css", Evals: 60, Prunes: 50, Nanos: 600},
+	}}
+	var m Stats
+	m.Merge(&a)
+	m.Merge(&b)
+	// Positional entries stay distinct (4 keys), name-folding collapses to 2.
+	if len(m.BoundProfile) != 4 {
+		t.Fatalf("merged profile has %d entries, want 4: %+v", len(m.BoundProfile), m.BoundProfile)
+	}
+	folded := ProfileByBound(m.BoundProfile)
+	if len(folded) != 2 {
+		t.Fatalf("folded profile has %d entries, want 2: %+v", len(folded), folded)
+	}
+	wantTotals := map[string][3]int64{
+		"css":  {160, 140, 1600},
+		"prob": {90, 24, 4500},
+	}
+	for _, bc := range folded {
+		w := wantTotals[bc.Bound]
+		if bc.Evals != w[0] || bc.Prunes != w[1] || bc.Nanos != w[2] {
+			t.Fatalf("folded %s = {evals %d, prunes %d, nanos %d}, want %v", bc.Bound, bc.Evals, bc.Prunes, bc.Nanos, w)
+		}
+		if bc.Pos != 0 {
+			t.Fatalf("folded %s keeps pos %d, want smallest (0)", bc.Bound, bc.Pos)
+		}
+	}
+	// Selectivity of the fold is the exact pooled rate, not an average of rates.
+	for _, bc := range folded {
+		w := wantTotals[bc.Bound]
+		if got, want := bc.Selectivity(), float64(w[1])/float64(w[0]); got != want {
+			t.Fatalf("folded %s selectivity %v, want %v", bc.Bound, got, want)
+		}
+	}
+}
+
+// TestEffectiveCostOrderDeterministic (satellite: rank tie-breaking) pins the
+// deterministic tie-break: equal effective costs rank by chain position, then
+// bound name, and EffectiveCostOrder never repeats a name.
+func TestEffectiveCostOrderDeterministic(t *testing.T) {
+	prof := []BoundCost{ // all never prune: every effective cost is +Inf
+		{Pos: 2, Bound: "c", Evals: 10},
+		{Pos: 0, Bound: "a", Evals: 10},
+		{Pos: 1, Bound: "b", Evals: 10},
+	}
+	if got := EffectiveCostOrder(prof); got != "a,b,c" {
+		t.Fatalf("EffectiveCostOrder = %q, want position-ordered %q", got, "a,b,c")
+	}
+	ranks := effectiveCostRanks(prof)
+	if !reflect.DeepEqual(ranks, []int{3, 1, 2}) {
+		t.Fatalf("ranks = %v, want [3 1 2]", ranks)
+	}
+	// Same position (a name-folded profile), still deterministic: name order.
+	tied := []BoundCost{
+		{Pos: 0, Bound: "y", Evals: 10},
+		{Pos: 0, Bound: "x", Evals: 10},
+	}
+	if got := EffectiveCostOrder(tied); got != "x,y" {
+		t.Fatalf("EffectiveCostOrder = %q, want name-ordered %q", got, "x,y")
+	}
+	// Duplicate names collapse to the cheapest rank.
+	dup := []BoundCost{
+		{Pos: 0, Bound: "css", Evals: 100, Prunes: 1, Nanos: 100},
+		{Pos: 1, Bound: "css", Evals: 10, Prunes: 9, Nanos: 10},
+		{Pos: 2, Bound: "prob", Evals: 10, Prunes: 5, Nanos: 10},
+	}
+	if got := EffectiveCostOrder(dup); got != "css,prob" {
+		t.Fatalf("EffectiveCostOrder = %q, want deduped %q", got, "css,prob")
 	}
 }

@@ -26,7 +26,6 @@ import (
 	"simjoin/internal/ged"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
-	"simjoin/internal/plan"
 	"simjoin/internal/ugraph"
 )
 
@@ -81,10 +80,6 @@ type Options struct {
 	// DisableEarlyExit turns off the accept/reject short-circuit during
 	// verification (ablation A2).
 	DisableEarlyExit bool
-	// TightProbBound replaces Theorem 4 with its law-of-total-probability
-	// refinement in ModeSimJ (filter.TotalProbabilityUpperBound): tighter
-	// pruning for a little extra filter time (ablation A6).
-	TightProbBound bool
 	// SampleWorlds is the Monte Carlo sample size of the verdict ladder's
 	// sampling rung, used when a pair's possible-world count exceeds
 	// MaxWorlds (or exact enumeration aborts on a budget or deadline).
@@ -96,12 +91,6 @@ type Options struct {
 	// pairs; the default FallbackFull tries sampling and then approximate
 	// bounds, FallbackNone restores the legacy skip-on-cliff behaviour.
 	Fallback Fallback
-	// ApproxWorlds caps the most-probable worlds the approximate-bound rung
-	// examines (via ugraph.TopWorlds). 0 means the default of 64.
-	ApproxWorlds int
-	// ApproxBeam is the beam width of the ged.Approximate upper bound used
-	// by the approximate rung. 0 means the default of 8.
-	ApproxBeam int
 	// PairDeadline is the soft per-pair time budget: a pair whose exact
 	// enumeration or sampling outlives it degrades to the next ladder rung
 	// (counted in Stats.DeadlineHits). 0 disables per-pair deadlines.
@@ -119,23 +108,13 @@ type Options struct {
 	// FilterChain, when non-empty, replaces the Mode-derived pruning stages
 	// with an explicit ordered bound chain (see filter.ParseChain and the
 	// filter registry): bounds run left to right, each may prune the pair,
-	// and survivors enter the verdict ladder unchanged. Mode and
-	// TightProbBound are ignored for pruning when a chain is set (they still
-	// pick the default chain when it is empty). Per-bound prune counts land
-	// in Stats.PrunedBy.
+	// and survivors enter the verdict ladder unchanged. Mode is ignored for
+	// pruning when a chain is set (it still picks the default chain when the
+	// chain is empty). Every bound is sound, so any order admits the same
+	// survivors; a measured order comes from a profiled run's
+	// EffectiveCostOrder (simjoin -explain). Per-bound prune counts land in
+	// Stats.PrunedBy.
 	FilterChain []filter.Bound
-
-	// Planner, when non-nil with Planner.Chain set, reorders the resolved
-	// bound chain online: after a warm-up epoch that measures every bound on
-	// every pair, only single-bound probes keep measuring while the rest of
-	// the pairs short-circuit the adopted ascending-effective-cost order,
-	// recomputed every epoch with hysteresis (DESIGN.md §15). Every bound is
-	// sound, so results, Candidates and every verification counter are
-	// identical to the static chain — only PrunedBy/CSSPruned/ProbPruned
-	// attribution and BoundProfile shapes move. Reorder/epoch totals land in
-	// Stats.PlanReorders/PlanEpochs, and Planner.Report (when set) records the
-	// adopted orders for -explain.
-	Planner *plan.Config
 
 	// Obs, when non-nil, receives live metrics for the run: per-stage
 	// latency histograms, per-filter prune counters, GED engine metrics,
@@ -195,19 +174,13 @@ func (o *Options) normalise() error {
 	case o.SampleWorlds < 0:
 		o.SampleWorlds = 0
 	}
-	if o.ApproxWorlds <= 0 {
-		o.ApproxWorlds = 64
-	}
-	if o.ApproxBeam <= 0 {
-		o.ApproxBeam = 8
-	}
 	return nil
 }
 
 // chain resolves the pruning pipeline: Options.FilterChain verbatim when set,
 // otherwise the Mode's default stage order from the filter registry —
-// Algorithm 1 is [css, prob] (or [css, prob-tight] under TightProbBound),
-// Algorithm 2 is [css, group], and ModeCSSOnly is [css].
+// Algorithm 1 is [css, prob], Algorithm 2 is [css, group], and ModeCSSOnly
+// is [css].
 func (o *Options) chain() ([]filter.Bound, error) {
 	if len(o.FilterChain) > 0 {
 		for i, b := range o.FilterChain {
@@ -219,9 +192,6 @@ func (o *Options) chain() ([]filter.Bound, error) {
 	}
 	switch o.Mode {
 	case ModeSimJ:
-		if o.TightProbBound {
-			return defaultChain("css", "prob-tight"), nil
-		}
 		return defaultChain("css", "prob"), nil
 	case ModeSimJOpt:
 		return defaultChain("css", "group"), nil
@@ -284,10 +254,10 @@ type Stats struct {
 	GroupsBuilt       int64 // possible-world groups constructed (SimJ+opt)
 	GroupsPruned      int64 // groups removed by their CSS bound
 	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
-	// eliminated each one, under the bounds' registry names. Summed over the
-	// bounds it equals CSSPruned + ProbPruned minus IndexSkipped (pairs the
-	// index prescreens of Join and JoinIndexed removed never reach a bound).
-	// Nil when nothing was pruned.
+	// eliminated each one, under the bounds' registry names: BoundProfile's
+	// prunes folded by name. Summed over the bounds it equals CSSPruned +
+	// ProbPruned minus IndexSkipped (pairs the index prescreens of Join and
+	// JoinIndexed removed never reach a bound). Nil when nothing was pruned.
 	PrunedBy map[string]int64 `json:",omitempty"`
 	// BoundProfile is the per-bound cost/selectivity profile in chain order:
 	// one entry per chain position with the bound's evaluation count, prune
@@ -310,14 +280,6 @@ type Stats struct {
 	// and were handed to the ladder's fallback rungs.
 	BudgetFallbacks int64
 	DeadlineHits    int64 // per-pair soft deadline expiries
-	// PlanEpochs counts adaptive-chain epoch recomputations and
-	// PlanReorders how many of them adopted a new bound order; both are 0
-	// unless Options.Planner enables the adaptive chain. PlanEpochTime is
-	// the wall time those recomputations took (off the pair hot path — at
-	// most one worker pays it per epoch).
-	PlanEpochs    int64
-	PlanReorders  int64
-	PlanEpochTime time.Duration
 	// QuarantinedPairs counts pairs whose processing panicked; the panics
 	// are contained per pair and documented in Quarantined.
 	QuarantinedPairs int64
@@ -379,9 +341,6 @@ func (s *Stats) add(o *Stats) {
 	s.ApproxPairs += o.ApproxPairs
 	s.BudgetFallbacks += o.BudgetFallbacks
 	s.DeadlineHits += o.DeadlineHits
-	s.PlanEpochs += o.PlanEpochs
-	s.PlanReorders += o.PlanReorders
-	s.PlanEpochTime += o.PlanEpochTime
 	s.QuarantinedPairs += o.QuarantinedPairs
 	s.Cancelled = s.Cancelled || o.Cancelled
 	s.Quarantined = append(s.Quarantined, o.Quarantined...)
@@ -552,13 +511,12 @@ func (st *rec) emitEvent(pi *pairIn, p Pair, ok bool, verdict, prunedBy string,
 	st.eb.Emit(ev)
 }
 
-// prunephase walks the pair through the bound chain in order. It returns the
-// possible-world groups to verify (nil means verify the whole graph as one
-// group; a kept group bound replaces them) and the name of the bound that
-// pruned the pair ("" when the pair survived). Prunes are attributed per
-// bound in Stats.PrunedBy and aggregated into CSSPruned or ProbPruned by the
-// bound's kind; every evaluation lands in the worker's profile shard, with
-// per-bound wall time when profiling is on.
+// prunephase walks the pair through the bound chain left to right and stops
+// at the first bound that prunes it. It returns the possible-world groups to
+// verify (nil means verify the whole graph as one group; a kept group bound
+// replaces them) and the name of the bound that pruned the pair ("" when the
+// pair survived). Every evaluation lands in the worker's profile shard, from
+// which rec.finish derives PrunedBy, CSSPruned and ProbPruned.
 func prunephase(pi *pairIn, opts *Options, chain []filter.Bound, st *rec) ([]ugraph.Group, string) {
 	st.pctx = filter.PairContext{
 		QS:         pi.qs,
@@ -568,132 +526,39 @@ func prunephase(pi *pairIn, opts *Options, chain []filter.Bound, st *rec) ([]ugr
 		GroupCount: opts.GroupCount,
 		Scratch:    &st.fsc,
 	}
-	pc := &st.pctx
-	if st.jo.ctrl != nil {
-		return prunephaseAdaptive(pi, chain, st, pc)
-	}
-	profiled := st.jo.profile
 	var groups []ugraph.Group
 	for i, b := range chain {
-		out := st.applyBound(pc, b, i, profiled)
+		out := st.applyBound(b, i)
 		if out.Groups != nil {
 			groups = out.Groups
 		}
 		if out.Pruned {
-			return nil, st.bookPrune(b)
+			return nil, b.Name()
 		}
 	}
 	return groups, ""
 }
 
-// prunephaseAdaptive is prunephase under the online chain optimizer. The
-// controller classifies every pair: warm-up pairs evaluate the *full* chain
-// in static order (no short-circuit) and feed the controller's unconditional
-// selectivity/cost tallies; thereafter a pair may probe one due bound ahead
-// of the walk (still unconditional — the probe runs regardless of any other
-// bound's outcome) while the rest of the chain walks the adopted order and
-// short-circuits on the first prune. All paths book evaluations into the
-// worker's profile shard at the bound's *static* chain position, so merged
-// BoundProfiles stay comparable across engines that adopted different
-// orders (and ProfileByBound folds them by name). On a warm-up pair the
-// prune is attributed to the earliest-in-static-order bound that fired —
-// exactly what the static chain would report.
-func prunephaseAdaptive(pi *pairIn, chain []filter.Bound, st *rec, pc *filter.PairContext) ([]ugraph.Group, string) {
-	ctrl := st.jo.ctrl
-	order, probe := ctrl.Next()
-	var groups []ugraph.Group
-	if probe == plan.ProbeAll {
-		prunedAt := -1
-		for i, b := range chain {
-			out, nanos := st.applyBoundTimed(pc, b, i)
-			ctrl.Record(i, out.Pruned, nanos)
-			if out.Groups != nil {
-				groups = out.Groups
-			}
-			if out.Pruned && prunedAt < 0 {
-				prunedAt = i
-			}
-		}
-		if prunedAt >= 0 {
-			return nil, st.bookPrune(chain[prunedAt])
-		}
-		return groups, ""
-	}
-	profiled := st.jo.profile
-	groupsFrom := -1
-	if probe >= 0 {
-		out, nanos := st.applyBoundTimed(pc, chain[probe], probe)
-		ctrl.Record(probe, out.Pruned, nanos)
-		if out.Pruned {
-			// The probed bound is sound, so the pair is pruned either way;
-			// skipping the walk just attributes the prune to the probe.
-			return nil, st.bookPrune(chain[probe])
-		}
-		if out.Groups != nil {
-			groups, groupsFrom = out.Groups, probe
-		}
-	}
-	walk := func(i int) bool {
-		if i == probe {
-			return false // already evaluated ahead of the walk
-		}
-		out := st.applyBound(pc, chain[i], i, profiled)
-		// Keep the groups of the highest-static-position setter: on a
-		// surviving pair every bound runs regardless of walk order, so this
-		// reproduces exactly what the static left-to-right walk keeps.
-		if out.Groups != nil && i > groupsFrom {
-			groups, groupsFrom = out.Groups, i
-		}
-		return out.Pruned
-	}
-	if order == nil { // post-warm-up but no order adopted yet: static walk
-		for i := range chain {
-			if walk(i) {
-				return nil, st.bookPrune(chain[i])
-			}
-		}
-		return groups, ""
-	}
-	for _, i := range order {
-		if walk(i) {
-			return nil, st.bookPrune(chain[i])
-		}
-	}
-	return groups, ""
-}
-
-// applyBound runs one bound on the pair and books the evaluation into the
-// worker's profile shard (at static chain position i), the filter metrics,
-// and — when the pair is event-sampled — the event record. timed selects the
-// time.Now bracket; untimed evaluations book zero nanoseconds.
-func (st *rec) applyBound(pc *filter.PairContext, b filter.Bound, i int, timed bool) filter.Outcome {
-	if timed {
-		out, _ := st.applyBoundTimed(pc, b, i)
+// applyBound runs one bound on the pair in st.pctx and books the evaluation
+// into the worker's profile shard (at chain position i), the filter metrics,
+// and — when the pair is event-sampled — the event record. Evaluations are
+// timed only when profiling is on; untimed ones book zero nanoseconds.
+func (st *rec) applyBound(b filter.Bound, i int) filter.Outcome {
+	if !st.jo.profile {
+		out := b.Apply(&st.pctx)
+		st.jo.filt.RecordBound(b.Name(), out)
+		st.bookOutcome(out, i, 0)
 		return out
 	}
-	out := b.Apply(pc)
-	st.jo.filt.RecordBound(b.Name(), out)
-	st.bookOutcome(out, i, 0)
-	return out
-}
-
-// applyBoundTimed is applyBound with the wall-clock bracket always on (the
-// adaptive controller needs per-eval nanoseconds even when no registry is
-// attached); it returns the evaluation's duration in nanoseconds.
-func (st *rec) applyBoundTimed(pc *filter.PairContext, b filter.Bound, i int) (filter.Outcome, int64) {
 	t0 := time.Now()
-	out := b.Apply(pc)
+	out := b.Apply(&st.pctx)
 	d := time.Since(t0)
-	if st.jo.profile {
-		st.jo.filt.RecordBoundTimed(b.Name(), out, d)
-		if st.evSampled {
-			st.ev.Bounds = append(st.ev.Bounds, obs.BoundObs{Bound: b.Name(), Ns: int64(d), Pruned: out.Pruned})
-		}
-	} else {
-		st.jo.filt.RecordBound(b.Name(), out)
+	st.jo.filt.RecordBoundTimed(b.Name(), out, d)
+	if st.evSampled {
+		st.ev.Bounds = append(st.ev.Bounds, obs.BoundObs{Bound: b.Name(), Ns: int64(d), Pruned: out.Pruned})
 	}
 	st.bookOutcome(out, i, int64(d))
-	return out, int64(d)
+	return out
 }
 
 // bookOutcome lands one evaluation in the worker's profile shard and the
@@ -708,20 +573,6 @@ func (st *rec) bookOutcome(out filter.Outcome, i int, nanos int64) {
 	}
 	st.GroupsBuilt += out.GroupsBuilt
 	st.GroupsPruned += out.GroupsCSSPruned
-}
-
-// bookPrune attributes a pruned pair to the bound that eliminated it.
-func (st *rec) bookPrune(b filter.Bound) string {
-	if st.PrunedBy == nil {
-		st.PrunedBy = make(map[string]int64)
-	}
-	st.PrunedBy[b.Name()]++
-	if b.Kind() == filter.Structural {
-		st.CSSPruned++
-	} else {
-		st.ProbPruned++
-	}
-	return b.Name()
 }
 
 // exactOutcome reports how the exact enumeration rung ended.
@@ -909,7 +760,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 						// Rescue the world with the beam-search upper bound:
 						// d ≤ τ still proves it similar, keeping the accept
 						// side sound where the legacy path undercounted.
-						if d, m := ged.Approximate(q, w, opts.ApproxBeam); d <= opts.Tau {
+						if d, m := ged.Approximate(q, w, approxBeam); d <= opts.Tau {
 							simP += p
 							if d < best.Distance {
 								best.Distance = d

@@ -3,6 +3,7 @@ package core
 import (
 	"context"
 	"fmt"
+	"maps"
 	"math"
 	"math/rand"
 	"reflect"
@@ -190,15 +191,15 @@ func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, g *ugraph.Graph, ta
 //	          JoinWith(NewStreamSource)
 //	chain     each Mode's default chain, and a shuffled explicit FilterChain
 //	workers   1 and 4
-//	adaptive  static chain, and the online reordering planner
 //
 // checking each run against naiveJoin (Def. 7 by brute force) and the Stats
 // partition identities, and every run of one chain against the first run of
 // that chain, pair for pair. The cross-product feeds show every pair to the
 // chain (IndexSkipped 0); Join and JoinIndexed skip exactly the pairs the
-// prescreens rule out. It also checks Index.Candidates against
-// bruteCandidates for every uncertain graph, and returns how many pairs the
-// prescreens ruled out.
+// prescreens rule out. Per chain, JoinTopK with k = |D| must return the same
+// answer set, grouped by uncertain graph and ranked by pairBetter. It also
+// checks Index.Candidates against bruteCandidates for every uncertain graph,
+// and returns how many pairs the prescreens ruled out.
 func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (prescreened int64) {
 	t.Helper()
 	var d []*graph.Graph
@@ -256,30 +257,57 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 		var first []Pair
 		for _, feed := range feeds {
 			for _, workers := range []int{1, 4} {
-				for _, adaptive := range []bool{false, true} {
-					opts := Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3,
-						Workers: workers, FilterChain: ch.chain}
-					if adaptive {
-						opts.Planner = fastAdaptive()
-					}
-					name := fmt.Sprintf("seed=%d tau=%d alpha=%v chain=%s feed=%s workers=%d adaptive=%v",
-						seed, tau, alpha, ch.name, feed.name, workers, adaptive)
-					got, st, err := feed.run(opts)
-					if err != nil {
-						t.Fatalf("%s: %v", name, err)
-					}
-					checkAnswerSet(t, name, got, want, alpha)
-					checkStatsPartition(t, name, &st, int64(len(d)*len(u)), int64(len(got)), feed.skipped, adaptive)
-					if first == nil {
-						first = got
-					} else {
-						assertSamePairs(t, name, got, first)
-					}
+				opts := Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3,
+					Workers: workers, FilterChain: ch.chain}
+				name := fmt.Sprintf("seed=%d tau=%d alpha=%v chain=%s feed=%s workers=%d",
+					seed, tau, alpha, ch.name, feed.name, workers)
+				got, st, err := feed.run(opts)
+				if err != nil {
+					t.Fatalf("%s: %v", name, err)
+				}
+				checkAnswerSet(t, name, got, want, alpha)
+				checkStatsPartition(t, name, &st, int64(len(d)*len(u)), int64(len(got)), feed.skipped)
+				if first == nil {
+					first = got
+				} else {
+					assertSamePairs(t, name, got, first)
 				}
 			}
 		}
+		checkTopK(t, fmt.Sprintf("seed=%d tau=%d alpha=%v chain=%s topk", seed, tau, alpha, ch.name),
+			d, u, Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3, Workers: 4, FilterChain: ch.chain},
+			want, prescreened)
 	}
 	return prescreened
+}
+
+// checkTopK runs JoinTopK with k = |D|, so no qualifying pair is cut: every
+// list must hold only its own uncertain graph's pairs in pairBetter order,
+// and together the lists must be exactly the Def. 7 answer set.
+func checkTopK(t *testing.T, name string, d []*graph.Graph, u []*ugraph.Graph, opts Options, want map[[2]int]float64, skipped int64) {
+	t.Helper()
+	top, st, err := JoinTopK(d, u, opts, len(d))
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	if len(top) != len(u) {
+		t.Fatalf("%s: %d lists for %d uncertain graphs", name, len(top), len(u))
+	}
+	var all []Pair
+	for gi, list := range top {
+		for i, p := range list {
+			if p.G != gi {
+				t.Fatalf("%s: list %d holds pair (%d,%d)", name, gi, p.Q, p.G)
+			}
+			if i > 0 && pairBetter(p, list[i-1]) {
+				t.Fatalf("%s: list %d out of pairBetter order at %d", name, gi, i)
+			}
+		}
+		all = append(all, list...)
+	}
+	sortPairsQG(all)
+	checkAnswerSet(t, name, all, want, opts.Alpha)
+	checkStatsPartition(t, name, &st, int64(len(d)*len(u)), int64(len(all)), skipped)
 }
 
 // checkAnswerSet requires exactly the Def. 7 answer set, every pair decided
@@ -303,17 +331,19 @@ func checkAnswerSet(t *testing.T, name string, got []Pair, want map[[2]int]float
 
 // checkStatsPartition checks the identities every join's Stats must satisfy:
 // pairs split into pruned and candidates, candidates into verdicts, prunes
-// into per-bound attributions plus prescreen skips, and the chain profile
-// agrees with the attribution (exactly on a static walk; the adaptive warm-up
-// measures every bound, so there it may only exceed it).
-func checkStatsPartition(t *testing.T, name string, st *Stats, pairs, results, skipped int64, adaptive bool) {
+// into per-bound attributions plus prescreen skips, and the attribution is
+// the chain profile's prunes folded by bound name.
+func checkStatsPartition(t *testing.T, name string, st *Stats, pairs, results, skipped int64) {
 	t.Helper()
-	var attributed, profiled int64
+	var attributed int64
 	for _, n := range st.PrunedBy {
 		attributed += n
 	}
-	for _, bc := range st.BoundProfile {
-		profiled += bc.Prunes
+	profiled := map[string]int64{}
+	for _, bc := range ProfileByBound(st.BoundProfile) {
+		if bc.Prunes != 0 {
+			profiled[bc.Bound] = bc.Prunes
+		}
 	}
 	switch {
 	case st.Pairs != pairs:
@@ -329,8 +359,8 @@ func checkStatsPartition(t *testing.T, name string, st *Stats, pairs, results, s
 		t.Fatalf("%s: IndexSkipped %d, want %d", name, st.IndexSkipped, skipped)
 	case attributed+st.IndexSkipped != st.CSSPruned+st.ProbPruned:
 		t.Fatalf("%s: PrunedBy %d + skipped %d != pruned %d", name, attributed, st.IndexSkipped, st.CSSPruned+st.ProbPruned)
-	case !adaptive && profiled != attributed, adaptive && profiled < attributed:
-		t.Fatalf("%s: profile prunes %d vs attributed %d", name, profiled, attributed)
+	case !maps.Equal(profiled, st.PrunedBy):
+		t.Fatalf("%s: PrunedBy %v, profile prunes by bound %v", name, st.PrunedBy, profiled)
 	case st.QuarantinedPairs != 0 || st.Cancelled:
 		t.Fatalf("%s: quarantined %d cancelled %v", name, st.QuarantinedPairs, st.Cancelled)
 	}
@@ -428,7 +458,7 @@ func TestJoinBlockEquivalenceProperty(t *testing.T) {
 // between runs, leaving every pair-partition counter, the PrunedBy map and
 // the de-timed bound profile for exact comparison.
 func normPartStats(s Stats) Stats {
-	s.PruneTime, s.VerifyTime, s.PlanEpochTime = 0, 0, 0
+	s.PruneTime, s.VerifyTime = 0, 0
 	if s.BoundProfile != nil {
 		prof := slices.Clone(s.BoundProfile)
 		for i := range prof {
@@ -534,7 +564,8 @@ func TestTightProbBoundMatchesOracle(t *testing.T) {
 	for _, tau := range []int{0, 1, 2} {
 		for _, alpha := range []float64{0.4, 0.8} {
 			want := naiveJoin(d, u, tau, alpha)
-			got, st, err := Join(d, u, Options{Tau: tau, Alpha: alpha, Mode: ModeSimJ, TightProbBound: true, Workers: 2})
+			got, st, err := Join(d, u, Options{Tau: tau, Alpha: alpha, Mode: ModeSimJ, Workers: 2,
+				FilterChain: defaultChain("css", "prob-tight")})
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -14,8 +14,6 @@ package core
 // NewStreamSource call owns its private query-side state.
 
 import (
-	"context"
-
 	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
@@ -41,43 +39,10 @@ func (r *Resident) Len() int { return len(r.u) }
 func (r *Resident) Graph(gi int) *ugraph.Graph { return r.u[gi] }
 
 // NewStreamSource returns the streaming-arrivals CandidateSource: the
-// arriving query graphs d (typically one per request) joined against the
-// resident uncertain side. The resident signatures are reused verbatim; only
-// the query-side signatures are built here, once per call.
+// arriving query graphs d (typically one per request) crossed with the
+// resident uncertain side. It is the cross-product source with the resident
+// signatures reused verbatim; only the query-side signatures are built here,
+// once per call.
 func NewStreamSource(r *Resident, d []*graph.Graph) CandidateSource {
-	qis := make([]int, len(d))
-	for i := range qis {
-		qis[i] = i
-	}
-	return &streamSource{res: r, d: d, qsigs: filter.NewQSigs(d), qis: qis}
-}
-
-// streamSource feeds the delta cross product d × resident. It is the
-// cross-product source with the uncertain side's per-run work hoisted into
-// the Resident.
-type streamSource struct {
-	res   *Resident
-	d     []*graph.Graph
-	qsigs []*filter.QSig
-	qis   []int // 0..len(d)-1, chunked into batches
-}
-
-func (s *streamSource) Queries() ([]*graph.Graph, []*filter.QSig) { return s.d, s.qsigs }
-
-func (s *streamSource) TotalPairs() int64 {
-	return int64(len(s.d)) * int64(len(s.res.u))
-}
-
-func (s *streamSource) Feed(ctx context.Context, _ *Options, emit func(Batch) bool, _ func(int64)) {
-	for gi, g := range s.res.u {
-		if ctx.Err() != nil {
-			return
-		}
-		for start := 0; start < len(s.qis); start += sourceChunk {
-			end := min(start+sourceChunk, len(s.qis))
-			if !emit(Batch{GI: gi, G: g, GS: s.res.gsigs[gi], QIs: s.qis[start:end]}) {
-				return
-			}
-		}
-	}
+	return newCrossSource(d, r.u, r.gsigs)
 }

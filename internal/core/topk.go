@@ -3,9 +3,7 @@ package core
 import (
 	"context"
 	"sort"
-	"sync"
 
-	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
 )
@@ -14,91 +12,32 @@ import (
 // certain graphs — the "SPARQL query q is the best match for question n"
 // reading of the paper's abstract. Candidates must still satisfy
 // SimPτ ≥ α; ranking is by higher SimP, then smaller best-world distance,
-// then query index. Early-accept is disabled internally so the reported
-// SimP values are exact and comparable.
+// then query index. It runs one JoinContext with early exit disabled, so
+// the reported SimP values are exact and comparable, then groups the answer
+// set by uncertain graph, ranks each group and cuts it at k.
 //
 // The result slice is indexed like u; entries may hold fewer than k pairs
 // (or none) when not enough queries qualify.
 func JoinTopK(d []*graph.Graph, u []*ugraph.Graph, opts Options, k int) ([][]Pair, Stats, error) {
-	if err := opts.normalise(); err != nil {
-		return nil, Stats{}, err
-	}
-	chain, err := opts.chain()
-	if err != nil {
-		return nil, Stats{}, err
-	}
 	if k < 1 {
 		k = 1
 	}
 	opts.DisableEarlyExit = true
-	jo := newJoinObs(&opts)
-	stopProgress := jo.startProgress(&opts, int64(len(d))*int64(len(u)))
-	defer stopProgress()
-	stopWatchdog := jo.startWatchdog(&opts)
-	defer stopWatchdog()
-
-	qsigs := filter.NewQSigs(d)
-	gsigs := filter.NewGSigs(u)
-
+	pairs, st, err := JoinContext(context.Background(), d, u, opts)
+	if err != nil {
+		return nil, st, err
+	}
 	perQuestion := make([][]Pair, len(u))
-	var (
-		mu    sync.Mutex
-		total Stats
-		wg    sync.WaitGroup
-	)
-	ctx := context.Background()
-	tasks := make(chan int, 64)
-	worker := func(id int) {
-		defer wg.Done()
-		local := newRec(jo, &opts, chain)
-		for gi := range tasks {
-			var best []Pair
-			for qi := range d {
-				local.Pairs++
-				pi := pairIn{q: d[qi], g: u[gi], qs: qsigs[qi], gs: gsigs[gi], qi: qi, gi: gi}
-				jo.beatStart(id)
-				p, ok := joinPair(ctx, &pi, &opts, chain, &local)
-				jo.beatEnd(id)
-				if jo.progress {
-					jo.pairsDone.Add(1)
-				}
-				if !ok {
-					continue
-				}
-				local.Results++
-				best = insertTopK(best, p, k)
-			}
-			mu.Lock()
-			perQuestion[gi] = best
-			mu.Unlock()
+	for _, p := range pairs {
+		perQuestion[p.G] = append(perQuestion[p.G], p)
+	}
+	for gi, best := range perQuestion {
+		sort.Slice(best, func(i, j int) bool { return pairBetter(best[i], best[j]) })
+		if len(best) > k {
+			perQuestion[gi] = best[:k]
 		}
-		local.finish(chain)
-		mu.Lock()
-		total.add(&local.Stats)
-		mu.Unlock()
 	}
-
-	wg.Add(opts.Workers)
-	for i := 0; i < opts.Workers; i++ {
-		go worker(i)
-	}
-	for gi := range u {
-		tasks <- gi
-	}
-	close(tasks)
-	wg.Wait()
-	finishStats(&total, jo)
-	return perQuestion, total, nil
-}
-
-// insertTopK keeps best sorted by rank and capped at k.
-func insertTopK(best []Pair, p Pair, k int) []Pair {
-	best = append(best, p)
-	sort.Slice(best, func(i, j int) bool { return pairBetter(best[i], best[j]) })
-	if len(best) > k {
-		best = best[:k]
-	}
-	return best
+	return perQuestion, st, nil
 }
 
 // pairBetter ranks pairs: higher SimP, then smaller distance, then lower

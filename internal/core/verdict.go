@@ -114,11 +114,20 @@ type QuarantineRecord struct {
 	Stack  string
 }
 
+// The approximate-bound rung's budgets: it examines at most approxWorlds of
+// the most probable worlds, and its ged.Approximate upper bound (also the
+// exact rung's rescue for worlds that exhaust VerifyMaxStates) searches with
+// beam width approxBeam.
+const (
+	approxWorlds = 64
+	approxBeam   = 8
+)
+
 // approxVerify is the ladder's last resort: bound SimP from the heaviest
 // possible worlds only. Worlds are visited most-probable-first
-// (ugraph.TopWorlds, at most Options.ApproxWorlds of them); each is either
-// ruled out by the per-world CSS lower bound or ruled in by the beam-search
-// GED upper bound (ged.Approximate at Options.ApproxBeam). The certified
+// (ugraph.TopWorlds, at most approxWorlds of them); each is either ruled out
+// by the per-world CSS lower bound or ruled in by the beam-search GED upper
+// bound (ged.Approximate at approxBeam). The certified
 // mass bounds
 //
 //	lo = Σ p(ruled-in)  ≤  SimP  ≤  hi = Mass − Σ p(ruled-out)
@@ -133,11 +142,11 @@ func approxVerify(pi *pairIn, opts *Options, st *rec) (Pair, bool, bool) {
 	decided, accepted := false, false
 
 	st.pv.Reset(pi.qs, pi.gs)
-	pi.g.TopWorlds(opts.ApproxWorlds, func(w *graph.Graph, p float64) bool {
+	pi.g.TopWorlds(approxWorlds, func(w *graph.Graph, p float64) bool {
 		st.WorldsChecked++
 		if st.pv.WorldLowerBound(w) > opts.Tau {
 			hi -= p
-		} else if d, m := ged.Approximate(pi.q, w, opts.ApproxBeam); d <= opts.Tau {
+		} else if d, m := ged.Approximate(pi.q, w, approxBeam); d <= opts.Tau {
 			lo += p
 			if d < best.Distance {
 				best.Distance = d

@@ -168,8 +168,7 @@ func TestEveryPairCarriesAVerdictUnderMinimalBudgets(t *testing.T) {
 		t.Run(fb.String(), func(t *testing.T) {
 			opts := Options{
 				Tau: 1, Alpha: 0.5, Mode: ModeSimJOpt, GroupCount: 4, Workers: 4,
-				MaxWorlds: 1, VerifyMaxStates: 1, SampleWorlds: 1,
-				ApproxWorlds: 1, ApproxBeam: 1, Fallback: fb,
+				MaxWorlds: 1, VerifyMaxStates: 1, SampleWorlds: 1, Fallback: fb,
 			}
 			pairs, st, err := Join(d, u, opts)
 			if err != nil {

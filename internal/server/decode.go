@@ -66,8 +66,7 @@ type JoinRequest struct {
 	Alpha *float64 `json:"alpha,omitempty"`
 	// Filters optionally overrides the service's filter chain for this
 	// request: a comma-separated bound list validated against the bound
-	// registry (e.g. "count,css,prob"), or "auto" to let the adaptive
-	// optimizer reorder the service's chain online.
+	// registry (e.g. "count,css,prob").
 	Filters string `json:"filters,omitempty"`
 	// Limit caps the matches returned (0 = all, bounded by Limits.MaxLimit).
 	Limit int `json:"limit,omitempty"`
@@ -120,7 +119,7 @@ func DecodeJoinRequest(body []byte, lim Limits) (*JoinRequest, *graph.Graph, err
 	if req.Limit < 0 || req.Limit > lim.MaxLimit {
 		return nil, nil, badRequestf("limit %d outside [0, %d]", req.Limit, lim.MaxLimit)
 	}
-	if req.Filters != "" && req.Filters != "auto" {
+	if req.Filters != "" {
 		if _, err := filter.ParseChain(req.Filters); err != nil {
 			return nil, nil, badRequestf("%v", err)
 		}

@@ -17,7 +17,6 @@ import (
 	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
-	"simjoin/internal/plan"
 	"simjoin/internal/qa"
 	"simjoin/internal/sparql"
 )
@@ -347,12 +346,7 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	if req.Alpha != nil {
 		opts.Alpha = *req.Alpha
 	}
-	switch {
-	case req.Filters == "auto":
-		// Keep the tier's chain; let the optimizer reorder it online for
-		// this request. The decode step already validated the field.
-		opts.Planner = plan.AutoChain()
-	case req.Filters != "":
+	if req.Filters != "" {
 		chain, err := filter.ParseChain(req.Filters)
 		if err != nil { // unreachable: DecodeJoinRequest validated it
 			writeError(w, http.StatusBadRequest, err.Error())

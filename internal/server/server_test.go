@@ -536,9 +536,10 @@ func (qaFunc) Name() string                                { return "fake" }
 func (f qaFunc) Answer(q string) ([]sparql.Binding, error) { return f(q) }
 
 // TestJoinRequestFilters pins the per-request "filters" field: a valid chain
-// and "auto" both answer with exactly the default chain's matches (every
-// bound is sound, so the chain choice cannot move results), and an unknown
-// bound name is rejected at decode time with 400.
+// answers with exactly the default chain's matches (every bound is sound, so
+// the chain choice cannot move results), and an unknown bound name —
+// including "auto", which names no bound — is rejected at decode time with
+// 400.
 func TestJoinRequestFilters(t *testing.T) {
 	s, d := newTestServer(t, nil)
 	h := s.Handler()
@@ -553,7 +554,7 @@ func TestJoinRequestFilters(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	for _, filters := range []string{"count,css,prob", "prob,css", "auto"} {
+	for _, filters := range []string{"count,css,prob", "prob,css"} {
 		w := postJSON(t, h, "/join", JoinRequest{Graph: spec, Filters: filters})
 		if w.Code != http.StatusOK {
 			t.Fatalf("filters=%q: status %d: %s", filters, w.Code, w.Body.String())
@@ -576,8 +577,10 @@ func TestJoinRequestFilters(t *testing.T) {
 		}
 	}
 
-	w := postJSON(t, h, "/join", JoinRequest{Graph: spec, Filters: "css,nonsense"})
-	if w.Code != http.StatusBadRequest {
-		t.Fatalf("unknown bound: status %d, want 400 (%s)", w.Code, w.Body.String())
+	for _, filters := range []string{"css,nonsense", "auto"} {
+		w := postJSON(t, h, "/join", JoinRequest{Graph: spec, Filters: filters})
+		if w.Code != http.StatusBadRequest {
+			t.Fatalf("filters=%q: status %d, want 400 (%s)", filters, w.Code, w.Body.String())
+		}
 	}
 }

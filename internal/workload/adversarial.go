@@ -1,7 +1,8 @@
 package workload
 
-// The adversarial planner workload: a join where the default chain order's
-// cheap leading bounds are all useless and only the css bound decides pairs.
+// The adversarial chain-order workload: a join where a chain fronted by the
+// cheap baseline bounds pays for bounds that are all useless, and only the
+// css bound decides pairs.
 //
 // Every graph on both sides shares one fixed topology (a ring plus
 // deterministic chords, every edge labeled "e"), and every uncertain vertex
@@ -15,12 +16,13 @@ package workload
 // them outright, while same-family pairs survive.
 //
 // A static chain fronted by the baselines therefore pays every useless bound
-// on every pair before reaching the one bound that decides; an adaptive
-// chain (internal/plan) observes this in its warm-up epoch and hoists css to
-// the front. BenchmarkJoinPlanStatic/Adaptive measure exactly this gap.
+// on every pair before reaching the one bound that decides. A profiled run
+// (simjoin -explain) shows this: its effective-cost order puts css first, and
+// re-running in that order skips the blind bounds on every pruned pair
+// (TestAdaptiveChainHoistsSelectiveBound in internal/core).
 //
 // Graph i on either side belongs to family i % Families — a contract the
-// workload test and the planner benchmarks rely on.
+// workload test relies on.
 
 import (
 	"fmt"
@@ -30,7 +32,7 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-// AdversarialConfig sizes the adversarial planner workload.
+// AdversarialConfig sizes the adversarial chain-order workload.
 type AdversarialConfig struct {
 	Seed int64
 	// Queries and Uncertain size the two join sides.
@@ -48,9 +50,9 @@ type AdversarialConfig struct {
 	LabelsPerVertex int
 }
 
-// DefaultAdversarialConfig returns a configuration sized for the planner
-// benchmarks: large enough that chain order dominates wall time, small
-// enough for -count=5 benchmark runs.
+// DefaultAdversarialConfig returns a configuration large enough that chain
+// order dominates wall time (64 × 64 graphs of 10 vertices), yet small enough
+// to benchmark repeatedly.
 func DefaultAdversarialConfig() AdversarialConfig {
 	return AdversarialConfig{
 		Seed:            11,

@@ -7,7 +7,7 @@ import (
 	"simjoin/internal/graph"
 )
 
-// TestAdversarialBlindsBaselines pins the property the planner benchmarks
+// TestAdversarialBlindsBaselines pins the property the chain-order tests
 // depend on: on the adversarial workload every certain-graph baseline bound
 // computes zero (prunes nothing — identical topology, all-wildcard
 // relaxation) while the css bound prunes every cross-family pair and passes

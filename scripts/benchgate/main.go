@@ -7,7 +7,7 @@
 //
 // The baseline's v2 schema additionally carries per-bound prune rates
 // measured on the deterministic CI workload, keyed by bound name (folded
-// across chain positions, so adaptive reordering doesn't shift the keys);
+// across chain positions, so a reordered chain doesn't shift the keys);
 // passing -stats (a `simjoin -stats-json` document from the same workload)
 // gates prune-rate drift too, so a bounds change that silently weakens
 // pruning fails the same way a slowdown does. Legacy v1 baselines (a plain
@@ -82,8 +82,8 @@ type statsDoc struct {
 
 // pruneRates extracts bound name → prune-rate from a stats document. Entries
 // are folded by name (evals and prunes summed across chain positions) so the
-// gate compares the same bound across runs even when the adaptive planner —
-// or a deliberate chain reshuffle — placed it at a different position.
+// gate compares the same bound across runs even when a reordered chain
+// placed it at a different position.
 func pruneRates(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
