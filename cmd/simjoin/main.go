@@ -357,8 +357,9 @@ func flushArtifacts(oc obsConfig, st *core.Stats, reg *obs.Registry, tr *obs.Tra
 		if err := events.Err(); err != nil {
 			fmt.Fprintf(os.Stderr, "event log: sink error: %v\n", err)
 		}
-		fmt.Fprintf(os.Stderr, "event log: %d/%d pairs sampled, %d events emitted, %d dropped\n",
-			events.Sampled(), st.Pairs, events.Emitted(), events.Dropped())
+		// Only pairs the index lets through reach the chain and Sample.
+		fmt.Fprintf(os.Stderr, "event log: %d of %d chained pairs recorded (1 in %d), %d dropped\n",
+			events.Emitted(), events.Seen(), max(oc.eventsEvery, 1), events.Dropped())
 		if eventsFile != nil {
 			if err := eventsFile.Sync(); err != nil {
 				return err
@@ -381,7 +382,7 @@ func flushArtifacts(oc obsConfig, st *core.Stats, reg *obs.Registry, tr *obs.Tra
 }
 
 // writeStatsJSON saves the paper-facing Stats next to the full metrics
-// snapshot (per-stage histograms, per-filter prune counters, GED metrics).
+// snapshot (Stats counters, per-bound profile, stage and GED histograms).
 func writeStatsJSON(path string, st *core.Stats, reg *obs.Registry) error {
 	doc := struct {
 		Stats   *core.Stats  `json:"stats"`

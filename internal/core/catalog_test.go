@@ -4,7 +4,6 @@ import (
 	"bufio"
 	"bytes"
 	"encoding/json"
-	"fmt"
 	"os"
 	"regexp"
 	"strings"
@@ -32,31 +31,61 @@ func designSection12(t *testing.T) string {
 	return text
 }
 
-// catalogKey normalises a published metric name to the form the catalog
-// documents it under: labels become their templated spelling, and the two
-// name families minted per bound collapse onto their <bound> placeholder.
-func catalogKey(name string) string {
-	base, labels := obs.ParseName(name)
-	if len(labels) > 0 {
-		// Labelled families are documented as base{label=<label>,...}; the
-		// base name alone identifies the catalog entry.
-		return base
+// backticked returns the names the text documents in backticks, each with
+// any {label=...} template stripped: a labelled family is documented as
+// base{label=<label>,...} and published under the same base name.
+func backticked(text string) map[string]bool {
+	names := map[string]bool{}
+	for _, m := range regexp.MustCompile("`([^`]+)`").FindAllStringSubmatch(text, -1) {
+		name := m[1]
+		if i := strings.IndexByte(name, '{'); i >= 0 {
+			name = name[:i]
+		}
+		names[name] = true
 	}
-	if m := regexp.MustCompile(`^simjoin_pruned_by_[a-z_]+_total$`).FindString(base); m != "" {
-		return "simjoin_pruned_by_<bound>_total"
+	return names
+}
+
+// metricsSubsection returns the catalog's "Metrics published by a join"
+// subsection, which ends where the event-log table begins.
+func metricsSubsection(t *testing.T, catalog string) string {
+	t.Helper()
+	start := strings.Index(catalog, "### Metrics published by a join")
+	end := strings.Index(catalog, "### Event-log record")
+	if start < 0 || end < start {
+		t.Fatal("DESIGN.md §12 lacks its metrics or event-log subsection")
 	}
-	if m := regexp.MustCompile(`^filter_bound_[a-z_]+_(evaluated|pruned|eval_nanoseconds)_total$`).FindStringSubmatch(base); m != nil {
-		return "filter_bound_<name>_<what>_total"
+	return catalog[start:end]
+}
+
+// joinCounterNames is every counter base name a join may publish apart from
+// the obs_* self-accounting counters: the Stats field table's names, the
+// per-bound profile's labelled families, and the watchdog's stall counter.
+func joinCounterNames() map[string]bool {
+	names := map[string]bool{
+		"simjoin_bound_evals_total":            true,
+		"simjoin_bound_prunes_total":           true,
+		"simjoin_bound_eval_nanoseconds_total": true,
+		"simjoin_watchdog_stalls_total":        true,
 	}
-	return base
+	for _, c := range statsCounterSpec {
+		names[c.name] = true
+	}
+	for _, c := range statsDurationSpec {
+		names[c.name] = true
+	}
+	return names
 }
 
 // TestCatalogCoversJoinInstruments keeps DESIGN.md §12 honest in both
 // directions: every metric a fully instrumented join publishes, and every key
-// of an emitted event-log record, must appear in the catalog (an instrument
-// added without documentation fails here), and every simjoin_* metric the
-// catalog documents must be published by one of the joins below (an
-// instrument deleted from the code must leave the catalog too).
+// of an emitted event-log record, must be documented in the catalog under
+// its exact name (an instrument added without documentation fails here), and
+// every simjoin_* or ged_* metric the catalog's metrics subsection documents
+// must be published by one of the joins below (an instrument deleted from
+// the code must leave the catalog too). It also holds the join to one name
+// per quantity: every counter it publishes is a Stats field's, a per-bound
+// profile entry, the watchdog's, or obs self-accounting.
 func TestCatalogCoversJoinInstruments(t *testing.T) {
 	catalog := designSection12(t)
 
@@ -94,17 +123,25 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	if len(names) == 0 {
 		t.Fatal("instrumented join published no metrics")
 	}
+	documented := backticked(catalog)
 	published := map[string]bool{}
 	for _, name := range names {
-		key := catalogKey(name)
-		published[key] = true
-		if !strings.Contains(catalog, key) {
-			t.Errorf("metric %q (catalog key %q) missing from DESIGN.md §12", name, key)
+		base, _ := obs.ParseName(name)
+		published[base] = true
+		if !documented[base] {
+			t.Errorf("metric %q missing from DESIGN.md §12", name)
 		}
 	}
-	for _, m := range regexp.MustCompile("`(simjoin_[a-z0-9_<>]+)").FindAllStringSubmatch(catalog, -1) {
-		if !published[m[1]] {
-			t.Errorf("DESIGN.md §12 documents %q, which no instrumented join published", m[1])
+	for name := range backticked(metricsSubsection(t, catalog)) {
+		if (strings.HasPrefix(name, "simjoin_") || strings.HasPrefix(name, "ged_")) && !published[name] {
+			t.Errorf("DESIGN.md §12 documents %q, which no instrumented join published", name)
+		}
+	}
+	fromStats := joinCounterNames()
+	for name := range snap.Counters {
+		base, _ := obs.ParseName(name)
+		if !fromStats[base] && !strings.HasPrefix(base, "obs_") {
+			t.Errorf("join published counter %q, which is neither a Stats field nor a per-bound profile entry", name)
 		}
 	}
 
@@ -134,7 +171,7 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 		t.Fatal("event log emitted no records")
 	}
 	for k := range keys {
-		if !strings.Contains(catalog, fmt.Sprintf("`%s`", k)) {
+		if !documented[k] {
 			t.Errorf("event key %q missing from DESIGN.md §12 event table", k)
 		}
 	}

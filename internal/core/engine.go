@@ -91,7 +91,8 @@ var testPairHook func(worker int)
 // joinEngine is the one shared driver: it resolves the filter chain, spins up
 // the worker pool, streams the source's batches through it, and finalises the
 // Stats. All containment (per-pair recover, pair deadlines, watchdog) lives
-// in joinPair and the observability handles created here.
+// in joinPair and the observability handles created here. Each run records
+// one core.join span, cancelled runs included.
 func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair, Stats, error) {
 	if err := opts.normalise(); err != nil {
 		return nil, Stats{}, err
@@ -100,6 +101,7 @@ func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair,
 	if err != nil {
 		return nil, Stats{}, err
 	}
+	start := time.Now()
 	jo := newJoinObs(&opts)
 	stopProgress := jo.startProgress(&opts, src.TotalPairs())
 	defer stopProgress()
@@ -184,6 +186,7 @@ func joinEngine(ctx context.Context, src CandidateSource, opts Options) ([]Pair,
 		})
 	close(tasks)
 	wg.Wait()
+	jo.tr.Record("core.join", start, time.Since(start))
 
 	total.Pairs += skipped
 	total.CSSPruned += skipped // prescreens are implied by the CSS stage

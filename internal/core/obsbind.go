@@ -6,22 +6,23 @@ import (
 
 	"simjoin/internal/filter"
 	"simjoin/internal/ged"
+	"simjoin/internal/graph"
 	"simjoin/internal/obs"
 	"simjoin/internal/ugraph"
 )
 
 // joinObs carries the shared observability state of one join run: registry
-// handles for per-stage histograms, the per-filter counters, the GED engine
-// metrics, the span tracer, and the live tallies the progress reporter
-// reads. Every handle is a nil-safe obs instrument, so with observability
-// disabled (Options.Obs, Tracer and Logger all nil) recording degenerates to
-// nil checks and the join runs at seed speed.
+// handles for the per-stage and per-GED-call histograms, the span tracer, and
+// the live tallies the progress reporter reads. It is the one place a join
+// creates instruments; the Stats counters and the per-bound profile reach the
+// registry once, at join end (publishStats). Every handle is a nil-safe obs
+// instrument, so with observability disabled (Options.Obs, Tracer and Logger
+// all nil) recording degenerates to nil checks and the join runs at seed
+// speed.
 type joinObs struct {
-	reg  *obs.Registry
-	tr   *obs.Tracer
-	filt *filter.Obs
-	gedM *ged.Metrics
-	ev   *obs.EventLog
+	reg *obs.Registry
+	tr  *obs.Tracer
+	ev  *obs.EventLog
 
 	// profile gates per-bound wall-clock timing (time.Now around every bound
 	// evaluation): on whenever metrics or the event log want the numbers, off
@@ -35,6 +36,10 @@ type joinObs struct {
 	// verifyRung splits verify latency per verdict-ladder rung, indexed by
 	// Verdict (VerdictNone unused).
 	verifyRung [5]*obs.Histogram
+	// gedSeconds and gedStates observe every exact GED call of the verdict
+	// ladder (rec.gedCompute): its wall time and its A* states expanded.
+	gedSeconds *obs.Histogram
+	gedStates  *obs.Histogram
 
 	// progress gates the live atomics below; they are only maintained when a
 	// Logger and ProgressEvery are configured.
@@ -58,8 +63,6 @@ func newJoinObs(o *Options) *joinObs {
 		progress: o.Logger != nil && o.ProgressEvery > 0,
 	}
 	if o.Obs != nil {
-		jo.filt = filter.NewObs(o.Obs)
-		jo.gedM = ged.NewMetrics(o.Obs)
 		jo.pruneSeconds = o.Obs.Histogram("simjoin_prune_seconds", obs.DurationBuckets)
 		jo.verifySeconds = o.Obs.Histogram("simjoin_verify_seconds", obs.DurationBuckets)
 		jo.sourceSeconds = o.Obs.Histogram("simjoin_source_seconds", obs.DurationBuckets)
@@ -67,6 +70,8 @@ func newJoinObs(o *Options) *joinObs {
 		for v := VerdictExact; v <= VerdictUndecided; v++ {
 			jo.verifyRung[v] = o.Obs.Histogram(verifyRungMetric(v), obs.DurationBuckets)
 		}
+		jo.gedSeconds = o.Obs.Histogram("ged_compute_seconds", obs.DurationBuckets)
+		jo.gedStates = o.Obs.Histogram("ged_states_expanded", obs.CountBuckets)
 		jo.watchdogStalls = o.Obs.Counter("simjoin_watchdog_stalls_total")
 	}
 	return jo
@@ -187,13 +192,37 @@ type rec struct {
 	evVerdict Verdict
 }
 
+// gedCompute runs one threshold-bounded exact GED of q against the world w
+// for a verification rung and books it: GEDCalls, GEDStatesExpanded and —
+// on any error, which the rungs treat as an exhausted budget — GEDBudgetHits,
+// plus one observation in each GED histogram, so each histogram's count
+// equals Stats.GEDCalls.
+func (st *rec) gedCompute(q, w *graph.Graph, opts *Options) (ged.Result, error) {
+	st.GEDCalls++
+	var t0 time.Time
+	if st.jo.gedSeconds != nil {
+		t0 = time.Now()
+	}
+	res, err := ged.Compute(q, w, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates})
+	if st.jo.gedSeconds != nil {
+		st.jo.gedSeconds.ObserveDuration(time.Since(t0))
+		st.jo.gedStates.Observe(float64(res.States))
+	}
+	st.GEDStatesExpanded += int64(res.States)
+	if err != nil {
+		st.GEDBudgetHits++
+	}
+	return res, err
+}
+
 // statsCounterSpec is the single source of truth tying every Stats counter
-// field to its registry metric name. publishStats writes through it and
-// StatsFromSnapshot reads through it, so the paper-facing Stats and the
-// registry can never disagree; a reflection test asserts the table covers
-// every counter field of Stats (the non-counter Cancelled flag and
-// Quarantined log are excluded — QuarantinedPairs carries their count — and
-// the PrunedBy map is published per bound through prunedByMetric).
+// field to its registry metric name. Stats.add sums through it,
+// publishStats writes through it and StatsFromSnapshot reads through it, so
+// the paper-facing Stats and the registry can never disagree; a reflection
+// test asserts the table covers every counter field of Stats (the
+// non-counter Cancelled flag and Quarantined log are excluded —
+// QuarantinedPairs carries their count — and PrunedBy is a view of
+// BoundProfile, published per (bound, position) by publishBoundProfile).
 var statsCounterSpec = []struct {
 	name string
 	fld  func(*Stats) *int64
@@ -231,12 +260,6 @@ var statsDurationSpec = []struct {
 	{"simjoin_verify_time_nanoseconds_total", func(s *Stats) *time.Duration { return &s.VerifyTime }},
 }
 
-// prunedByMetric maps a bound's registry name to the counter carrying its
-// Stats.PrunedBy tally.
-func prunedByMetric(bound string) string {
-	return "simjoin_pruned_by_" + filter.MetricName(bound) + "_total"
-}
-
 // publishStats accumulates a finished join's Stats into the registry.
 // Counters are cumulative across joins sharing a registry; per-run numbers
 // come from diffing snapshots (obs.DiffCounters) or the returned Stats.
@@ -250,18 +273,14 @@ func publishStats(reg *obs.Registry, s *Stats) {
 	for _, c := range statsDurationSpec {
 		reg.Counter(c.name).Add(int64(*c.fld(s)))
 	}
-	for bound, n := range s.PrunedBy {
-		reg.Counter(prunedByMetric(bound)).Add(n)
-	}
 	publishBoundProfile(reg, s.BoundProfile)
 }
 
 // StatsFromSnapshot reconstructs a Stats from a registry snapshot through
 // the same name table publishStats writes, so snapshot-derived numbers and
 // the paper-facing summary agree by construction. Over a registry that
-// served several joins the result is their sum. PrunedBy is rebuilt by
-// scanning the registered bound names, so custom bounds outside the filter
-// registry round-trip through the registry only if registered.
+// served several joins the result is their sum. PrunedBy is folded from the
+// rebuilt per-bound profile, the same way rec.finish derives it.
 func StatsFromSnapshot(snap obs.Snapshot) Stats {
 	var s Stats
 	for _, c := range statsCounterSpec {
@@ -270,14 +289,7 @@ func StatsFromSnapshot(snap obs.Snapshot) Stats {
 	for _, c := range statsDurationSpec {
 		*c.fld(&s) = time.Duration(snap.Counters[c.name])
 	}
-	for _, bound := range filter.BoundNames() {
-		if n := snap.Counters[prunedByMetric(bound)]; n != 0 {
-			if s.PrunedBy == nil {
-				s.PrunedBy = make(map[string]int64)
-			}
-			s.PrunedBy[bound] = n
-		}
-	}
 	s.BoundProfile = boundProfileFromSnapshot(snap)
+	s.PrunedBy = prunedBy(s.BoundProfile)
 	return s
 }

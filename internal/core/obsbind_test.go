@@ -10,7 +10,6 @@ import (
 	"testing"
 	"time"
 
-	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
 	"simjoin/internal/ugraph"
@@ -18,6 +17,8 @@ import (
 
 // fillStats sets every field of a Stats to a distinct nonzero value via
 // reflection, so coverage holes show up no matter which field is missed.
+// PrunedBy is the one derived field: it is built from the BoundProfile fill,
+// as rec.finish and StatsFromSnapshot build it.
 func fillStats(t *testing.T, s *Stats) {
 	t.Helper()
 	v := reflect.ValueOf(s).Elem()
@@ -40,17 +41,12 @@ func fillStats(t *testing.T, s *Stats) {
 			} else {
 				f.Set(reflect.MakeSlice(f.Type(), 1, 1))
 			}
-		case reflect.Map:
-			// PrunedBy: one entry per registered bound name, distinct values.
-			m := reflect.MakeMap(f.Type())
-			for j, name := range filter.BoundNames() {
-				m.SetMapIndex(reflect.ValueOf(name), reflect.ValueOf(int64(1000+100*i+j)))
-			}
-			f.Set(m)
+		case reflect.Map: // PrunedBy, filled from BoundProfile below
 		default:
 			t.Fatalf("Stats field %s has unhandled kind %s", v.Type().Field(i).Name, f.Kind())
 		}
 	}
+	s.PrunedBy = prunedBy(s.BoundProfile)
 }
 
 // statsEqual compares two Stats deeply; Stats grew non-comparable fields
@@ -122,8 +118,8 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 func TestStatsMetricTableCoversAllFields(t *testing.T) {
 	// Count the counter-shaped fields; the Cancelled flag and Quarantined log
 	// are deliberately registry-exempt (QuarantinedPairs carries the count),
-	// the PrunedBy map is published per bound through prunedByMetric, and
-	// BoundProfile per (bound, position) through publishBoundProfile.
+	// BoundProfile is published per (bound, position) through
+	// publishBoundProfile, and PrunedBy is folded back from it.
 	numeric := 0
 	typ := reflect.TypeOf(Stats{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -184,11 +180,12 @@ func TestPublishStatsRoundTrip(t *testing.T) {
 	}
 }
 
-// TestJoinStatsMatchRegistry runs real joins with a registry attached, through
-// Join's index feed and through the every-pair cross product, and checks (a)
-// the returned Stats equal the snapshot-derived Stats and (b) the per-filter
-// counters sum consistently with the lumped Stats fields: the chain sees
-// every pair the prescreens did not skip.
+// TestJoinStatsMatchRegistry runs real joins with a registry and a tracer
+// attached, through Join's index feed and through the every-pair cross
+// product, and checks (a) the returned Stats equal the snapshot-derived
+// Stats, (b) the histograms count what the Stats count — the chain sees every
+// pair the prescreens did not skip, and every GED call is observed once — and
+// (c) the tracer holds one core.join span and no per-pair spans.
 func TestJoinStatsMatchRegistry(t *testing.T) {
 	d, u := smallWorkload(7, 8, 8)
 	for _, cross := range []bool{false, true} {
@@ -233,27 +230,18 @@ func checkJoinRegistry(t *testing.T, d []*graph.Graph, u []*ugraph.Graph, mode M
 	if !statsEqual(from, counterPart(st)) {
 		t.Errorf("mode %v: snapshot stats diverge:\n got %+v\nwant %+v", mode, from, counterPart(st))
 	}
-	c := snap.Counters
-	if got := c["filter_css_pruned_total"]; got != st.CSSPruned-st.IndexSkipped {
-		t.Errorf("mode %v: filter_css_pruned_total = %d, Stats.CSSPruned %d - IndexSkipped %d",
-			mode, got, st.CSSPruned, st.IndexSkipped)
+	// The css bound leads every mode's chain, so it evaluates each chained
+	// pair once.
+	if got := snap.Counters[boundProfileMetric("evals_total", "css", 0)]; got != chained {
+		t.Errorf("mode %v: css evals = %d, want %d", mode, got, chained)
 	}
-	probSum := c["filter_prob_pruned_total"] + c["filter_prob_tight_pruned_total"] + c["filter_group_bound_pruned_total"]
-	if probSum != st.ProbPruned {
-		t.Errorf("mode %v: per-filter prob prunes sum to %d, Stats.ProbPruned = %d", mode, probSum, st.ProbPruned)
+	for _, name := range []string{"ged_compute_seconds", "ged_states_expanded"} {
+		if h := snap.Histograms[name]; h.Count != st.GEDCalls {
+			t.Errorf("mode %v: %s count = %d, Stats.GEDCalls = %d", mode, name, h.Count, st.GEDCalls)
+		}
 	}
-	if got := c["filter_group_css_pruned_total"]; got != st.GroupsPruned {
-		t.Errorf("mode %v: filter_group_css_pruned_total = %d, Stats.GroupsPruned = %d", mode, got, st.GroupsPruned)
-	}
-	if got := c["ged_compute_total"]; got != st.GEDCalls {
-		t.Errorf("mode %v: ged_compute_total = %d, Stats.GEDCalls = %d", mode, got, st.GEDCalls)
-	}
-	if got := c["ged_budget_exhausted_total"]; got != st.GEDBudgetHits {
-		t.Errorf("mode %v: ged_budget_exhausted_total = %d, Stats.GEDBudgetHits = %d", mode, got, st.GEDBudgetHits)
-	}
-	// Evaluated counts: the CSS bound sees every chained pair once.
-	if got := c["filter_css_evaluated_total"]; got != chained {
-		t.Errorf("mode %v: filter_css_evaluated_total = %d, want %d", mode, got, chained)
+	if spans := opts.Tracer.Spans(); len(spans) != 1 || spans[0].Name != "core.join" {
+		t.Errorf("mode %v: tracer holds %d spans %+v, want one core.join", mode, len(spans), spans)
 	}
 	// Stage histograms observed once per pair surviving to each stage.
 	if h, ok := snap.Histograms["simjoin_prune_seconds"]; !ok || h.Count != chained {

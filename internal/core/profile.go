@@ -109,20 +109,30 @@ func (st *rec) finish(chain []filter.Bound) {
 			Prunes: sh.prunes,
 			Nanos:  sh.nanos,
 		}
-		if sh.prunes == 0 {
-			continue
-		}
-		if st.PrunedBy == nil {
-			st.PrunedBy = make(map[string]int64)
-		}
-		st.PrunedBy[b.Name()] += sh.prunes
 		if b.Kind() == filter.Structural {
 			st.CSSPruned += sh.prunes
 		} else {
 			st.ProbPruned += sh.prunes
 		}
 	}
+	st.PrunedBy = prunedBy(st.BoundProfile)
 	st.eb.Flush()
+}
+
+// prunedBy folds a profile's prunes by bound name: Stats.PrunedBy as a view
+// of Stats.BoundProfile, nil when nothing was pruned.
+func prunedBy(prof []BoundCost) map[string]int64 {
+	var m map[string]int64
+	for _, bc := range prof {
+		if bc.Prunes == 0 {
+			continue
+		}
+		if m == nil {
+			m = make(map[string]int64)
+		}
+		m[bc.Bound] += bc.Prunes
+	}
+	return m
 }
 
 // mergeBoundProfile folds src into dst by (position, bound), appending

@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 
-	"simjoin/internal/ged"
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
 )
@@ -100,11 +99,8 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 		if st.pv.WorldLowerBound(w) > opts.Tau {
 			continue
 		}
-		st.GEDCalls++
-		res, err := ged.Compute(q, w, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates, Metrics: st.jo.gedM})
-		st.GEDStatesExpanded += int64(res.States)
+		res, err := st.gedCompute(q, w, opts)
 		if err != nil {
-			st.GEDBudgetHits++
 			continue
 		}
 		if !res.Exceeded {

@@ -116,13 +116,14 @@ type Options struct {
 	// Stats.PrunedBy.
 	FilterChain []filter.Bound
 
-	// Obs, when non-nil, receives live metrics for the run: per-stage
-	// latency histograms, per-filter prune counters, GED engine metrics,
-	// and — on completion — the cumulative Stats counters (see
+	// Obs, when non-nil, receives live metrics for the run — per-stage
+	// latency histograms and per-call GED histograms — and, on completion,
+	// the cumulative Stats counters and per-bound profile (see
 	// StatsFromSnapshot). Nil disables metric collection at no cost.
 	Obs *obs.Registry
-	// Tracer, when non-nil, records prune/verify spans per pair into its
-	// ring buffer (exportable as a Chrome trace).
+	// Tracer, when non-nil, records one core.join span per join into its
+	// ring buffer (exportable as a Chrome trace); per-pair time is in the
+	// stage histograms and the event log.
 	Tracer *obs.Tracer
 	// Events, when non-nil, receives the sampled pair-decision event log: one
 	// JSONL record per sampled pair carrying the pair ids, every bound's
@@ -308,20 +309,12 @@ func (s *Stats) ResultRatio() float64 {
 }
 
 func (s *Stats) add(o *Stats) {
-	s.Pairs += o.Pairs
-	s.CSSPruned += o.CSSPruned
-	s.ProbPruned += o.ProbPruned
-	s.Candidates += o.Candidates
-	s.Results += o.Results
-	s.SkippedPairs += o.SkippedPairs
-	s.WorldsChecked += o.WorldsChecked
-	s.GEDCalls += o.GEDCalls
-	s.GEDBudgetHits += o.GEDBudgetHits
-	s.GEDStatesExpanded += o.GEDStatesExpanded
-	s.PruneTime += o.PruneTime
-	s.VerifyTime += o.VerifyTime
-	s.GroupsBuilt += o.GroupsBuilt
-	s.GroupsPruned += o.GroupsPruned
+	for _, c := range statsCounterSpec {
+		*c.fld(s) += *c.fld(o)
+	}
+	for _, c := range statsDurationSpec {
+		*c.fld(s) += *c.fld(o)
+	}
 	if len(o.PrunedBy) > 0 {
 		if s.PrunedBy == nil {
 			s.PrunedBy = make(map[string]int64, len(o.PrunedBy))
@@ -333,15 +326,6 @@ func (s *Stats) add(o *Stats) {
 	if len(o.BoundProfile) > 0 {
 		s.BoundProfile = mergeBoundProfile(s.BoundProfile, o.BoundProfile)
 	}
-	s.EarlyAccepts += o.EarlyAccepts
-	s.EarlyRejects += o.EarlyRejects
-	s.IndexSkipped += o.IndexSkipped
-	s.SampledPairs += o.SampledPairs
-	s.ExactPairs += o.ExactPairs
-	s.ApproxPairs += o.ApproxPairs
-	s.BudgetFallbacks += o.BudgetFallbacks
-	s.DeadlineHits += o.DeadlineHits
-	s.QuarantinedPairs += o.QuarantinedPairs
 	s.Cancelled = s.Cancelled || o.Cancelled
 	s.Quarantined = append(s.Quarantined, o.Quarantined...)
 }
@@ -355,11 +339,16 @@ func (s *Stats) add(o *Stats) {
 // the same aggregate.
 func (s *Stats) Merge(o *Stats) {
 	s.add(o)
-	sort.Slice(s.Quarantined, func(i, j int) bool {
-		if s.Quarantined[i].Q != s.Quarantined[j].Q {
-			return s.Quarantined[i].Q < s.Quarantined[j].Q
+	sortQuarantined(s.Quarantined)
+}
+
+// sortQuarantined orders a quarantine log by (Q, G).
+func sortQuarantined(log []QuarantineRecord) {
+	sort.Slice(log, func(i, j int) bool {
+		if log[i].Q != log[j].Q {
+			return log[i].Q < log[j].Q
 		}
-		return s.Quarantined[i].G < s.Quarantined[j].G
+		return log[i].G < log[j].G
 	})
 }
 
@@ -390,12 +379,7 @@ func JoinContext(ctx context.Context, d []*graph.Graph, u []*ugraph.Graph, opts 
 // (tracer drop count, event-log tallies); every join driver calls it once
 // after its workers drain.
 func finishStats(total *Stats, jo *joinObs) {
-	sort.Slice(total.Quarantined, func(i, j int) bool {
-		if total.Quarantined[i].Q != total.Quarantined[j].Q {
-			return total.Quarantined[i].Q < total.Quarantined[j].Q
-		}
-		return total.Quarantined[i].G < total.Quarantined[j].G
-	})
+	sortQuarantined(total.Quarantined)
 	publishStats(jo.reg, total)
 	jo.syncAux()
 }
@@ -456,7 +440,6 @@ func joinPair(ctx context.Context, pi *pairIn, opts *Options, chain []filter.Bou
 	pruneDur := time.Since(pruneStart)
 	st.PruneTime += pruneDur
 	st.jo.pruneSeconds.ObserveDuration(pruneDur)
-	st.jo.tr.Record("prune", pruneStart, pruneDur)
 	if prunedBy != "" {
 		if st.evSampled {
 			st.emitEvent(pi, Pair{}, false, "pruned", prunedBy,
@@ -482,7 +465,6 @@ func joinPair(ctx context.Context, pi *pairIn, opts *Options, chain []filter.Bou
 	st.VerifyTime += verifyDur
 	st.jo.verifySeconds.ObserveDuration(verifyDur)
 	st.jo.verifyRung[st.evVerdict].ObserveDuration(verifyDur)
-	st.jo.tr.Record("verify", verifyStart, verifyDur)
 	if st.evSampled {
 		st.emitEvent(pi, p, ok, st.evVerdict.String(), "",
 			baseWorlds, baseGEDCalls, baseGEDStates, int64(pruneDur), int64(verifyDur))
@@ -540,20 +522,18 @@ func prunephase(pi *pairIn, opts *Options, chain []filter.Bound, st *rec) ([]ugr
 }
 
 // applyBound runs one bound on the pair in st.pctx and books the evaluation
-// into the worker's profile shard (at chain position i), the filter metrics,
-// and — when the pair is event-sampled — the event record. Evaluations are
-// timed only when profiling is on; untimed ones book zero nanoseconds.
+// into the worker's profile shard (at chain position i) and — when the pair
+// is event-sampled — the event record. Evaluations are timed only when
+// profiling is on; untimed ones book zero nanoseconds.
 func (st *rec) applyBound(b filter.Bound, i int) filter.Outcome {
 	if !st.jo.profile {
 		out := b.Apply(&st.pctx)
-		st.jo.filt.RecordBound(b.Name(), out)
 		st.bookOutcome(out, i, 0)
 		return out
 	}
 	t0 := time.Now()
 	out := b.Apply(&st.pctx)
 	d := time.Since(t0)
-	st.jo.filt.RecordBoundTimed(b.Name(), out, d)
 	if st.evSampled {
 		st.ev.Bounds = append(st.ev.Bounds, obs.BoundObs{Bound: b.Name(), Ns: int64(d), Pruned: out.Pruned})
 	}
@@ -749,12 +729,9 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 			}
 			remaining -= p
 			if st.pv.WorldLowerBound(w) <= opts.Tau {
-				st.GEDCalls++
-				res, err := ged.Compute(q, w, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates, Metrics: st.jo.gedM})
-				st.GEDStatesExpanded += int64(res.States)
+				res, err := st.gedCompute(q, w, opts)
 				switch {
 				case err != nil:
-					st.GEDBudgetHits++
 					assisted = true
 					if opts.Fallback == FallbackFull {
 						// Rescue the world with the beam-search upper bound:

@@ -24,7 +24,6 @@ import (
 	"errors"
 	"fmt"
 	"sync"
-	"time"
 
 	"simjoin/internal/fault"
 	"simjoin/internal/graph"
@@ -52,9 +51,6 @@ type Options struct {
 	// MaxStates caps the number of expanded states; 0 means unlimited.
 	// When exceeded, Compute returns ErrBudget.
 	MaxStates int
-	// Metrics, when non-nil, records per-call diagnostics (states expanded,
-	// wall time, budget exhaustions) into the observability registry.
-	Metrics *Metrics
 }
 
 // Result is the outcome of a GED computation.
@@ -210,12 +206,6 @@ func (h *stateHeap) Pop() interface{} {
 func Compute(g1, g2 *graph.Graph, opts Options) (Result, error) {
 	if err := fault.Hit("ged.compute", ""); err != nil {
 		return Result{}, err
-	}
-	if opts.Metrics != nil {
-		start := time.Now()
-		res, err := compute(g1, g2, opts)
-		opts.Metrics.record(res, err, start)
-		return res, err
 	}
 	return compute(g1, g2, opts)
 }

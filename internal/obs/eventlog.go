@@ -73,8 +73,8 @@ func (l *EventLog) Sample() bool {
 	return (l.n.Add(1)-1)%l.every == 0
 }
 
-// Sampled returns how many pairs passed through Sample (emitted or not).
-func (l *EventLog) Sampled() int64 {
+// Seen returns how many pairs passed through Sample, sampled or not.
+func (l *EventLog) Seen() int64 {
 	if l == nil {
 		return 0
 	}

@@ -29,8 +29,8 @@ func TestEventLogSamplingCadence(t *testing.T) {
 			}
 		}
 	}
-	if got := l.Sampled(); got != 10 {
-		t.Fatalf("Sampled() = %d, want 10", got)
+	if got := l.Seen(); got != 10 {
+		t.Fatalf("Seen() = %d, want 10", got)
 	}
 
 	var nilLog *EventLog

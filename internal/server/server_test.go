@@ -14,6 +14,7 @@ import (
 	"simjoin/internal/fault"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
+	"simjoin/internal/qa"
 	"simjoin/internal/sparql"
 	"simjoin/internal/workload"
 )
@@ -534,6 +535,38 @@ type qaFunc func(string) ([]sparql.Binding, error)
 
 func (qaFunc) Name() string                                { return "fake" }
 func (f qaFunc) Answer(q string) ([]sparql.Binding, error) { return f(q) }
+
+// TestTraceRingKeepsRequestSpans pins the trace ring's budget under a
+// shared tracer: a join records one core.join span, not spans per pair, so
+// 20 /join and 20 /ask fit a 64-span ring with every qa.answer span retained
+// and nothing dropped.
+func TestTraceRingKeepsRequestSpans(t *testing.T) {
+	tr := obs.NewTracer(64)
+	fake := qaFunc(func(string) ([]sparql.Binding, error) {
+		return []sparql.Binding{{"x": "hamlet"}}, nil
+	})
+	s, d := newTestServer(t, func(c *Config) {
+		c.Tracer = tr
+		c.QA = qa.Instrument(fake, nil, tr)
+	})
+	h := s.Handler()
+	for i := 0; i < 20; i++ {
+		if w := postJSON(t, h, "/join", JoinRequest{Graph: graphSpecOf(d[i%len(d)])}); w.Code != http.StatusOK {
+			t.Fatalf("/join %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+		if w := postJSON(t, h, "/ask", AskRequest{Question: "who wrote Hamlet"}); w.Code != http.StatusOK {
+			t.Fatalf("/ask %d: status %d: %s", i, w.Code, w.Body.String())
+		}
+	}
+	counts := map[string]int{}
+	for _, sp := range tr.Spans() {
+		counts[sp.Name]++
+	}
+	if counts["qa.answer.fake"] != 20 || counts["core.join"] != 20 || tr.Dropped() != 0 {
+		t.Fatalf("trace ring holds %v with %d dropped, want 20 qa.answer.fake and 20 core.join spans, none dropped",
+			counts, tr.Dropped())
+	}
+}
 
 // TestJoinRequestFilters pins the per-request "filters" field: a valid chain
 // answers with exactly the default chain's matches (every bound is sound, so

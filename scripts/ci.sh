@@ -48,6 +48,14 @@ go run ./cmd/simjoin -workload er -scale 0.5 -tau 1 -alpha 0.5 -mode opt \
 	-stats-json "$ART/stats.json" -trace-out "$ART/trace.json" > "$ART/join-explain.txt"
 grep -q 'effective-cost order' "$ART/join-explain.txt"
 test -s "$ART/events.jsonl"
+# One name per quantity: the trace holds the join's one core.join span (no
+# per-pair spans), and the snapshot carries no filter-layer counter, because
+# a bound's tallies live only in the simjoin_bound_* profile.
+grep -q '"name":"core.join"' "$ART/trace.json"
+if grep '"filter_' "$ART/stats.json"; then
+	echo "stats.json carries filter_* counters"
+	exit 1
+fi
 
 echo "== chain-order equivalence (a reordered chain must not change the join)"
 # The race matrix above already pins chain-order invariance
