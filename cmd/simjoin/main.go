@@ -52,7 +52,6 @@ func main() {
 		memProf   = flag.String("memprofile", "", "write a heap profile (go tool pprof format) to this file at exit")
 
 		pairDeadline = flag.Duration("pair-deadline", 0, "soft per-pair verification deadline; past it the pair degrades down the verdict ladder (0 disables)")
-		fallbackName = flag.String("fallback", "full", "budget-cliff policy: full (sample then approx bounds), sample, none (legacy skip)")
 		watchdog     = flag.Duration("watchdog", 0, "log workers stuck on one pair longer than this (0 disables)")
 		failpoints   = flag.String("failpoints", "", "comma-separated fault injections, e.g. 'ged.compute=error#3,core.pair=delay:5ms' (also via "+fault.EnvVar+")")
 	)
@@ -88,11 +87,6 @@ func main() {
 		}()
 	}
 
-	fb, err := core.ParseFallback(*fallbackName)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "simjoin:", err)
-		os.Exit(1)
-	}
 	if *failpoints != "" {
 		if err := fault.EnableAll(*failpoints); err != nil {
 			fmt.Fprintln(os.Stderr, "simjoin:", err)
@@ -141,7 +135,6 @@ func main() {
 		progress:    *progress,
 	}
 	robust := robustConfig{
-		fallback:     fb,
 		pairDeadline: *pairDeadline,
 		watchdog:     *watchdog,
 	}
@@ -159,7 +152,6 @@ func main() {
 
 // robustConfig bundles the graceful-degradation flags.
 type robustConfig struct {
-	fallback     core.Fallback
 	pairDeadline time.Duration
 	watchdog     time.Duration
 }
@@ -180,7 +172,6 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 	opts.Tau = tau
 	opts.Alpha = alpha
 	opts.GroupCount = gn
-	opts.Fallback = rc.fallback
 	opts.PairDeadline = rc.pairDeadline
 	opts.Watchdog = rc.watchdog
 	if rc.watchdog > 0 {

@@ -202,7 +202,7 @@ func TestEveryFailpointContained(t *testing.T) {
 
 // TestGEDErrorFaultIsNotFatal: error-kind injection at ged.compute lands on
 // the existing budget-hit path (the world is rescued by the beam bound or
-// treated dissimilar), so the join completes with no quarantine.
+// left unresolved), so the join completes with no quarantine.
 func TestGEDErrorFaultIsNotFatal(t *testing.T) {
 	d, u, opts, _ := injectWorkload(t)
 	defer fault.Reset()

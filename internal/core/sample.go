@@ -26,8 +26,10 @@ const (
 // threshold-bounded GED. The pair is accepted when the estimate clears α by
 // the Hoeffding margin ε = sqrt(ln(1/δ) / (2n)) with δ = 0.01, rejected when
 // it falls below α by the same margin, and reported undecided in between
-// (the ladder falls through to the approximate rung). A decided pair carries
-// the cleared margin in Pair.CI.
+// (the ladder falls through to the approximate rung). A world whose GED call
+// errs (VerifyMaxStates, or an injected fault) is unknown: a miss for the
+// accept test, a hit for the reject test. A decided pair carries the cleared
+// margin in Pair.CI.
 //
 // The estimator is deterministic: the RNG is seeded from the pair indices.
 func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, st *rec) (Pair, bool, sampleOutcome) {
@@ -70,7 +72,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 		w.MustAddEdgeID(e.From, e.To, e.Label, eids[i])
 	}
 
-	hits := 0
+	hits, errs := 0, 0
 	best := Pair{Q: qi, G: gi, Distance: opts.Tau + 1}
 	st.pv.Reset(pi.qs, pi.gs) // sampled worlds share g's structure
 	for i := 0; i < n; i++ {
@@ -101,6 +103,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 		}
 		res, err := st.gedCompute(q, w, opts)
 		if err != nil {
+			errs++
 			continue
 		}
 		if !res.Exceeded {
@@ -123,7 +126,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 			best.Mapping = nil
 		}
 		return best, true, sampleDecided
-	case estimate+eps < opts.Alpha:
+	case float64(hits+errs)/float64(n)*mass+eps < opts.Alpha:
 		return Pair{}, false, sampleDecided
 	default:
 		return Pair{}, false, sampleUndecided // inside the margin

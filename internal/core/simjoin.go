@@ -70,12 +70,12 @@ type Options struct {
 	// Workers is the number of parallel join workers; 0 means GOMAXPROCS.
 	Workers int
 	// MaxWorlds caps the possible worlds enumerated per pair during
-	// verification; pairs beyond it are skipped and counted in
-	// Stats.SkippedPairs. 0 means the default of 1<<20.
+	// verification; pairs beyond it go down the verdict ladder (sampling,
+	// then approximate bounds). 0 means the default of 1<<20.
 	MaxWorlds int64
-	// VerifyMaxStates caps the A* states per GED verification call; worlds
-	// exceeding it count as dissimilar and are tallied in
-	// Stats.GEDBudgetHits. 0 means the default of 4e6.
+	// VerifyMaxStates caps the A* states per GED verification call; a world
+	// exceeding it is ruled in by the beam-search bound or left unresolved,
+	// and is tallied in Stats.GEDBudgetHits. 0 means the default of 4e6.
 	VerifyMaxStates int
 	// DisableEarlyExit turns off the accept/reject short-circuit during
 	// verification (ablation A2).
@@ -87,10 +87,6 @@ type Options struct {
 	// pairs inside the margin fall through to the next rung. 0 means the
 	// default of 512; negative disables the sampling rung.
 	SampleWorlds int
-	// Fallback selects how far the verdict ladder degrades over-budget
-	// pairs; the default FallbackFull tries sampling and then approximate
-	// bounds, FallbackNone restores the legacy skip-on-cliff behaviour.
-	Fallback Fallback
 	// PairDeadline is the soft per-pair time budget: a pair whose exact
 	// enumeration or sampling outlives it degrades to the next ladder rung
 	// (counted in Stats.DeadlineHits). 0 disables per-pair deadlines.
@@ -233,13 +229,12 @@ type Stats struct {
 	ProbPruned int64 // pairs removed by Theorem 4 / grouped bounds
 	Candidates int64 // pairs entering verification
 	Results    int64 // pairs reported
-	// SkippedPairs counts pairs that ended VerdictUndecided: every rung of
-	// the verification ladder the Fallback policy allows failed to decide
-	// them (with FallbackNone this is the legacy budget cliff). Such pairs
-	// still count in Candidates — they entered verification — and the worlds
-	// examined before giving up stay in WorldsChecked (exactly MaxWorlds+1
-	// for a capped FallbackNone pair, counting the world that tripped it),
-	// so CSSPruned + ProbPruned + Candidates == Pairs always holds.
+	// SkippedPairs counts pairs that ended VerdictUndecided: no rung of the
+	// verification ladder could decide them within its budgets (or the join
+	// was cancelled mid-pair). Such pairs still count in Candidates — they
+	// entered verification — and the worlds every rung examined before
+	// giving up stay in WorldsChecked, so CSSPruned + ProbPruned +
+	// Candidates == Pairs always holds.
 	SkippedPairs int64
 	// WorldsChecked counts every possible world examined during verification,
 	// including the partial enumerations of pairs that ended in SkippedPairs.
@@ -277,8 +272,9 @@ type Stats struct {
 	ExactPairs   int64 // pairs decided by exact possible-world enumeration
 	ApproxPairs  int64 // pairs decided with approximate-bound assistance
 	// BudgetFallbacks counts pairs that left the exact enumeration path
-	// (MaxWorlds blown, pre-screened as over budget, or deadline expired)
-	// and were handed to the ladder's fallback rungs.
+	// (MaxWorlds blown, pre-screened as over budget, deadline expired, or
+	// GED-budget worlds left undecidable) and were handed to the ladder's
+	// fallback rungs.
 	BudgetFallbacks int64
 	DeadlineHits    int64 // per-pair soft deadline expiries
 	// QuarantinedPairs counts pairs whose processing panicked; the panics
@@ -560,7 +556,7 @@ type exactOutcome int
 
 const (
 	exactDecided   exactOutcome = iota // accept/reject settled within budget
-	exactBudget                        // MaxWorlds blown (or a budget fault injected)
+	exactBudget                        // MaxWorlds blown, a budget fault, or unresolved mass straddling α
 	exactDeadline                      // the pair's soft deadline expired
 	exactCancelled                     // the whole join was cancelled
 )
@@ -574,21 +570,19 @@ const ctxCheckEvery = 64
 //
 //  1. Exact possible-world enumeration (grouped when SimJ+opt kept groups),
 //     with per-world CSS pre-checks and early accept/reject on accumulated
-//     mass — unless the world count is already over MaxWorlds and a fallback
-//     exists, in which case the rung is skipped outright.
+//     mass — unless the world count is already over MaxWorlds and the
+//     sampling rung is on, in which case the rung is skipped outright.
 //  2. Monte Carlo sampling (sampleVerify) when rung 1 ran out of worlds,
-//     states or time.
-//  3. Approximate bounds over the most probable worlds (approxVerify), under
-//     FallbackFull only.
+//     states or time; SampleWorlds < 0 turns it off.
+//  3. Approximate bounds over the most probable worlds (approxVerify).
 //
-// Pairs no rung decides are counted in Stats.SkippedPairs (VerdictUndecided).
-// pairCtx carries the per-pair soft deadline, joinCtx the join-wide
+// Every rung decides soundly in both directions (sampling up to its
+// Hoeffding margin); pairs no rung decides are counted in Stats.SkippedPairs
+// (VerdictUndecided). pairCtx carries the per-pair soft deadline, joinCtx the join-wide
 // cancellation; the distinction decides whether an interrupted rung degrades
 // (deadline) or aborts (cancelled).
 func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group, opts *Options, st *rec) (Pair, bool) {
-	canFallback := opts.Fallback != FallbackNone
-	overBudget := pi.gs.WorldsF > float64(opts.MaxWorlds)
-	if canFallback && opts.SampleWorlds > 0 && overBudget {
+	if opts.SampleWorlds > 0 && pi.gs.WorldsF > float64(opts.MaxWorlds) {
 		// The world count alone proves exact enumeration cannot finish;
 		// skip straight to the sampling rung.
 		st.BudgetFallbacks++
@@ -614,10 +608,6 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 		case exactBudget:
 			st.BudgetFallbacks++
 		}
-		if !canFallback {
-			st.SkippedPairs++ // legacy cliff: over budget means skipped
-			return Pair{}, false
-		}
 	}
 	if opts.SampleWorlds > 0 {
 		p, ok, out := sampleVerify(pairCtx, joinCtx, pi, opts, st)
@@ -635,14 +625,12 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 		}
 		// sampleUndecided / sampleDeadline: fall through to the last rung.
 	}
-	if opts.Fallback == FallbackFull {
-		// The approximate rung is cheap and strictly bounded, so it runs even
-		// after a deadline hit: better a late certified bound than no verdict.
-		if p, ok, decided := approxVerify(pi, opts, st); decided {
-			st.ApproxPairs++
-			st.evVerdict = VerdictApproxBound
-			return p, ok
-		}
+	// The approximate rung is cheap and strictly bounded, so it runs even
+	// after a deadline hit: better a late certified bound than no verdict.
+	if p, ok, decided := approxVerify(pi, opts, st); decided {
+		st.ApproxPairs++
+		st.evVerdict = VerdictApproxBound
+		return p, ok
 	}
 	st.SkippedPairs++
 	return Pair{}, false
@@ -654,10 +642,12 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 // the worker's PairVerifier: every world of g (and of its conditioned groups)
 // shares g's structure, so only the λV matching is recomputed per world.
 //
-// assisted reports that at least one world's exact GED exhausted
-// VerifyMaxStates and the decision leaned on the beam-search upper bound
-// instead (under FallbackFull) or on treating the world as dissimilar
-// (legacy): either way the verdict is no longer exact.
+// A world whose exact GED exhausts VerifyMaxStates is ruled in when the
+// beam-search upper bound is within τ; otherwise its mass stays unresolved.
+// A reject must hold with the unresolved mass counted as similar, so a pair
+// that needs it to decide ends exactBudget and goes down the ladder.
+// assisted reports that at least one world hit the GED budget: the verdict
+// is then no longer exact.
 func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group, opts *Options, st *rec) (Pair, bool, exactOutcome, bool) {
 	q, qi, gi := pi.q, pi.qi, pi.gi
 	if groups == nil {
@@ -679,6 +669,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 
 	simP := 0.0
 	remaining := totalMass
+	unresolved := 0.0
 	// Accept and reject against α up to the rounding of the mass sums (see
 	// filter.MassSlack): at α = 1 an exact SimP of 1 can sum a few ulps short.
 	alphaLo := opts.Alpha - filter.MassSlack
@@ -733,18 +724,17 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 				switch {
 				case err != nil:
 					assisted = true
-					if opts.Fallback == FallbackFull {
-						// Rescue the world with the beam-search upper bound:
-						// d ≤ τ still proves it similar, keeping the accept
-						// side sound where the legacy path undercounted.
-						if d, m := ged.Approximate(q, w, approxBeam); d <= opts.Tau {
-							simP += p
-							if d < best.Distance {
-								best.Distance = d
-								best.World = w.Clone()
-								best.Mapping = m
-							}
+					// Rescue the world with the beam-search upper bound:
+					// d ≤ τ still proves it similar.
+					if d, m := ged.Approximate(q, w, approxBeam); d <= opts.Tau {
+						simP += p
+						if d < best.Distance {
+							best.Distance = d
+							best.World = w.Clone()
+							best.Mapping = m
 						}
+					} else {
+						unresolved += p
 					}
 				case !res.Exceeded:
 					simP += p
@@ -761,7 +751,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 					decided, accepted = true, true
 					return false
 				}
-				if simP+remaining < alphaLo {
+				if simP+remaining+unresolved < alphaLo {
 					st.EarlyRejects++
 					decided, accepted = true, false
 					return false
@@ -777,6 +767,10 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 	}
 	if !decided {
 		accepted = simP >= alphaLo
+		if !accepted && simP+unresolved >= alphaLo {
+			// The unresolved worlds could carry SimP to α: no sound verdict.
+			return Pair{}, false, exactBudget, assisted
+		}
 	}
 	if !accepted {
 		return Pair{}, false, exactDecided, assisted

@@ -10,6 +10,7 @@ import (
 	"slices"
 	"testing"
 
+	"simjoin/internal/fault"
 	"simjoin/internal/filter"
 	"simjoin/internal/ged"
 	"simjoin/internal/graph"
@@ -198,9 +199,10 @@ func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, g *ugraph.Graph, ta
 // chain (IndexSkipped 0); Join and JoinIndexed skip exactly the pairs the
 // prescreens rule out. Per chain, JoinTopK with k = |D| must return the same
 // answer set, grouped by uncertain graph and ranked by pairBetter. It also
-// checks Index.Candidates against bruteCandidates for every uncertain graph,
-// and returns how many pairs the prescreens ruled out.
-func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (prescreened int64) {
+// checks Index.Candidates against bruteCandidates for every uncertain graph
+// and the verdict ladder under small budgets (checkLadder), and returns how
+// many pairs the prescreens ruled out with the ladder's tally.
+func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (prescreened int64, ladder ladderTally) {
 	t.Helper()
 	var d []*graph.Graph
 	var u []*ugraph.Graph
@@ -278,7 +280,115 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 			d, u, Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3, Workers: 4, FilterChain: ch.chain},
 			want, prescreened)
 	}
-	return prescreened
+	ladder = checkLadder(t, fmt.Sprintf("seed=%d tau=%d alpha=%v", seed, tau, alpha), d, u, want, tau, alpha)
+	return prescreened, ladder
+}
+
+// ladderBudgets are the budget configurations checkLadder runs: small world,
+// GED-state and sample budgets (SampleWorlds −1 turns the sampling rung off)
+// and an injected GED budget fault, so every rung of the ladder decides some
+// pairs.
+var ladderBudgets = []struct {
+	name      string
+	opts      Options
+	failpoint string
+}{
+	{"max-worlds", Options{Mode: ModeSimJ, MaxWorlds: 1, SampleWorlds: 16}, ""},
+	{"max-worlds-unsampled", Options{Mode: ModeSimJOpt, MaxWorlds: 2, SampleWorlds: -1}, ""},
+	{"states", Options{Mode: ModeSimJ, VerifyMaxStates: 2}, ""},
+	{"states-sampled", Options{Mode: ModeSimJOpt, MaxWorlds: 1, VerifyMaxStates: 1, SampleWorlds: 32}, ""},
+	{"states-unsampled", Options{Mode: ModeSimJ, VerifyMaxStates: 3, SampleWorlds: -1}, ""},
+	{"ged-fault", Options{Mode: ModeSimJ, MaxWorlds: 3, SampleWorlds: 8}, "ged.compute=budget#2"},
+}
+
+// ladderTally counts checkLadder's runs by the verdict they ended with
+// (VerdictNone for a pruned pair) and the sampling rung's decisions that
+// contradict Def. 7.
+type ladderTally struct {
+	verdicts     [VerdictUndecided + 1]int
+	sampledWrong int
+}
+
+func (a *ladderTally) add(b ladderTally) {
+	for v, n := range b.verdicts {
+		a.verdicts[v] += n
+	}
+	a.sampledWrong += b.sampledWrong
+}
+
+// checkLadder runs every pair of the workload alone, as a 1 × 1 join (so
+// its Stats name the rung that decided it and an armed failpoint fires on
+// that pair), under each of ladderBudgets. Every run must partition its
+// candidates into verdicts; no pruned pair may be in Def. 7; every exact or
+// approx-bound accept must be in Def. 7 with a SimP between α and the exact
+// value; and no exact or approx-bound reject may drop a Def. 7 pair.
+// Sampled decisions hold only up to δ, so they are tallied, not checked.
+func checkLadder(t *testing.T, name string, d []*graph.Graph, u []*ugraph.Graph, want map[[2]int]float64, tau int, alpha float64) (tally ladderTally) {
+	t.Helper()
+	for _, b := range ladderBudgets {
+		opts := b.opts
+		opts.Tau, opts.Alpha, opts.GroupCount, opts.Workers = tau, alpha, 3, 1
+		for qi, q := range d {
+			for gi, g := range u {
+				if b.failpoint != "" {
+					if err := fault.Enable(b.failpoint); err != nil {
+						t.Fatal(err)
+					}
+				}
+				pname := fmt.Sprintf("%s budget=%s pair=(%d,%d)", name, b.name, qi, gi)
+				got, st, err := JoinWith(context.Background(),
+					NewCrossSource([]*graph.Graph{q}, []*ugraph.Graph{g}), opts)
+				fault.Reset()
+				if err != nil {
+					t.Fatalf("%s: %v", pname, err)
+				}
+				checkStatsPartition(t, pname, &st, 1, int64(len(got)), 0)
+				exact, inDef7 := want[[2]int{qi, gi}]
+				accepted := len(got) == 1
+				var verdict Verdict
+				switch {
+				case accepted:
+					verdict = got[0].Verdict
+				case st.ExactPairs == 1:
+					verdict = VerdictExact
+				case st.SampledPairs == 1:
+					verdict = VerdictSampled
+				case st.ApproxPairs == 1:
+					verdict = VerdictApproxBound
+				case st.SkippedPairs == 1:
+					verdict = VerdictUndecided
+				}
+				tally.verdicts[verdict]++
+				switch verdict {
+				case VerdictNone:
+					if inDef7 {
+						t.Fatalf("%s: pruned a Def. 7 pair (SimP %v)", pname, exact)
+					}
+				case VerdictExact, VerdictApproxBound:
+					if accepted != inDef7 {
+						t.Fatalf("%s: %v decision accepted=%v contradicts Def. 7 (in=%v, SimP %v)",
+							pname, verdict, accepted, inDef7, exact)
+					}
+					if accepted && (got[0].SimP > exact+1e-9 || got[0].SimP < alpha-1e-9) {
+						t.Fatalf("%s: %v SimP %v, exact %v", pname, verdict, got[0].SimP, exact)
+					}
+				case VerdictSampled:
+					if accepted != inDef7 {
+						tally.sampledWrong++
+					}
+				}
+			}
+		}
+	}
+	return tally
+}
+
+// binomialTolerance is the most wrong decisions n independent decisions,
+// each wrong with probability at most δ, may show before the count is
+// three standard deviations past its mean.
+func binomialTolerance(n int, delta float64) int {
+	mean := float64(n) * delta
+	return int(math.Ceil(mean + 3*math.Sqrt(mean*(1-delta))))
 }
 
 // checkTopK runs JoinTopK with k = |D|, so no qualifying pair is cut: every
@@ -369,18 +479,31 @@ func checkStatsPartition(t *testing.T, name string, st *Stats, pairs, results, s
 // TestJoinOracle runs the differential oracle over a spread of random
 // workloads and thresholds.
 func TestJoinOracle(t *testing.T) {
-	// seed%3 picks the workload kind and seed/3 the threshold, so the nine
+	// seed%3 picks the workload kind and seed/3 the threshold, so the twelve
 	// seeds cover every kind × τ combination with α varying alongside.
-	prescreened := make([]int64, 3)
-	for seed := int64(0); seed < 9; seed++ {
+	prescreened := make([]int64, 4)
+	var ladder ladderTally
+	for seed := int64(0); seed < 12; seed++ {
 		tau := int(seed / 3)
 		alpha := []float64{0.3, 0.6, 0.9}[(seed+seed/3)%3]
-		prescreened[tau] += checkJoinOracle(t, seed, 8, 7, tau, alpha)
+		n, l := checkJoinOracle(t, seed, 8, 7, tau, alpha)
+		prescreened[tau] += n
+		ladder.add(l)
 	}
 	// At τ ≤ 1 the prescreens must rule pairs out, or Join's index feed is
 	// indistinguishable from the cross product here.
 	if prescreened[0] == 0 || prescreened[1] == 0 {
 		t.Fatalf("prescreens ruled out %v pairs per τ", prescreened)
+	}
+	// The budgets must drive pairs down every rung, or the ladder checks
+	// are vacuous; and the sampling rung may be wrong at most at its δ.
+	for _, v := range []Verdict{VerdictExact, VerdictSampled, VerdictApproxBound, VerdictUndecided} {
+		if ladder.verdicts[v] == 0 {
+			t.Fatalf("no budgeted run ended %v: %+v", v, ladder)
+		}
+	}
+	if sampled := ladder.verdicts[VerdictSampled]; ladder.sampledWrong > binomialTolerance(sampled, 0.01) {
+		t.Fatalf("%d of %d sampled decisions contradict Def. 7", ladder.sampledWrong, sampled)
 	}
 }
 
@@ -743,18 +866,6 @@ func TestMaxWorldsSkips(t *testing.T) {
 	q.AddVertex("A")
 	base := Options{Tau: 10, Alpha: 0.01, Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1, DisableEarlyExit: true}
 
-	t.Run("legacy cliff", func(t *testing.T) {
-		// FallbackNone restores the pre-ladder behaviour: over budget → skip.
-		opts := base
-		opts.Fallback = FallbackNone
-		_, st, err := Join([]*graph.Graph{q}, []*ugraph.Graph{g}, opts)
-		if err != nil {
-			t.Fatal(err)
-		}
-		if st.SkippedPairs != 1 {
-			t.Errorf("SkippedPairs = %d, want 1", st.SkippedPairs)
-		}
-	})
 	t.Run("ladder decides", func(t *testing.T) {
 		// Every world is within tau=10 of the single-vertex query, so the
 		// default sampling fallback must accept instead of skipping.

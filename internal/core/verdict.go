@@ -34,8 +34,9 @@ const (
 	// VerdictApproxBound: decided by bounds — per-world CSS lower bounds to
 	// rule worlds out and beam-search GED upper bounds (ged.Approximate) to
 	// rule worlds in — either as the ladder's last resort or because exact
-	// GED exhausted VerifyMaxStates mid-enumeration. Accepts are sound;
-	// SimP is a certified lower bound.
+	// GED exhausted VerifyMaxStates mid-enumeration. Accepts and rejects are
+	// both sound: a world no bound classifies counts as unresolved, so a
+	// reject holds with it counted similar. SimP is a certified lower bound.
 	VerdictApproxBound
 	// VerdictUndecided: every rung of the ladder failed to decide; the pair
 	// is not reported and is counted in Stats.SkippedPairs.
@@ -57,50 +58,6 @@ func (v Verdict) String() string {
 		return "undecided"
 	default:
 		return fmt.Sprintf("Verdict(%d)", int(v))
-	}
-}
-
-// Fallback selects how far the verification ladder degrades when a pair
-// exceeds its exact-enumeration budgets (MaxWorlds, VerifyMaxStates, or the
-// pair deadline).
-type Fallback int
-
-const (
-	// FallbackFull (the default) degrades through Monte Carlo sampling and
-	// then the approximate-bound rung before giving up.
-	FallbackFull Fallback = iota
-	// FallbackSample degrades to Monte Carlo sampling only.
-	FallbackSample
-	// FallbackNone restores the legacy cliff: over-budget pairs are dropped
-	// straight into Stats.SkippedPairs.
-	FallbackNone
-)
-
-// String implements fmt.Stringer.
-func (f Fallback) String() string {
-	switch f {
-	case FallbackFull:
-		return "full"
-	case FallbackSample:
-		return "sample"
-	case FallbackNone:
-		return "none"
-	default:
-		return fmt.Sprintf("Fallback(%d)", int(f))
-	}
-}
-
-// ParseFallback maps the -fallback flag values full|sample|none.
-func ParseFallback(s string) (Fallback, error) {
-	switch s {
-	case "full":
-		return FallbackFull, nil
-	case "sample":
-		return FallbackSample, nil
-	case "none":
-		return FallbackNone, nil
-	default:
-		return 0, fmt.Errorf("core: unknown fallback %q (want full|sample|none)", s)
 	}
 }
 

@@ -75,33 +75,26 @@ func TestVerifyMaxStatesBudgetCounted(t *testing.T) {
 }
 
 func TestSkippedPairsAccounting(t *testing.T) {
-	// Under FallbackNone (the legacy cliff) a pair whose world count blows
-	// MaxWorlds still counts as a candidate (it entered verification), lands
-	// in SkippedPairs instead of Results, and keeps its partial enumeration
-	// in WorldsChecked: exactly MaxWorlds+1 worlds, counting the one that
-	// tripped the cap.
-	q := graph.New(2)
-	q.AddVertex("A")
-	q.AddVertex("B")
-	q.MustAddEdge(0, 1, "p")
-	g := ugraph.New(2)
-	g.AddVertex(ugraph.Label{Name: "A", P: 0.5}, ugraph.Label{Name: "B", P: 0.5})
-	g.AddVertex(ugraph.Label{Name: "B", P: 0.5}, ugraph.Label{Name: "A", P: 0.5})
-	g.MustAddEdge(0, 1, "p")
-
+	// A pair whose SimP sits exactly at α: the world count is over MaxWorlds,
+	// the sample lands inside its Hoeffding margin, and the 64 heaviest
+	// worlds push neither approximate bound across α. It still counts as a
+	// candidate (it entered verification), lands in SkippedPairs instead of
+	// Results, and keeps the worlds each rung examined in WorldsChecked:
+	// the default 512 samples plus the approximate rung's 64.
+	q, g := hugeUncertain(0.945)
 	_, st, err := Join([]*graph.Graph{q}, []*ugraph.Graph{g},
-		Options{Tau: 2, Alpha: 0.9, Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1, Fallback: FallbackNone})
+		Options{Tau: 1, Alpha: exactStarSimP(0.945), Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if st.Candidates != 1 {
-		t.Fatalf("capped pair not counted as candidate: %+v", st)
+		t.Fatalf("undecidable pair not counted as candidate: %+v", st)
 	}
 	if st.SkippedPairs != 1 {
-		t.Fatalf("capped pair not counted in SkippedPairs: %+v", st)
+		t.Fatalf("undecidable pair not counted in SkippedPairs: %+v", st)
 	}
-	if st.WorldsChecked != 2 { // MaxWorlds+1
-		t.Fatalf("partial WorldsChecked not kept: got %d, want 2", st.WorldsChecked)
+	if st.WorldsChecked != 512+approxWorlds {
+		t.Fatalf("partial WorldsChecked not kept: got %d, want %d", st.WorldsChecked, 512+approxWorlds)
 	}
 	if st.Results != 0 {
 		t.Fatalf("skipped pair reported as result: %+v", st)

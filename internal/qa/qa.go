@@ -10,11 +10,9 @@ package qa
 
 import (
 	"fmt"
-	"time"
 
 	"simjoin/internal/linker"
 	"simjoin/internal/nlq"
-	"simjoin/internal/obs"
 	"simjoin/internal/rdf"
 	"simjoin/internal/sparql"
 	"simjoin/internal/template"
@@ -25,23 +23,6 @@ type System interface {
 	Name() string
 	Answer(question string) ([]sparql.Binding, error)
 }
-
-// Engine abstracts the SPARQL evaluator so systems can run over the
-// reference executor or the signature-based gstore engine (§1 lists Jena,
-// RDF-3x, Virtuoso and gStore as interchangeable backends).
-type Engine interface {
-	Execute(q *sparql.Query, maxSolutions int) ([]sparql.Binding, error)
-}
-
-// storeEngine adapts rdf.Store + sparql.Execute to Engine.
-type storeEngine struct{ st *rdf.Store }
-
-func (e storeEngine) Execute(q *sparql.Query, max int) ([]sparql.Binding, error) {
-	return sparql.Execute(e.st, q, max)
-}
-
-// NewStoreEngine wraps a triple store with the reference executor.
-func NewStoreEngine(st *rdf.Store) Engine { return storeEngine{st} }
 
 // TemplateSystem answers questions by matching them against learned
 // templates, filling slots, and executing the instantiated SPARQL (§2.2).
@@ -54,30 +35,6 @@ type TemplateSystem struct {
 	MinPhi float64
 	// MaxSolutions caps query results; 0 = unlimited.
 	MaxSolutions int
-
-	// The remaining fields harden the serving path. All are opt-in: the
-	// zero value reproduces the legacy behaviour (no timeout, no retry,
-	// abstain on match failure).
-
-	// Engine overrides the SPARQL evaluator used for candidate verification
-	// and the direct fallback; nil means the reference executor over KB.
-	Engine Engine
-	// Timeout bounds one answer attempt (instantiation + execution)
-	// wall-clock; an attempt past the deadline is abandoned and reported as
-	// an error (retried once when RetryBackoff is set). 0 disables.
-	Timeout time.Duration
-	// RetryBackoff enables a single retry of a failed or timed-out attempt
-	// after this pause, absorbing transient engine faults. 0 disables.
-	RetryBackoff time.Duration
-	// FallbackDirect degrades to gAnswer-style direct translation
-	// (DirectTranslate over the extracted semantic graph) when the template
-	// path cannot produce an answer, trading paraphrase correction for
-	// coverage instead of abstaining.
-	FallbackDirect bool
-	// Obs, when non-nil, receives the degradation counters
-	// qa_template_timeouts_total, qa_template_retries_total,
-	// qa_template_fallback_direct_total and qa_template_panics_total.
-	Obs *obs.Registry
 }
 
 // Name implements System.
@@ -86,104 +43,25 @@ func (s *TemplateSystem) Name() string { return "template" }
 // Answer implements System. Entity candidates are verified against the
 // knowledge graph (query-driven disambiguation): the structured template
 // lets the system try lower-confidence candidates when the top one yields
-// nothing.
-func (s *TemplateSystem) Answer(question string) ([]sparql.Binding, error) {
-	res, err := s.answerTemplate(question)
-	if err != nil && s.FallbackDirect {
-		s.count("qa_template_fallback_direct_total")
-		if dres, derr := s.answerDirect(question); derr == nil {
-			return dres, nil
+// nothing. A panic anywhere in the pipeline is contained and returned as an
+// error.
+func (s *TemplateSystem) Answer(question string) (res []sparql.Binding, err error) {
+	defer func() {
+		if r := recover(); r != nil {
+			res, err = nil, fmt.Errorf("qa: template pipeline panicked: %v", r)
 		}
-		// Direct translation failed too; the template error is the more
-		// informative of the two.
-	}
+	}()
+	m, err := s.Store.BestMatch(question, s.Lex, s.MinPhi)
 	if err != nil {
+		return nil, err
+	}
+	if _, res, err = m.InstantiateVerified(s.Lex, s.KB, 8); err != nil {
 		return nil, err
 	}
 	if s.MaxSolutions > 0 && len(res) > s.MaxSolutions {
 		res = res[:s.MaxSolutions]
 	}
 	return res, nil
-}
-
-// answerTemplate runs the template pipeline with the configured timeout,
-// panic containment and single retry.
-func (s *TemplateSystem) answerTemplate(question string) ([]sparql.Binding, error) {
-	m, err := s.Store.BestMatch(question, s.Lex, s.MinPhi)
-	if err != nil {
-		return nil, err
-	}
-	res, err := s.attempt(m)
-	if err != nil && s.RetryBackoff > 0 {
-		s.count("qa_template_retries_total")
-		time.Sleep(s.RetryBackoff)
-		res, err = s.attempt(m)
-	}
-	return res, err
-}
-
-// attempt runs one verified instantiation of a matched template. A panic
-// anywhere in instantiation or execution is contained and surfaced as an
-// error; when Timeout is set the attempt is abandoned past the deadline
-// (the stray goroutine finishes into a buffered channel and is dropped).
-func (s *TemplateSystem) attempt(m template.Match) ([]sparql.Binding, error) {
-	type outcome struct {
-		res []sparql.Binding
-		err error
-	}
-	run := func() (out outcome) {
-		defer func() {
-			if r := recover(); r != nil {
-				s.count("qa_template_panics_total")
-				out = outcome{nil, fmt.Errorf("qa: template pipeline panicked: %v", r)}
-			}
-		}()
-		_, res, err := m.InstantiateVerifiedWith(s.Lex, func(q *sparql.Query) ([]sparql.Binding, error) {
-			return s.engine().Execute(q, 0)
-		}, 8)
-		return outcome{res, err}
-	}
-	if s.Timeout <= 0 {
-		out := run()
-		return out.res, out.err
-	}
-	ch := make(chan outcome, 1)
-	go func() { ch <- run() }()
-	select {
-	case out := <-ch:
-		return out.res, out.err
-	case <-time.After(s.Timeout):
-		s.count("qa_template_timeouts_total")
-		return nil, fmt.Errorf("qa: template answer timed out after %v", s.Timeout)
-	}
-}
-
-// answerDirect is the degraded serving path: skip templates entirely and
-// translate the extracted semantic graph with top-confidence disambiguation,
-// exactly like the gAnswer baseline.
-func (s *TemplateSystem) answerDirect(question string) ([]sparql.Binding, error) {
-	sg, err := nlq.Extract(question, s.Lex)
-	if err != nil {
-		return nil, err
-	}
-	q, err := DirectTranslate(sg)
-	if err != nil {
-		return nil, err
-	}
-	return s.engine().Execute(q, s.MaxSolutions)
-}
-
-func (s *TemplateSystem) engine() Engine {
-	if s.Engine != nil {
-		return s.Engine
-	}
-	return storeEngine{s.KB}
-}
-
-func (s *TemplateSystem) count(name string) {
-	if s.Obs != nil {
-		s.Obs.Counter(name).Inc()
-	}
 }
 
 // Translate exposes the question → SPARQL step for inspection (verified
@@ -204,9 +82,6 @@ type GAnswerSystem struct {
 	Lex          *linker.Lexicon
 	KB           *rdf.Store
 	MaxSolutions int
-	// Engine overrides the SPARQL evaluator; nil means the reference
-	// executor over KB.
-	Engine Engine
 }
 
 // Name implements System.
@@ -222,11 +97,7 @@ func (s *GAnswerSystem) Answer(question string) ([]sparql.Binding, error) {
 	if err != nil {
 		return nil, err
 	}
-	eng := s.Engine
-	if eng == nil {
-		eng = NewStoreEngine(s.KB)
-	}
-	return eng.Execute(q, s.MaxSolutions)
+	return sparql.Execute(s.KB, q, s.MaxSolutions)
 }
 
 // DirectTranslate turns a semantic query graph into SPARQL with

@@ -3,13 +3,11 @@ package qa
 import (
 	"strings"
 	"testing"
-	"time"
 
 	"simjoin/internal/fault"
 	"simjoin/internal/ged"
 	"simjoin/internal/linker"
 	"simjoin/internal/nlq"
-	"simjoin/internal/obs"
 	"simjoin/internal/rdf"
 	"simjoin/internal/sparql"
 	"simjoin/internal/template"
@@ -180,77 +178,12 @@ func TestDeannaSystem(t *testing.T) {
 	}
 }
 
-// hardenedSystem builds a TemplateSystem with the robustness knobs on and a
-// fresh metrics registry.
-func hardenedSystem(t *testing.T) (*TemplateSystem, *obs.Registry) {
-	t.Helper()
-	kb, lex := fixture()
-	reg := obs.New()
-	return &TemplateSystem{
-		Store: trainedStore(t, lex), Lex: lex, KB: kb, MinPhi: 0.5,
-		Timeout:      200 * time.Millisecond,
-		RetryBackoff: time.Millisecond,
-		Obs:          reg,
-	}, reg
-}
-
-// TestTemplateSystemRetryAbsorbsTransientEngineError injects two engine
-// errors — enough to fail every candidate combination of the first attempt —
-// and checks the single retry recovers the answer.
-func TestTemplateSystemRetryAbsorbsTransientEngineError(t *testing.T) {
-	sys, reg := hardenedSystem(t)
-	defer fault.Reset()
-	if err := fault.Enable("sparql.execute=error#2"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Answer("Which scientist graduated from CIT?")
-	if err != nil {
-		t.Fatalf("retry did not absorb the transient fault: %v", err)
-	}
-	if len(res) != 1 || res[0]["?x"] != "Rex_Hale" {
-		t.Fatalf("res = %v, want Rex_Hale", res)
-	}
-	c := reg.Snapshot().Counters
-	if c["qa_template_retries_total"] != 1 {
-		t.Errorf("retries counter = %d, want 1", c["qa_template_retries_total"])
-	}
-	if c["qa_template_timeouts_total"] != 0 || c["qa_template_panics_total"] != 0 {
-		t.Errorf("unexpected degradation counters: %v", c)
-	}
-}
-
-// TestTemplateSystemTimeoutThenRetry stalls the engine once for well past the
-// serving timeout: the first attempt is abandoned at the deadline, the retry
-// runs fault-free and answers.
-func TestTemplateSystemTimeoutThenRetry(t *testing.T) {
-	sys, reg := hardenedSystem(t)
-	sys.Timeout = 20 * time.Millisecond
-	defer fault.Reset()
-	if err := fault.Enable("sparql.execute=delay:500ms#1"); err != nil {
-		t.Fatal(err)
-	}
-	res, err := sys.Answer("Which scientist graduated from CIT?")
-	if err != nil {
-		t.Fatalf("timeout + retry did not recover: %v", err)
-	}
-	if len(res) != 1 || res[0]["?x"] != "Rex_Hale" {
-		t.Fatalf("res = %v, want Rex_Hale", res)
-	}
-	c := reg.Snapshot().Counters
-	if c["qa_template_timeouts_total"] != 1 {
-		t.Errorf("timeouts counter = %d, want 1", c["qa_template_timeouts_total"])
-	}
-	if c["qa_template_retries_total"] != 1 {
-		t.Errorf("retries counter = %d, want 1", c["qa_template_retries_total"])
-	}
-}
-
 // TestTemplateSystemContainsEnginePanic turns the engine fault into a panic
-// and checks Answer survives it: the panic is contained, counted, and
-// reported as an ordinary error.
+// and checks Answer survives it: the panic is contained and reported as an
+// ordinary error.
 func TestTemplateSystemContainsEnginePanic(t *testing.T) {
-	sys, reg := hardenedSystem(t)
-	sys.RetryBackoff = 0 // no retry: the contained panic must surface
+	kb, lex := fixture()
+	sys := &TemplateSystem{Store: trainedStore(t, lex), Lex: lex, KB: kb, MinPhi: 0.5}
 	defer fault.Reset()
 	if err := fault.Enable("sparql.execute=panic#1"); err != nil {
 		t.Fatal(err)
@@ -259,78 +192,4 @@ func TestTemplateSystemContainsEnginePanic(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "panicked") {
 		t.Fatalf("contained panic not surfaced as error: %v", err)
 	}
-	if c := reg.Snapshot().Counters["qa_template_panics_total"]; c != 1 {
-		t.Errorf("panics counter = %d, want 1", c)
-	}
-}
-
-// TestTemplateSystemFallsBackToDirect asks a question no learned template
-// covers: with FallbackDirect the system degrades to gAnswer-style direct
-// translation instead of abstaining, and counts the degradation.
-func TestTemplateSystemFallsBackToDirect(t *testing.T) {
-	sys, reg := hardenedSystem(t)
-	sys.MinPhi = 0.9
-	sys.FallbackDirect = true
-	res, err := sys.Answer("Which film directed by Iris Lane?")
-	if err != nil {
-		t.Fatalf("direct fallback did not answer: %v", err)
-	}
-	if len(res) != 1 || res[0]["?x1"] != "The_Silent_River" {
-		t.Fatalf("res = %v, want The_Silent_River", res)
-	}
-	if c := reg.Snapshot().Counters["qa_template_fallback_direct_total"]; c != 1 {
-		t.Errorf("fallback counter = %d, want 1", c)
-	}
-	// A covered question still goes through the template path untouched.
-	res, err = sys.Answer("Which scientist graduated from CIT?")
-	if err != nil || len(res) != 1 || res[0]["?x"] != "Rex_Hale" {
-		t.Fatalf("covered question broken by fallback config: %v %v", res, err)
-	}
-	if c := reg.Snapshot().Counters["qa_template_fallback_direct_total"]; c != 1 {
-		t.Errorf("fallback counted on the template path: %d", c)
-	}
-}
-
-// TestTemplateSystemFallbackFailureKeepsTemplateError: when both the template
-// path and the direct fallback fail, the caller sees the template error.
-func TestTemplateSystemFallbackFailureKeepsTemplateError(t *testing.T) {
-	sys, _ := hardenedSystem(t)
-	sys.FallbackDirect = true
-	if _, err := sys.Answer("gibberish with no relations"); err == nil {
-		t.Error("nonsense answered")
-	}
-}
-
-// TestTemplateSystemCustomEngine routes execution through a counting engine
-// and checks both the verification path and the direct fallback use it.
-func TestTemplateSystemCustomEngine(t *testing.T) {
-	sys, _ := hardenedSystem(t)
-	ce := &countingEngine{inner: NewStoreEngine(sys.KB)}
-	sys.Engine = ce
-	res, err := sys.Answer("Which scientist graduated from CIT?")
-	if err != nil || len(res) != 1 {
-		t.Fatalf("custom engine answer: %v %v", res, err)
-	}
-	if ce.calls == 0 {
-		t.Fatal("custom engine never called")
-	}
-	sys.MinPhi = 0.9
-	sys.FallbackDirect = true
-	before := ce.calls
-	if _, err := sys.Answer("Which film directed by Iris Lane?"); err != nil {
-		t.Fatalf("fallback with custom engine: %v", err)
-	}
-	if ce.calls <= before {
-		t.Error("direct fallback bypassed the custom engine")
-	}
-}
-
-type countingEngine struct {
-	inner Engine
-	calls int
-}
-
-func (e *countingEngine) Execute(q *sparql.Query, max int) ([]sparql.Binding, error) {
-	e.calls++
-	return e.inner.Execute(q, max)
 }

@@ -236,11 +236,9 @@ func (s *Server) tierOptions(t tier) core.Options {
 	switch t {
 	case tierSampled:
 		o.MaxWorlds = 1
-		o.Fallback = core.FallbackFull
 	case tierApprox:
 		o.MaxWorlds = 1
 		o.SampleWorlds = -1
-		o.Fallback = core.FallbackFull
 	}
 	return o
 }

