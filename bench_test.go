@@ -364,15 +364,16 @@ func scaledBenchOptions() core.Options {
 	return opts
 }
 
-// runScaledBench times BuildIndex + JoinIndexed on one template workload,
-// reporting pairs/s and the result count alongside ns/op.
+// runScaledBench times Join — which builds its index over d on every call —
+// on one template workload, reporting pairs/s and the result count alongside
+// ns/op.
 func runScaledBench(b *testing.B, d []*graph.Graph, u []*ugraph.Graph) {
 	b.Helper()
 	opts := scaledBenchOptions()
 	var results int
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		pairs, _, err := core.JoinIndexed(core.BuildIndex(d), u, opts)
+		pairs, _, err := core.Join(d, u, opts)
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -3,6 +3,7 @@ package core
 import (
 	"bufio"
 	"bytes"
+	"context"
 	"encoding/json"
 	"os"
 	"regexp"
@@ -105,7 +106,7 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	iopts := opts
 	iopts.Events = nil
 	iopts.Mode = ModeSimJ
-	if _, _, err := JoinIndexed(BuildIndex(d), u, iopts); err != nil {
+	if _, _, err := JoinWith(context.Background(), BuildIndex(d).Source(u), iopts); err != nil {
 		t.Fatal(err)
 	}
 
@@ -126,7 +127,7 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	documented := backticked(catalog)
 	published := map[string]bool{}
 	for _, name := range names {
-		base, _ := obs.ParseName(name)
+		base, _, _ := strings.Cut(name, "{")
 		published[base] = true
 		if !documented[base] {
 			t.Errorf("metric %q missing from DESIGN.md §12", name)
@@ -139,7 +140,7 @@ func TestCatalogCoversJoinInstruments(t *testing.T) {
 	}
 	fromStats := joinCounterNames()
 	for name := range snap.Counters {
-		base, _ := obs.ParseName(name)
+		base, _, _ := strings.Cut(name, "{")
 		if !fromStats[base] && !strings.HasPrefix(base, "obs_") {
 			t.Errorf("join published counter %q, which is neither a Stats field nor a per-bound profile entry", name)
 		}

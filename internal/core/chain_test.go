@@ -46,7 +46,7 @@ func TestAdaptiveChainMatchesStatic(t *testing.T) {
 	idx := BuildIndex(d)
 	feeds := map[string]func(Options) ([]Pair, Stats, error){
 		"join":    func(o Options) ([]Pair, Stats, error) { return Join(d, u, o) },
-		"indexed": func(o Options) ([]Pair, Stats, error) { return JoinIndexed(idx, u, o) },
+		"indexed": func(o Options) ([]Pair, Stats, error) { return JoinWith(context.Background(), idx.Source(u), o) },
 	}
 	for _, mode := range []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt} {
 		opts := Options{Tau: 2, Alpha: 0.5, Mode: mode, GroupCount: 4, Workers: 4}

@@ -9,9 +9,10 @@ package core
 // The engine below owns everything the stages share — the worker pool, the
 // per-pair panic quarantine, soft deadlines, the watchdog heartbeats, and the
 // Stats accumulator — so the drivers differ only in the CandidateSource they
-// plug in: Join and JoinIndexed the index (Index.Source), JoinWith whatever
-// source the caller passes (NewCrossSource for every pair, NewStreamSource
-// for every pair against a resident uncertain side).
+// plug in: Join a one-shot index (Index.Source), JoinWith whatever source
+// the caller passes (Index.Source to reuse a prebuilt index, NewCrossSource
+// for every pair, NewStreamSource for every pair against a resident
+// uncertain side).
 
 import (
 	"context"

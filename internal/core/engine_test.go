@@ -71,7 +71,7 @@ func TestFilterChainReorderMatchesOracle(t *testing.T) {
 }
 
 // TestJoinWithSources exercises the exported engine entry point directly with
-// both source kinds and confirms it matches the wrapper APIs.
+// the cross-product source and confirms it matches Join.
 func TestJoinWithSources(t *testing.T) {
 	d, u := smallWorkload(17, 8, 8)
 	opts := Options{Tau: 1, Alpha: 0.6, Mode: ModeSimJ, Workers: 2}
@@ -88,26 +88,11 @@ func TestJoinWithSources(t *testing.T) {
 		t.Fatalf("JoinWith(cross) diverges from Join: %d/%d pairs, stats %+v vs %+v",
 			len(got), len(want), gs, ws)
 	}
-
-	idx := BuildIndex(d)
-	wantIdx, wis, err := JoinIndexed(idx, u, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	gotIdx, gis, err := JoinWith(context.Background(), idx.Source(u), opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(gotIdx) != len(wantIdx) || gis.IndexSkipped != wis.IndexSkipped {
-		t.Fatalf("JoinWith(index) diverges from JoinIndexed: %d/%d pairs, skipped %d/%d",
-			len(gotIdx), len(wantIdx), gis.IndexSkipped, wis.IndexSkipped)
-	}
 }
 
 // TestPrunedByAccounting checks the per-bound prune breakdown: it must sum to
 // the aggregate prune counters (minus index prescreen skips, which bypass the
-// chain) and survive the snapshot round trip, which folds it from the
-// published per-bound profile.
+// chain), and the registry must hold the per-bound profile it is folded from.
 func TestPrunedByAccounting(t *testing.T) {
 	d, u := smallWorkload(41, 12, 12)
 	for _, indexed := range []bool{false, true} {
@@ -134,17 +119,7 @@ func TestPrunedByAccounting(t *testing.T) {
 			t.Errorf("indexed=%v: PrunedBy sums to %d, want css(%d)+prob(%d)-skipped(%d)",
 				indexed, byBound, st.CSSPruned, st.ProbPruned, st.IndexSkipped)
 		}
-		round := StatsFromSnapshot(reg.Snapshot())
-		if len(round.PrunedBy) != len(st.PrunedBy) {
-			t.Fatalf("indexed=%v: round-trip PrunedBy has %d bounds, want %d",
-				indexed, len(round.PrunedBy), len(st.PrunedBy))
-		}
-		for bound, n := range st.PrunedBy {
-			if round.PrunedBy[bound] != n {
-				t.Errorf("indexed=%v: round-trip PrunedBy[%s] = %d, want %d",
-					indexed, bound, round.PrunedBy[bound], n)
-			}
-		}
+		checkPublished(t, fmt.Sprintf("indexed=%v", indexed), reg.Snapshot(), &st)
 	}
 }
 

@@ -180,7 +180,7 @@ func TestEveryFailpointContained(t *testing.T) {
 				if driver == "join" {
 					got, st, err = Join(d, u, opts)
 				} else {
-					got, st, err = JoinIndexed(idx, u, opts)
+					got, st, err = JoinWith(context.Background(), idx.Source(u), opts)
 				}
 				if err != nil {
 					t.Fatalf("join failed under %s injection: %v", name, err)

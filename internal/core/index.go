@@ -1,7 +1,6 @@
 package core
 
 import (
-	"context"
 	"math/bits"
 	"slices"
 	"sort"
@@ -24,7 +23,8 @@ import (
 //
 // Both screens are implied by the CSS bound, so the index feed returns
 // exactly the pairs of the cross product (JoinWith with NewCrossSource).
-// Join builds a one-shot Index per call; JoinIndexed reuses a prebuilt one.
+// Join builds a one-shot Index per call; a caller joining the same D
+// repeatedly builds one and passes idx.Source(u) to JoinWith.
 //
 // The queries are packed once, at BuildIndex time, into a size-sorted
 // structure of arrays: contiguous size runs make the ±τ window one position
@@ -97,8 +97,8 @@ func (idx *Index) Candidates(g *ugraph.Graph, tau int) []int {
 
 // indexScratch is the reusable state of one candidate sweep: g's union label
 // set, its nonzero word positions, the per-position overlap accumulator and
-// the candidate buffer. The feed loop of JoinIndexed reuses one across every
-// uncertain graph.
+// the candidate buffer. The index feed (indexSource.Feed) reuses one across
+// every uncertain graph.
 type indexScratch struct {
 	set   graph.LabelSet
 	nz    []int
@@ -161,26 +161,11 @@ func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
 	return slices.Clone(out)
 }
 
-// JoinIndexed is Join with a prebuilt index over D, for callers joining the
-// same D repeatedly. It returns exactly the pairs and Stats counters of
-// Join(idx.d, u, opts); Stats.IndexSkipped counts the pairs the prescreens
-// eliminated without touching the bound machinery.
-func JoinIndexed(idx *Index, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
-	return JoinIndexedContext(context.Background(), idx, u, opts)
-}
-
 // Source returns the CandidateSource streaming only the pairs that survive
-// the index's prescreens against u, for use with JoinWith.
+// the index's prescreens against u, for use with JoinWith. JoinWith over it
+// returns exactly the pairs and Stats counters of Join(idx.d, u, opts);
+// Stats.IndexSkipped counts the pairs the prescreens eliminated without
+// touching the bound machinery.
 func (idx *Index) Source(u []*ugraph.Graph) CandidateSource {
 	return &indexSource{idx: idx, u: u}
-}
-
-// JoinIndexedContext is JoinIndexed with cancellation, with the same
-// contract as JoinContext: on cancellation the accumulated Stats and
-// ctx.Err() are returned and the partial results are dropped. It is the same
-// pipeline engine as JoinContext with the index-backed candidate source
-// plugged in: the source runs the prescreens and builds each uncertain
-// graph's filter signature once, then fans the candidate list out in batches.
-func JoinIndexedContext(ctx context.Context, idx *Index, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
-	return joinEngine(ctx, idx.Source(u), opts)
 }

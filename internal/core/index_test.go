@@ -37,7 +37,7 @@ func TestIndexEmpty(t *testing.T) {
 	if c := idx.Candidates(g, 5); len(c) != 0 {
 		t.Fatalf("candidates from empty index: %v", c)
 	}
-	pairs, st, err := JoinIndexed(idx, []*ugraph.Graph{g}, Options{Tau: 1, Alpha: 0.5})
+	pairs, st, err := JoinWith(context.Background(), idx.Source([]*ugraph.Graph{g}), Options{Tau: 1, Alpha: 0.5})
 	if err != nil || len(pairs) != 0 || st.Pairs != 0 {
 		t.Fatalf("empty indexed join: %v %v %v", pairs, st, err)
 	}

@@ -216,10 +216,10 @@ func (st *rec) gedCompute(q, w *graph.Graph, opts *Options) (ged.Result, error) 
 }
 
 // statsCounterSpec is the single source of truth tying every Stats counter
-// field to its registry metric name. Stats.add sums through it,
-// publishStats writes through it and StatsFromSnapshot reads through it, so
-// the paper-facing Stats and the registry can never disagree; a reflection
-// test asserts the table covers every counter field of Stats (the
+// field to its registry metric name. Stats.add sums through it and
+// publishStats writes through it, so the registry is written from Stats only;
+// a test compares the published snapshot with Stats, and a reflection test
+// asserts the table covers every counter field of Stats (the
 // non-counter Cancelled flag and Quarantined log are excluded —
 // QuarantinedPairs carries their count — and PrunedBy is a view of
 // BoundProfile, published per (bound, position) by publishBoundProfile).
@@ -262,7 +262,7 @@ var statsDurationSpec = []struct {
 
 // publishStats accumulates a finished join's Stats into the registry.
 // Counters are cumulative across joins sharing a registry; per-run numbers
-// come from diffing snapshots (obs.DiffCounters) or the returned Stats.
+// come from the returned Stats.
 func publishStats(reg *obs.Registry, s *Stats) {
 	if reg == nil {
 		return
@@ -274,22 +274,4 @@ func publishStats(reg *obs.Registry, s *Stats) {
 		reg.Counter(c.name).Add(int64(*c.fld(s)))
 	}
 	publishBoundProfile(reg, s.BoundProfile)
-}
-
-// StatsFromSnapshot reconstructs a Stats from a registry snapshot through
-// the same name table publishStats writes, so snapshot-derived numbers and
-// the paper-facing summary agree by construction. Over a registry that
-// served several joins the result is their sum. PrunedBy is folded from the
-// rebuilt per-bound profile, the same way rec.finish derives it.
-func StatsFromSnapshot(snap obs.Snapshot) Stats {
-	var s Stats
-	for _, c := range statsCounterSpec {
-		*c.fld(&s) = snap.Counters[c.name]
-	}
-	for _, c := range statsDurationSpec {
-		*c.fld(&s) = time.Duration(snap.Counters[c.name])
-	}
-	s.BoundProfile = boundProfileFromSnapshot(snap)
-	s.PrunedBy = prunedBy(s.BoundProfile)
-	return s
 }

@@ -18,7 +18,7 @@ import (
 // fillStats sets every field of a Stats to a distinct nonzero value via
 // reflection, so coverage holes show up no matter which field is missed.
 // PrunedBy is the one derived field: it is built from the BoundProfile fill,
-// as rec.finish and StatsFromSnapshot build it.
+// as rec.finish builds it.
 func fillStats(t *testing.T, s *Stats) {
 	t.Helper()
 	v := reflect.ValueOf(s).Elem()
@@ -32,8 +32,7 @@ func fillStats(t *testing.T, s *Stats) {
 		case reflect.Slice:
 			if v.Type().Field(i).Name == "BoundProfile" {
 				// The profile merges by (position, bound), so the fill must be
-				// a real entry (empty bound names do not round-trip through
-				// the labelled counters).
+				// a real entry, published under its labelled counters.
 				f.Set(reflect.ValueOf([]BoundCost{{
 					Pos: 0, Bound: "css",
 					Evals: int64(100*i + 1), Prunes: int64(100*i + 2), Nanos: int64(100*i + 3),
@@ -49,19 +48,41 @@ func fillStats(t *testing.T, s *Stats) {
 	s.PrunedBy = prunedBy(s.BoundProfile)
 }
 
-// statsEqual compares two Stats deeply; Stats grew non-comparable fields
-// (the quarantine log), so tests can no longer use ==.
-func statsEqual(a, b Stats) bool {
-	return reflect.DeepEqual(a, b)
-}
-
-// counterPart strips the non-counter fields (the Cancelled flag and the
-// quarantine log), leaving what publishStats/StatsFromSnapshot round-trip
-// through the registry.
-func counterPart(s Stats) Stats {
-	s.Cancelled = false
-	s.Quarantined = nil
-	return s
+// checkPublished requires snap to hold exactly what publishStats writes for
+// st into a fresh registry: every statsCounterSpec and statsDurationSpec
+// counter equals its Stats field, each BoundProfile entry's three
+// simjoin_bound_* counters equal the entry, and no other simjoin_bound_*
+// counter exists.
+func checkPublished(t *testing.T, ctxt string, snap obs.Snapshot, st *Stats) {
+	t.Helper()
+	for _, c := range statsCounterSpec {
+		if got, want := snap.Counters[c.name], *c.fld(st); got != want {
+			t.Errorf("%s: %s = %d, Stats field = %d", ctxt, c.name, got, want)
+		}
+	}
+	for _, c := range statsDurationSpec {
+		if got, want := snap.Counters[c.name], int64(*c.fld(st)); got != want {
+			t.Errorf("%s: %s = %d, Stats field = %d", ctxt, c.name, got, want)
+		}
+	}
+	profiled := make(map[string]bool, 3*len(st.BoundProfile))
+	for _, bc := range st.BoundProfile {
+		for _, f := range []struct {
+			field string
+			want  int64
+		}{{"evals_total", bc.Evals}, {"prunes_total", bc.Prunes}, {"eval_nanoseconds_total", bc.Nanos}} {
+			name := boundProfileMetric(f.field, bc.Bound, bc.Pos)
+			profiled[name] = true
+			if got := snap.Counters[name]; got != f.want {
+				t.Errorf("%s: %s = %d, BoundProfile entry = %d", ctxt, name, got, f.want)
+			}
+		}
+	}
+	for name := range snap.Counters {
+		if strings.HasPrefix(name, "simjoin_bound_") && !profiled[name] {
+			t.Errorf("%s: registry holds %s, which no BoundProfile entry names", ctxt, name)
+		}
+	}
 }
 
 // TestStatsAddCoversAllFields asserts Stats.add folds in every field: a
@@ -70,7 +91,7 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 	var src, dst Stats
 	fillStats(t, &src)
 	dst.add(&src)
-	if !statsEqual(dst, src) {
+	if !reflect.DeepEqual(dst, src) {
 		t.Fatalf("Stats.add does not cover every field:\n got %+v\nwant %+v", dst, src)
 	}
 	dst.add(&src)
@@ -112,14 +133,14 @@ func TestStatsAddCoversAllFields(t *testing.T) {
 }
 
 // TestStatsMetricTableCoversAllFields asserts the declarative field↔metric
-// table behind publishStats/StatsFromSnapshot names every Stats field
+// table behind Stats.add and publishStats names every Stats field
 // exactly once, so Stats and the registry cannot drift apart as fields are
 // added.
 func TestStatsMetricTableCoversAllFields(t *testing.T) {
 	// Count the counter-shaped fields; the Cancelled flag and Quarantined log
 	// are deliberately registry-exempt (QuarantinedPairs carries the count),
 	// BoundProfile is published per (bound, position) through
-	// publishBoundProfile, and PrunedBy is folded back from it.
+	// publishBoundProfile, and PrunedBy is a view of it.
 	numeric := 0
 	typ := reflect.TypeOf(Stats{})
 	for i := 0; i < typ.NumField(); i++ {
@@ -158,34 +179,29 @@ func TestStatsMetricTableCoversAllFields(t *testing.T) {
 	}
 }
 
-// TestPublishStatsRoundTrip pushes a fully populated Stats through the
-// registry and back; any asymmetry between publishStats and
-// StatsFromSnapshot breaks the equality.
-func TestPublishStatsRoundTrip(t *testing.T) {
+// TestPublishStats publishes a fully populated Stats into a fresh registry
+// and requires every published counter to equal its Stats field.
+func TestPublishStats(t *testing.T) {
 	var src Stats
 	fillStats(t, &src)
 	reg := obs.New()
 	publishStats(reg, &src)
-	got := StatsFromSnapshot(reg.Snapshot())
-	if !statsEqual(got, counterPart(src)) {
-		t.Fatalf("round trip mismatch:\n got %+v\nwant %+v", got, counterPart(src))
-	}
+	checkPublished(t, "one publish", reg.Snapshot(), &src)
 	// publishStats accumulates: a second publish doubles every counter.
 	publishStats(reg, &src)
-	got = StatsFromSnapshot(reg.Snapshot())
-	want := counterPart(src)
+	var want Stats
 	want.add(&src)
-	if !statsEqual(got, counterPart(want)) {
-		t.Fatalf("second publish should accumulate:\n got %+v\nwant %+v", got, counterPart(want))
-	}
+	want.add(&src)
+	checkPublished(t, "second publish", reg.Snapshot(), &want)
 }
 
 // TestJoinStatsMatchRegistry runs real joins with a registry and a tracer
 // attached, through Join's index feed and through the every-pair cross
-// product, and checks (a) the returned Stats equal the snapshot-derived
-// Stats, (b) the histograms count what the Stats count — the chain sees every
-// pair the prescreens did not skip, and every GED call is observed once — and
-// (c) the tracer holds one core.join span and no per-pair spans.
+// product, and checks (a) the registry holds exactly the returned Stats
+// (checkPublished), (b) the histograms count what the Stats count — the
+// chain sees every pair the prescreens did not skip, and every GED call is
+// observed once — and (c) the tracer holds one core.join span and no
+// per-pair spans.
 func TestJoinStatsMatchRegistry(t *testing.T) {
 	d, u := smallWorkload(7, 8, 8)
 	for _, cross := range []bool{false, true} {
@@ -224,12 +240,7 @@ func checkJoinRegistry(t *testing.T, d []*graph.Graph, u []*ugraph.Graph, mode M
 	}
 	chained := st.Pairs - st.IndexSkipped
 	snap := reg.Snapshot()
-	from := StatsFromSnapshot(snap)
-	// Durations are re-measured per field; counters must match exactly.
-	from.PruneTime, from.VerifyTime = st.PruneTime, st.VerifyTime
-	if !statsEqual(from, counterPart(st)) {
-		t.Errorf("mode %v: snapshot stats diverge:\n got %+v\nwant %+v", mode, from, counterPart(st))
-	}
+	checkPublished(t, fmt.Sprintf("mode %v cross=%v", mode, cross), snap, &st)
 	// The css bound leads every mode's chain, so it evaluates each chained
 	// pair once.
 	if got := snap.Counters[boundProfileMetric("evals_total", "css", 0)]; got != chained {
@@ -252,28 +263,6 @@ func checkJoinRegistry(t *testing.T, d []*graph.Graph, u []*ugraph.Graph, mode M
 	}
 }
 
-// TestJoinIndexedPublishesStats checks JoinIndexed's registry publication,
-// including the skipped-pair accounting added outside the worker loop.
-func TestJoinIndexedPublishesStats(t *testing.T) {
-	d, u := smallWorkload(11, 10, 6)
-	reg := obs.New()
-	opts := DefaultOptions()
-	opts.Alpha = 0.5
-	opts.Obs = reg
-	_, st, err := JoinIndexed(BuildIndex(d), u, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	from := StatsFromSnapshot(reg.Snapshot())
-	from.PruneTime, from.VerifyTime = st.PruneTime, st.VerifyTime
-	if !statsEqual(from, counterPart(st)) {
-		t.Fatalf("snapshot stats diverge:\n got %+v\nwant %+v", from, counterPart(st))
-	}
-	if st.IndexSkipped == 0 {
-		t.Log("note: prescreens skipped nothing on this workload")
-	}
-}
-
 // TestJoinContextCancelled verifies the cancellation contract: a cancelled
 // context stops the join, ctx.Err() is surfaced, and no results leak out.
 func TestJoinContextCancelled(t *testing.T) {
@@ -289,20 +278,6 @@ func TestJoinContextCancelled(t *testing.T) {
 	}
 	if st.Pairs >= int64(len(d))*int64(len(u)) {
 		t.Fatalf("cancelled join still processed all %d pairs", st.Pairs)
-	}
-}
-
-// TestJoinIndexedContextCancelled does the same for the indexed join.
-func TestJoinIndexedContextCancelled(t *testing.T) {
-	d, u := smallWorkload(3, 10, 10)
-	ctx, cancel := context.WithCancel(context.Background())
-	cancel()
-	res, _, err := JoinIndexedContext(ctx, BuildIndex(d), u, DefaultOptions())
-	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("err = %v, want context.Canceled", err)
-	}
-	if res != nil {
-		t.Fatalf("cancelled join returned %d results, want none", len(res))
 	}
 }
 

@@ -1,18 +1,19 @@
 package core
 
 import (
+	"context"
 	"sync"
 	"testing"
 	"time"
 )
 
-// TestJoinIndexedUsesMultipleWorkers is the regression test for the
-// single-consumer defect JoinIndexedContext used to have: it accepted
+// TestIndexSourceUsesMultipleWorkers is the regression test for the
+// single-consumer defect the index feed used to have: it accepted
 // Options.Workers but processed every candidate on one goroutine. The pair
 // hook holds the first worker hostage until a second worker reports a pair
 // (with a timeout escape), so a single-consumer implementation cannot pass by
 // winning the scheduling race.
-func TestJoinIndexedUsesMultipleWorkers(t *testing.T) {
+func TestIndexSourceUsesMultipleWorkers(t *testing.T) {
 	d, u := smallWorkload(51, 12, 12)
 	idx := BuildIndex(d)
 
@@ -40,7 +41,7 @@ func TestJoinIndexedUsesMultipleWorkers(t *testing.T) {
 	defer func() { testPairHook = nil }()
 
 	opts := Options{Tau: 2, Alpha: 0.5, Mode: ModeSimJ, Workers: 4}
-	if _, _, err := JoinIndexed(idx, u, opts); err != nil {
+	if _, _, err := JoinWith(context.Background(), idx.Source(u), opts); err != nil {
 		t.Fatal(err)
 	}
 	mu.Lock()

@@ -179,61 +179,6 @@ func publishBoundProfile(reg *obs.Registry, prof []BoundCost) {
 	}
 }
 
-// boundProfileFromSnapshot inverts publishBoundProfile: it scans the
-// snapshot's labelled simjoin_bound_* counters and rebuilds the profile,
-// sorted by (position, bound).
-func boundProfileFromSnapshot(snap obs.Snapshot) []BoundCost {
-	type key struct {
-		pos   int
-		bound string
-	}
-	acc := make(map[key]*BoundCost)
-	entry := func(labels map[string]string) *BoundCost {
-		pos, err := strconv.Atoi(labels["pos"])
-		if err != nil || labels["bound"] == "" {
-			return nil
-		}
-		k := key{pos: pos, bound: labels["bound"]}
-		bc := acc[k]
-		if bc == nil {
-			bc = &BoundCost{Pos: pos, Bound: labels["bound"]}
-			acc[k] = bc
-		}
-		return bc
-	}
-	for name, v := range snap.Counters {
-		base, labels := obs.ParseName(name)
-		switch base {
-		case "simjoin_bound_evals_total":
-			if bc := entry(labels); bc != nil {
-				bc.Evals = v
-			}
-		case "simjoin_bound_prunes_total":
-			if bc := entry(labels); bc != nil {
-				bc.Prunes = v
-			}
-		case "simjoin_bound_eval_nanoseconds_total":
-			if bc := entry(labels); bc != nil {
-				bc.Nanos = v
-			}
-		}
-	}
-	if len(acc) == 0 {
-		return nil
-	}
-	out := make([]BoundCost, 0, len(acc))
-	for _, bc := range acc {
-		out = append(out, *bc)
-	}
-	sort.Slice(out, func(i, j int) bool {
-		if out[i].Pos != out[j].Pos {
-			return out[i].Pos < out[j].Pos
-		}
-		return out[i].Bound < out[j].Bound
-	})
-	return out
-}
-
 // ── Explain rendering ───────────────────────────────────────────────────────
 
 // explainStages maps display labels to the stage-latency histogram names
@@ -256,14 +201,10 @@ func verifyRungMetric(v Verdict) string {
 // WriteExplain renders the join's cost model: the per-bound table (evals,
 // prunes, selectivity, ns/eval, effective cost and the effective-cost rank)
 // in chain order, the implied effective-cost ordering, and P50/P95/P99
-// latency summaries for every pipeline stage. st supplies the profile (the
-// snapshot's copy is used when st carries none, e.g. when rendering from a
-// saved -stats-json document) and snap supplies the stage histograms.
+// latency summaries for every pipeline stage. st supplies the profile and
+// snap the stage histograms.
 func WriteExplain(w io.Writer, st *Stats, snap obs.Snapshot) {
 	prof := st.BoundProfile
-	if len(prof) == 0 {
-		prof = boundProfileFromSnapshot(snap)
-	}
 	if st.IndexSkipped > 0 {
 		fmt.Fprintf(w, "index prescreen: %d of %d pairs skipped before the chain (in CSSPruned, not in the table)\n",
 			st.IndexSkipped, st.Pairs)

@@ -64,17 +64,8 @@ func TestBoundProfileMatchesStats(t *testing.T) {
 			t.Errorf("mode %v: %d pairs pass the whole chain, Stats.Candidates = %d", mode, passed, st.Candidates)
 		}
 
-		// The registry carries the same profile (labelled counters) and
-		// StatsFromSnapshot rebuilds it bit-for-bit.
-		from := StatsFromSnapshot(opts.Obs.Snapshot())
-		if len(from.BoundProfile) != len(st.BoundProfile) {
-			t.Fatalf("mode %v: snapshot profile %+v, stats profile %+v", mode, from.BoundProfile, st.BoundProfile)
-		}
-		for i := range from.BoundProfile {
-			if from.BoundProfile[i] != st.BoundProfile[i] {
-				t.Errorf("mode %v: snapshot profile[%d] = %+v, stats %+v", mode, i, from.BoundProfile[i], st.BoundProfile[i])
-			}
-		}
+		// The registry carries the same profile as labelled counters.
+		checkPublished(t, fmt.Sprintf("mode %v", mode), opts.Obs.Snapshot(), &st)
 	}
 }
 
@@ -294,12 +285,12 @@ func TestWriteExplain(t *testing.T) {
 		}
 	}
 
-	// Rendering from a snapshot alone (no Stats profile) must also work —
-	// the -stats-json consumer path.
+	// The table comes from Stats alone: without a profile it says so, even
+	// when the registry carries one.
 	var out2 strings.Builder
 	WriteExplain(&out2, &Stats{}, opts.Obs.Snapshot())
-	if !strings.Contains(out2.String(), "css") {
-		t.Errorf("snapshot-only explain lacks the bound table:\n%s", out2.String())
+	if !strings.Contains(out2.String(), "no per-bound profile recorded") {
+		t.Errorf("profile-less explain lacks the no-profile line:\n%s", out2.String())
 	}
 }
 

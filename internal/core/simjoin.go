@@ -114,8 +114,9 @@ type Options struct {
 
 	// Obs, when non-nil, receives live metrics for the run — per-stage
 	// latency histograms and per-call GED histograms — and, on completion,
-	// the cumulative Stats counters and per-bound profile (see
-	// StatsFromSnapshot). Nil disables metric collection at no cost.
+	// the cumulative Stats counters and per-bound profile, written once from
+	// the returned Stats (publishStats). Nil disables metric collection at no
+	// cost.
 	Obs *obs.Registry
 	// Tracer, when non-nil, records one core.join span per join into its
 	// ring buffer (exportable as a Chrome trace); per-pair time is in the
@@ -252,8 +253,8 @@ type Stats struct {
 	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
 	// eliminated each one, under the bounds' registry names: BoundProfile's
 	// prunes folded by name. Summed over the bounds it equals CSSPruned +
-	// ProbPruned minus IndexSkipped (pairs the index prescreens of Join and
-	// JoinIndexed removed never reach a bound). Nil when nothing was pruned.
+	// ProbPruned minus IndexSkipped (pairs the index prescreens removed never
+	// reach a bound). Nil when nothing was pruned.
 	PrunedBy map[string]int64 `json:",omitempty"`
 	// BoundProfile is the per-bound cost/selectivity profile in chain order:
 	// one entry per chain position with the bound's evaluation count, prune
@@ -264,8 +265,8 @@ type Stats struct {
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α
 	// IndexSkipped counts pairs eliminated by the index's size and label
-	// prescreens before the filter chain — the feed of Join and JoinIndexed;
-	// 0 for the cross-product and stream sources. They are also counted in
+	// prescreens before the filter chain — the feed of Join and of JoinWith
+	// over Index.Source; 0 for the cross-product and stream sources. They are also counted in
 	// CSSPruned: the prescreens are implied by the CSS bound.
 	IndexSkipped int64
 	SampledPairs int64 // pairs decided by the Monte Carlo sampling rung
@@ -350,8 +351,8 @@ func sortQuarantined(log []QuarantineRecord) {
 
 // Join performs the similarity join of Def. 7 between the certain graphs D
 // and the uncertain graphs U, returning all pairs with SimPτ ≥ α sorted by
-// (Q, G). It indexes D for this one call (see JoinContext); JoinIndexed
-// reuses an index across calls.
+// (Q, G). It indexes D for this one call (see JoinContext); to reuse an index
+// across calls, pass BuildIndex(d).Source(u) to JoinWith.
 func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
 	return JoinContext(context.Background(), d, u, opts)
 }

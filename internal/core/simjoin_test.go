@@ -188,15 +188,15 @@ func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, g *ugraph.Graph, ta
 // checkJoinOracle is the differential oracle every candidate feed answers to.
 // It draws a workload from seed and runs every combination of
 //
-//	feed      JoinWith(NewCrossSource), Join, JoinIndexed,
-//	          JoinWith(NewStreamSource)
+//	feed      JoinWith(NewCrossSource), Join, JoinWith(Index.Source) over
+//	          one prebuilt index, JoinWith(NewStreamSource)
 //	chain     each Mode's default chain, and a shuffled explicit FilterChain
 //	workers   1 and 4
 //
 // checking each run against naiveJoin (Def. 7 by brute force) and the Stats
 // partition identities, and every run of one chain against the first run of
 // that chain, pair for pair. The cross-product feeds show every pair to the
-// chain (IndexSkipped 0); Join and JoinIndexed skip exactly the pairs the
+// chain (IndexSkipped 0); the two index feeds skip exactly the pairs the
 // prescreens rule out. Per chain, JoinTopK with k = |D| must return the same
 // answer set, grouped by uncertain graph and ranked by pairBetter. It also
 // checks Index.Candidates against bruteCandidates for every uncertain graph
@@ -249,7 +249,9 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 			return JoinWith(context.Background(), NewCrossSource(d, u), o)
 		}},
 		{"join", prescreened, func(o Options) ([]Pair, Stats, error) { return Join(d, u, o) }},
-		{"indexed", prescreened, func(o Options) ([]Pair, Stats, error) { return JoinIndexed(idx, u, o) }},
+		{"indexed", prescreened, func(o Options) ([]Pair, Stats, error) {
+			return JoinWith(context.Background(), idx.Source(u), o)
+		}},
 		{"stream", 0, func(o Options) ([]Pair, Stats, error) {
 			return JoinWith(context.Background(), NewStreamSource(res, d), o)
 		}},
@@ -525,8 +527,8 @@ func FuzzJoinOracle(f *testing.F) {
 
 // TestJoinBlockEquivalenceProperty drives random workloads — including
 // sub-normalised ones — through both candidate feeds, the cross product
-// (JoinWith(NewCrossSource)) and the index's block sweep (JoinIndexed, the
-// feed behind Join: each size run screened as one block by the word-parallel
+// (JoinWith(NewCrossSource)) and the index's block sweep (the feed behind
+// Join: each size run screened as one block by the word-parallel
 // overlap bound, then the exact label screen), across modes and query-set
 // sizes of 1, 7 and 64 so the size runs range from single queries to wide
 // blocks. Results must be bit-identical, pairs must partition exactly, and
@@ -552,7 +554,7 @@ func TestJoinBlockEquivalenceProperty(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			got, is, err := JoinIndexed(BuildIndex(d), u, opts)
+			got, is, err := Join(d, u, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -601,7 +603,7 @@ func normPartStats(s Stats) Stats {
 // TestShardedJoinEquivalenceProperty splits the uncertain side into 1, 2 and
 // 8 shards, joins every shard against one shared Index, and requires the
 // shard results, re-based to global indices, to be bit-identical to the
-// unsharded JoinIndexed run, and the shards' Stats to fold (Stats.Merge) to
+// unsharded run over the same Index, and the shards' Stats to fold (Stats.Merge) to
 // the unsharded Stats counter for counter (timing excluded).
 func TestShardedJoinEquivalenceProperty(t *testing.T) {
 	for seed := int64(300); seed < 303; seed++ {
@@ -617,7 +619,7 @@ func TestShardedJoinEquivalenceProperty(t *testing.T) {
 			GroupCount: 4,
 			Workers:    3,
 		}
-		want, ws, err := JoinIndexed(idx, u, opts)
+		want, ws, err := JoinWith(context.Background(), idx.Source(u), opts)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -627,7 +629,7 @@ func TestShardedJoinEquivalenceProperty(t *testing.T) {
 			var merged Stats
 			for s := 0; s < shards; s++ {
 				lo, hi := s*len(u)/shards, (s+1)*len(u)/shards
-				part, st, err := JoinIndexed(idx, u[lo:hi], opts)
+				part, st, err := JoinWith(context.Background(), idx.Source(u[lo:hi]), opts)
 				if err != nil {
 					t.Fatal(err)
 				}

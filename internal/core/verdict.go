@@ -3,6 +3,7 @@ package core
 import (
 	"fmt"
 
+	"simjoin/internal/filter"
 	"simjoin/internal/ged"
 	"simjoin/internal/graph"
 )
@@ -90,11 +91,14 @@ const (
 //	lo = Σ p(ruled-in)  ≤  SimP  ≤  hi = Mass − Σ p(ruled-out)
 //
 // decide the pair soundly in both directions: accept when lo ≥ α, reject
-// when hi < α. Worlds neither bound can classify stay unknown; when the
-// budget runs out before a bound crosses α the pair remains undecided.
+// when hi < α, both up to filter.MassSlack as in the exact rung (at α = 1 a
+// SimP of 1 can sum an ulp short). Worlds neither bound can classify stay
+// unknown; when the budget runs out before a bound crosses α the pair
+// remains undecided.
 func approxVerify(pi *pairIn, opts *Options, st *rec) (Pair, bool, bool) {
 	lo := 0.0
 	hi := pi.gs.Mass
+	alphaLo := opts.Alpha - filter.MassSlack
 	best := Pair{Q: pi.qi, G: pi.gi, Distance: opts.Tau + 1, Verdict: VerdictApproxBound}
 	decided, accepted := false, false
 
@@ -111,11 +115,11 @@ func approxVerify(pi *pairIn, opts *Options, st *rec) (Pair, bool, bool) {
 				best.Mapping = m
 			}
 		}
-		if lo >= opts.Alpha {
+		if lo >= alphaLo {
 			decided, accepted = true, true
 			return false
 		}
-		if hi < opts.Alpha {
+		if hi < alphaLo {
 			decided, accepted = true, false
 			return false
 		}

@@ -19,9 +19,19 @@ import (
 // only, so any cross-worker leak shows up here.
 func TestVerdictLadderCliffs(t *testing.T) {
 	starQ, starG := hugeUncertain(0.98)         // 3^12 worlds, SimP ≈ 0.98
-	borderQ, borderG := hugeUncertain(0.945)    // SimP sits exactly at alpha
-	borderAlpha := exactStarSimP(0.945)         // ≈ 0.89
+	borderQ, borderG := hugeUncertain(0.945)    // SimP = exactStarSimP(0.945)
 	denseQ, denseG := denseBudgetBusterProbes() // exhausts a 50-state GED budget
+	// unitQ/unitG: the path a –p→ x against the same path with vertex 0 ∈
+	// {a, b, c}. Every world is within τ = 1, so SimP = 1, but the mass
+	// 0.7 + 0.2 + 0.1 sums an ulp short of 1.
+	unitQ := graph.New(2)
+	unitQ.AddVertex("a")
+	unitQ.AddVertex("x")
+	unitQ.MustAddEdge(0, 1, "p")
+	unitG := ugraph.New(2)
+	unitG.AddVertex(ugraph.Label{Name: "a", P: 0.7}, ugraph.Label{Name: "b", P: 0.2}, ugraph.Label{Name: "c", P: 0.1})
+	unitG.AddVertex(ugraph.Label{Name: "x", P: 1})
+	unitG.MustAddEdge(0, 1, "p")
 	budgetQ, budgetW, budgetD := gedBudgetPair(t)
 	// budgetW with a second label on vertex 0: at τ = budgetD+1 both worlds
 	// are similar, so SimP = 1.
@@ -41,6 +51,12 @@ func TestVerdictLadderCliffs(t *testing.T) {
 		}
 		if st.Results != 1 && st.SkippedPairs != 1 {
 			t.Errorf("SimP-1 pair rejected: %+v", st)
+		}
+	}
+	// approxAccepted requires the approximate rung alone to have decided.
+	approxAccepted := func(t *testing.T, st Stats) {
+		if st.ApproxPairs != 1 || st.SampledPairs != 0 || st.ExactPairs != 0 {
+			t.Errorf("not an approx-bound decision: %+v", st)
 		}
 	}
 
@@ -145,13 +161,44 @@ func TestVerdictLadderCliffs(t *testing.T) {
 			// worlds cannot push a bound across α either: undecided.
 			name: "sampling-undecidable exhausts the ladder",
 			q:    borderQ, g: borderG,
-			opts:    Options{Tau: 1, Alpha: borderAlpha, Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1000, SampleWorlds: 100},
+			opts:    Options{Tau: 1, Alpha: undecidableStarAlpha(), Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1000, SampleWorlds: 100},
 			results: 0,
 			check: func(t *testing.T, st Stats) {
 				if st.SkippedPairs != 1 {
 					t.Errorf("undecided pair not skipped: %+v", st)
 				}
 			},
+		},
+		{
+			// The same star at α = SimP is a Def. 7 pair: sampling cannot
+			// decide it, and the heaviest worlds' certified mass reaches α
+			// up to filter.MassSlack.
+			name: "SimP-equals-alpha star ends approx-bound",
+			q:    borderQ, g: borderG,
+			opts:    Options{Tau: 1, Alpha: exactStarSimP(0.945), Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1000, SampleWorlds: 100},
+			results: 1,
+			verdict: VerdictApproxBound,
+			check:   approxAccepted,
+		},
+		{
+			// α = 1 with a mass an ulp short of 1, in simjoind's sampled
+			// tier: sampling cannot reach 1, and the approximate rung must
+			// compare against α up to filter.MassSlack, not reject outright.
+			name: "alpha-1 mass an ulp short: sampled tier",
+			q:    unitQ, g: unitG,
+			opts:    Options{Tau: 1, Alpha: 1, Mode: ModeSimJ, Workers: 1, MaxWorlds: 1},
+			results: 1,
+			verdict: VerdictApproxBound,
+			check:   approxAccepted,
+		},
+		{
+			// The same pair in simjoind's approx tier (no sampling).
+			name: "alpha-1 mass an ulp short: approx tier",
+			q:    unitQ, g: unitG,
+			opts:    Options{Tau: 1, Alpha: 1, Mode: ModeSimJ, Workers: 1, MaxWorlds: 1, SampleWorlds: -1},
+			results: 1,
+			verdict: VerdictApproxBound,
+			check:   approxAccepted,
 		},
 		{
 			// Pair deadline cliff: exact enumeration and sampling both abort

@@ -75,7 +75,7 @@ func TestVerifyMaxStatesBudgetCounted(t *testing.T) {
 }
 
 func TestSkippedPairsAccounting(t *testing.T) {
-	// A pair whose SimP sits exactly at α: the world count is over MaxWorlds,
+	// A pair whose SimP sits just below α: the world count is over MaxWorlds,
 	// the sample lands inside its Hoeffding margin, and the 64 heaviest
 	// worlds push neither approximate bound across α. It still counts as a
 	// candidate (it entered verification), lands in SkippedPairs instead of
@@ -83,7 +83,7 @@ func TestSkippedPairsAccounting(t *testing.T) {
 	// the default 512 samples plus the approximate rung's 64.
 	q, g := hugeUncertain(0.945)
 	_, st, err := Join([]*graph.Graph{q}, []*ugraph.Graph{g},
-		Options{Tau: 1, Alpha: exactStarSimP(0.945), Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1000})
+		Options{Tau: 1, Alpha: undecidableStarAlpha(), Mode: ModeCSSOnly, Workers: 1, MaxWorlds: 1000})
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -22,7 +22,6 @@ import (
 	"fmt"
 	"sort"
 	"strings"
-	"sync"
 
 	"simjoin/internal/graph"
 	"simjoin/internal/matching"
@@ -139,34 +138,31 @@ type Bound interface {
 
 // ── Registry ────────────────────────────────────────────────────────────────
 
-var (
-	regMu      sync.RWMutex
-	boundReg   = make(map[string]Bound)
-	boundNames []string
-)
-
-// Register adds a bound to the registry under its Name. It panics on a
-// duplicate or empty name. Bounds registered after a join's Obs was created
-// still count in Stats.PrunedBy but get no live per-bound counters.
-func Register(b Bound) {
-	name := b.Name()
-	if name == "" {
-		panic("filter: Register with empty bound name")
+// boundReg is the fixed name → Bound table, keyed by each bound's Name.
+// Which bounds a join runs, and in which order, is a per-join choice (the
+// chain); the set to choose from never changes at run time, so the table is
+// built once and read without a lock.
+var boundReg = func() map[string]Bound {
+	reg := make(map[string]Bound)
+	for _, b := range []Bound{
+		cssBound{},
+		probBound{},
+		probBound{tight: true},
+		groupBound{},
+		baselineBound{name: "lm", lb: func(q, g *graph.Graph, _ int) int { return LMLowerBound(q, g) }},
+		baselineBound{name: "count", lb: func(q, g *graph.Graph, _ int) int { return CountLowerBound(q, g) }},
+		baselineBound{name: "cstar", lb: func(q, g *graph.Graph, _ int) int { return CStarLowerBound(q, g) }},
+		baselineBound{name: "path-gram", lb: func(q, g *graph.Graph, _ int) int { return PathGramLowerBound(q, g) }},
+		baselineBound{name: "pars", lb: func(q, g *graph.Graph, _ int) int { return ParsLowerBound(q, g) }},
+		baselineBound{name: "segos", lb: SegosLowerBound},
+	} {
+		reg[b.Name()] = b
 	}
-	regMu.Lock()
-	defer regMu.Unlock()
-	if _, dup := boundReg[name]; dup {
-		panic(fmt.Sprintf("filter: bound %q registered twice", name))
-	}
-	boundReg[name] = b
-	boundNames = append(boundNames, name)
-	sort.Strings(boundNames)
-}
+	return reg
+}()
 
 // BoundByName looks a registered bound up.
 func BoundByName(name string) (Bound, bool) {
-	regMu.RLock()
-	defer regMu.RUnlock()
 	b, ok := boundReg[name]
 	return b, ok
 }
@@ -183,10 +179,11 @@ func MustBound(name string) Bound {
 
 // BoundNames returns the registered bound names, sorted.
 func BoundNames() []string {
-	regMu.RLock()
-	defer regMu.RUnlock()
-	out := make([]string, len(boundNames))
-	copy(out, boundNames)
+	out := make([]string, 0, len(boundReg))
+	for name := range boundReg {
+		out = append(out, name)
+	}
+	sort.Strings(out)
 	return out
 }
 
@@ -210,19 +207,6 @@ func ParseChain(spec string) ([]Bound, error) {
 		return nil, fmt.Errorf("filter: empty filter chain %q", spec)
 	}
 	return chain, nil
-}
-
-func init() {
-	Register(cssBound{})
-	Register(probBound{})
-	Register(probBound{tight: true})
-	Register(groupBound{})
-	Register(baselineBound{name: "lm", lb: func(q, g *graph.Graph, _ int) int { return LMLowerBound(q, g) }})
-	Register(baselineBound{name: "count", lb: func(q, g *graph.Graph, _ int) int { return CountLowerBound(q, g) }})
-	Register(baselineBound{name: "cstar", lb: func(q, g *graph.Graph, _ int) int { return CStarLowerBound(q, g) }})
-	Register(baselineBound{name: "path-gram", lb: func(q, g *graph.Graph, _ int) int { return PathGramLowerBound(q, g) }})
-	Register(baselineBound{name: "pars", lb: func(q, g *graph.Graph, _ int) int { return ParsLowerBound(q, g) }})
-	Register(baselineBound{name: "segos", lb: SegosLowerBound})
 }
 
 // ── Built-in bounds ─────────────────────────────────────────────────────────

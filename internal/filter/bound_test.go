@@ -10,8 +10,8 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-// allBoundNames is the full registry this PR ships; registry tests pin it so
-// a rename or accidental deregistration fails loudly.
+// allBoundNames is the full bound table; registry tests pin it so a rename or
+// a dropped entry fails loudly.
 var allBoundNames = []string{
 	"count", "css", "cstar", "group", "lm",
 	"pars", "path-gram", "prob", "prob-tight", "segos",

@@ -134,16 +134,6 @@ func DegreeDistance(a, b *graph.Graph) int {
 	return degreeDistanceSeq(da, db)
 }
 
-// DegreeDistanceUncertain is DegreeDistance between a certain and an
-// uncertain graph; degrees are independent of labels.
-func DegreeDistanceUncertain(q *graph.Graph, g *ugraph.Graph) int {
-	da, db := q.DegreeSequence(), g.DegreeSequence()
-	if len(da) > len(db) {
-		da, db = db, da
-	}
-	return degreeDistanceSeq(da, db)
-}
-
 func degreeDistanceSeq(small, big []int) int {
 	dif := 0
 	for i, d := range small {

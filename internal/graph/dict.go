@@ -80,14 +80,6 @@ func LabelName(id LabelID) string {
 	return dict.names[id]
 }
 
-// DictLen returns the number of dictionary entries, including the reserved
-// wildcard slot.
-func DictLen() int {
-	dict.mu.RLock()
-	defer dict.mu.RUnlock()
-	return len(dict.names)
-}
-
 // IDsMatch is LabelsMatch over dictionary ids: equal, or either side a
 // wildcard. Because interning collapses exactly the wildcard labels to
 // WildcardID and is injective on concrete labels, IDsMatch(InternLabel(a),

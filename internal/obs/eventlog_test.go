@@ -190,33 +190,6 @@ func TestAppendJSONStringEscapes(t *testing.T) {
 	}
 }
 
-func TestParseNameInvertsName(t *testing.T) {
-	for _, tc := range []struct {
-		name   string
-		base   string
-		labels map[string]string
-	}{
-		{"plain_total", "plain_total", nil},
-		{Name("simjoin_bound_evals_total", "bound", "css", "pos", "0"),
-			"simjoin_bound_evals_total", map[string]string{"bound": "css", "pos": "0"}},
-		{Name("m", "k", `va"lue`), "m", map[string]string{"k": `va"lue`}},
-	} {
-		base, labels := ParseName(tc.name)
-		if base != tc.base {
-			t.Errorf("ParseName(%q) base = %q, want %q", tc.name, base, tc.base)
-		}
-		if len(labels) != len(tc.labels) {
-			t.Errorf("ParseName(%q) labels = %v, want %v", tc.name, labels, tc.labels)
-			continue
-		}
-		for k, v := range tc.labels {
-			if labels[k] != v {
-				t.Errorf("ParseName(%q) labels[%q] = %q, want %q", tc.name, k, labels[k], v)
-			}
-		}
-	}
-}
-
 func TestHistSnapshotQuantile(t *testing.T) {
 	reg := New()
 	h := reg.Histogram("q_test", []float64{1, 2, 4, 8})

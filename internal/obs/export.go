@@ -7,11 +7,10 @@ import (
 	"math"
 	"sort"
 	"strconv"
-	"strings"
 )
 
 // Snapshot is a point-in-time copy of every instrument in a registry,
-// suitable for JSON serialisation and for diffing across runs.
+// suitable for JSON serialisation.
 type Snapshot struct {
 	Counters   map[string]int64        `json:"counters"`
 	Gauges     map[string]float64      `json:"gauges"`
@@ -85,48 +84,6 @@ func (s HistSnapshot) Quantile(q float64) float64 {
 		}
 	}
 	return lower
-}
-
-// ParseName is the inverse of Name: it splits a possibly labelled metric
-// name into its base name and label map (nil when the name is plain). Label
-// values are unescaped.
-func ParseName(name string) (string, map[string]string) {
-	base, body := splitName(name)
-	if body == "" {
-		return base, nil
-	}
-	labels := make(map[string]string)
-	for len(body) > 0 {
-		eq := strings.IndexByte(body, '=')
-		if eq < 0 || eq+1 >= len(body) || body[eq+1] != '"' {
-			break // malformed; return what parsed so far
-		}
-		key := body[:eq]
-		rest := body[eq+2:]
-		var sb strings.Builder
-		i := 0
-		for i < len(rest) && rest[i] != '"' {
-			if rest[i] == '\\' && i+1 < len(rest) {
-				i++
-				switch rest[i] {
-				case 'n':
-					sb.WriteByte('\n')
-				default:
-					sb.WriteByte(rest[i])
-				}
-			} else {
-				sb.WriteByte(rest[i])
-			}
-			i++
-		}
-		labels[key] = sb.String()
-		if i+1 < len(rest) && rest[i+1] == ',' {
-			body = rest[i+2:]
-		} else {
-			body = ""
-		}
-	}
-	return base, labels
 }
 
 func (h *Histogram) snapshot() HistSnapshot {
@@ -253,16 +210,4 @@ func (r *Registry) WritePrometheus(w io.Writer) error {
 		}
 	}
 	return nil
-}
-
-// DiffCounters returns after's counters minus before's (missing names count
-// as zero), for building per-run deltas over a shared registry.
-func DiffCounters(before, after Snapshot) map[string]int64 {
-	out := make(map[string]int64, len(after.Counters))
-	for name, v := range after.Counters {
-		if d := v - before.Counters[name]; d != 0 {
-			out[name] = d
-		}
-	}
-	return out
 }

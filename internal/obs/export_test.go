@@ -83,15 +83,3 @@ func TestWriteJSONRoundTrip(t *testing.T) {
 		t.Errorf("histogram round trip: %+v", h)
 	}
 }
-
-func TestDiffCounters(t *testing.T) {
-	r := New()
-	r.Counter("a").Add(2)
-	before := r.Snapshot()
-	r.Counter("a").Add(3)
-	r.Counter("b").Add(1)
-	d := DiffCounters(before, r.Snapshot())
-	if d["a"] != 3 || d["b"] != 1 || len(d) != 2 {
-		t.Errorf("diff = %v", d)
-	}
-}

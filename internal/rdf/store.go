@@ -119,9 +119,6 @@ func insertIndex(idx map[id]map[id][]id, a, b, c id) {
 // Len returns the number of distinct triples.
 func (st *Store) Len() int { return len(st.triples) }
 
-// NumTerms returns the dictionary size.
-func (st *Store) NumTerms() int { return len(st.terms) }
-
 // Contains reports whether the exact triple is stored.
 func (st *Store) Contains(s, p, o string) bool {
 	si, ok1 := st.lookup(s)

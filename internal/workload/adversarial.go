@@ -50,22 +50,6 @@ type AdversarialConfig struct {
 	LabelsPerVertex int
 }
 
-// DefaultAdversarialConfig returns a configuration large enough that chain
-// order dominates wall time (64 × 64 graphs of 10 vertices), yet small enough
-// to benchmark repeatedly.
-func DefaultAdversarialConfig() AdversarialConfig {
-	return AdversarialConfig{
-		Seed:            11,
-		Queries:         64,
-		Uncertain:       64,
-		Families:        4,
-		Vertices:        10,
-		Chords:          3,
-		FamilyLabels:    6,
-		LabelsPerVertex: 3,
-	}
-}
-
 func advLabel(family, i int) string { return fmt.Sprintf("A%d_%d", family, i) }
 
 func (c AdversarialConfig) sanitise() AdversarialConfig {

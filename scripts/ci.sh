@@ -17,6 +17,12 @@ go vet ./...
 echo "== go build"
 go build ./...
 
+echo "== examples (README's library entry points must run, not just build)"
+for ex in examples/*/; do
+	echo "go run ./$ex"
+	go run "./$ex" > /dev/null
+done
+
 echo "== go test (shuffled)"
 go test -shuffle=on ./...
 
