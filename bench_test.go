@@ -286,7 +286,7 @@ func BenchmarkPartitionWorlds(b *testing.B) {
 	_, u := workload.ER(cfg)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		u[0].PartitionWorlds(10, nil)
+		u[0].PartitionWorlds(10)
 	}
 }
 

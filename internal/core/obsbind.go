@@ -168,10 +168,12 @@ type rec struct {
 	// fsc is the filter chain's scratch (the λV matching buffers and the
 	// per-pair group cache of the grouped bound); pv caches the
 	// world-invariant CSS constants of the pair under verification; ws holds
-	// the possible-world enumeration buffers.
+	// the possible-world enumeration buffers; rl the pair's relaxed mapping
+	// lists.
 	fsc filter.Scratch
 	pv  filter.PairVerifier
 	ws  ugraph.WorldScratch
+	rl  relaxedLists
 
 	// pctx is the per-worker PairContext, reused across pairs: building it
 	// fresh inside prunephase would heap-allocate one per pair (it escapes
@@ -193,25 +195,12 @@ type rec struct {
 }
 
 // gedCompute runs one threshold-bounded exact GED of q against the world w
-// for a verification rung and books it: GEDCalls, GEDStatesExpanded and —
-// on any error, which the rungs treat as an exhausted budget — GEDBudgetHits,
-// plus one observation in each GED histogram, so each histogram's count
-// equals Stats.GEDCalls.
+// for a verification rung and books it (bookGED); the rungs treat any error
+// as an exhausted budget.
 func (st *rec) gedCompute(q, w *graph.Graph, opts *Options) (ged.Result, error) {
-	st.GEDCalls++
-	var t0 time.Time
-	if st.jo.gedSeconds != nil {
-		t0 = time.Now()
-	}
+	t0 := st.gedStart()
 	res, err := ged.Compute(q, w, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates})
-	if st.jo.gedSeconds != nil {
-		st.jo.gedSeconds.ObserveDuration(time.Since(t0))
-		st.jo.gedStates.Observe(float64(res.States))
-	}
-	st.GEDStatesExpanded += int64(res.States)
-	if err != nil {
-		st.GEDBudgetHits++
-	}
+	st.bookGED(t0, res.States, err != nil)
 	return res, err
 }
 
@@ -237,6 +226,9 @@ var statsCounterSpec = []struct {
 	{"simjoin_ged_calls_total", func(s *Stats) *int64 { return &s.GEDCalls }},
 	{"simjoin_ged_budget_hits_total", func(s *Stats) *int64 { return &s.GEDBudgetHits }},
 	{"simjoin_ged_states_expanded_total", func(s *Stats) *int64 { return &s.GEDStatesExpanded }},
+	{"simjoin_relaxed_pairs_total", func(s *Stats) *int64 { return &s.RelaxedPairs }},
+	{"simjoin_relaxed_mappings_total", func(s *Stats) *int64 { return &s.RelaxedMappings }},
+	{"simjoin_relaxed_fallbacks_total", func(s *Stats) *int64 { return &s.RelaxedFallbacks }},
 	{"simjoin_groups_built_total", func(s *Stats) *int64 { return &s.GroupsBuilt }},
 	{"simjoin_groups_pruned_total", func(s *Stats) *int64 { return &s.GroupsPruned }},
 	{"simjoin_early_accepts_total", func(s *Stats) *int64 { return &s.EarlyAccepts }},

@@ -200,9 +200,10 @@ func verifyRungMetric(v Verdict) string {
 
 // WriteExplain renders the join's cost model: the per-bound table (evals,
 // prunes, selectivity, ns/eval, effective cost and the effective-cost rank)
-// in chain order, the implied effective-cost ordering, and P50/P95/P99
-// latency summaries for every pipeline stage. st supplies the profile and
-// snap the stage histograms.
+// in chain order, the implied effective-cost ordering, the verification
+// effort (worlds, GED searches and states, relaxed mapping lists), and
+// P50/P95/P99 latency summaries for every pipeline stage. st supplies the
+// profile and the counters, snap the stage histograms.
 func WriteExplain(w io.Writer, st *Stats, snap obs.Snapshot) {
 	prof := st.BoundProfile
 	if st.IndexSkipped > 0 {
@@ -214,6 +215,10 @@ func WriteExplain(w io.Writer, st *Stats, snap obs.Snapshot) {
 	} else {
 		WriteBoundTable(w, prof)
 	}
+	fmt.Fprintf(w, "verification: %d worlds, %d GED searches, %d A* states (%d over budget)\n",
+		st.WorldsChecked, st.GEDCalls, st.GEDStatesExpanded, st.GEDBudgetHits)
+	fmt.Fprintf(w, "relaxed lists: %d pairs scored, %d mappings, %d fallbacks to one GED per world\n",
+		st.RelaxedPairs, st.RelaxedMappings, st.RelaxedFallbacks)
 
 	fmt.Fprintln(w, "stage latencies:")
 	fmt.Fprintf(w, "  %-24s %10s %12s %12s %12s\n", "stage", "count", "p50", "p95", "p99")

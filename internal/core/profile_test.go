@@ -255,8 +255,8 @@ func TestEffectiveCost(t *testing.T) {
 
 // TestWriteExplain renders the explain report off a real profiled join and
 // checks the promised surfaces are present: the index prescreen line, the
-// per-bound cost table, the effective-cost ordering, and the stage latency
-// quantiles.
+// per-bound cost table, the effective-cost ordering, the verification and
+// relaxed-list lines, and the stage latency quantiles.
 func TestWriteExplain(t *testing.T) {
 	d, u := smallWorkload(13, 8, 8)
 	opts := DefaultOptions()
@@ -277,6 +277,8 @@ func TestWriteExplain(t *testing.T) {
 		"per-bound cost model", "pos", "bound", "evals", "prunes", "sel", "ns/eval", "eff-cost", "rank",
 		"css", "group",
 		"effective-cost order",
+		fmt.Sprintf("verification: %d worlds, %d GED searches, %d A* states", st.WorldsChecked, st.GEDCalls, st.GEDStatesExpanded),
+		fmt.Sprintf("relaxed lists: %d pairs scored, %d mappings, %d fallbacks", st.RelaxedPairs, st.RelaxedMappings, st.RelaxedFallbacks),
 		"stage latencies", "p50", "p95", "p99",
 		"prune (per pair)", "verify (per candidate)",
 	} {

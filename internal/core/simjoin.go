@@ -97,8 +97,9 @@ type Options struct {
 	// that the soft deadline cannot interrupt (e.g. a wedged GED call).
 	Watchdog time.Duration
 	// KeepMappings records the best-world vertex mapping on every result
-	// pair (needed for template generation; costs one extra exact GED per
-	// result).
+	// pair (needed for template generation). It is the mapping a threshold
+	// GED finds on that world, which costs one extra GED per result whose
+	// best world was scored against the relaxed mapping lists.
 	KeepMappings bool
 
 	// FilterChain, when non-empty, replaces the Mode-derived pruning stages
@@ -240,16 +241,27 @@ type Stats struct {
 	// WorldsChecked counts every possible world examined during verification,
 	// including the partial enumerations of pairs that ended in SkippedPairs.
 	WorldsChecked int64
-	GEDCalls      int64 // exact GED verifications run
+	// GEDCalls counts the exact GED searches verification ran: per-world
+	// threshold A* calls, and the one all-solutions search per pair that
+	// builds the relaxed mapping lists.
+	GEDCalls      int64
 	GEDBudgetHits int64 // GED calls aborted by VerifyMaxStates
 	// GEDStatesExpanded sums the A* search states expanded across all exact
 	// GED calls, including aborted ones — the join's verification effort in
 	// engine units, independent of wall clock.
 	GEDStatesExpanded int64
-	PruneTime         time.Duration
-	VerifyTime        time.Duration
-	GroupsBuilt       int64 // possible-world groups constructed (SimJ+opt)
-	GroupsPruned      int64 // groups removed by their CSS bound
+	// RelaxedPairs counts the pairs whose worlds after the first were scored
+	// against the relaxed graph's mapping lists instead of one GED each;
+	// RelaxedMappings sums the mappings in those lists. RelaxedFallbacks
+	// counts list builds that exhausted VerifyMaxStates, exceeded
+	// ged.MaxMappings or failed, after which the pair went on world by world.
+	RelaxedPairs     int64
+	RelaxedMappings  int64
+	RelaxedFallbacks int64
+	PruneTime        time.Duration
+	VerifyTime       time.Duration
+	GroupsBuilt      int64 // possible-world groups constructed (SimJ+opt)
+	GroupsPruned     int64 // groups removed by their CSS bound
 	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
 	// eliminated each one, under the bounds' registry names: BoundProfile's
 	// prunes folded by name. Summed over the bounds it equals CSSPruned +
@@ -570,9 +582,10 @@ const ctxCheckEvery = 64
 // verify decides SimPτ(q, g) ≥ α through the verdict ladder:
 //
 //  1. Exact possible-world enumeration (grouped when SimJ+opt kept groups),
-//     with per-world CSS pre-checks and early accept/reject on accumulated
-//     mass — unless the world count is already over MaxWorlds and the
-//     sampling rung is on, in which case the rung is skipped outright.
+//     the first world by GED and later ones against the relaxed mapping
+//     lists, with early accept/reject on accumulated mass — unless the
+//     world count is already over MaxWorlds and the sampling rung is on, in
+//     which case the rung is skipped outright.
 //  2. Monte Carlo sampling (sampleVerify) when rung 1 ran out of worlds,
 //     states or time; SampleWorlds < 0 turns it off.
 //  3. Approximate bounds over the most probable worlds (approxVerify).
@@ -637,18 +650,26 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 	return Pair{}, false
 }
 
-// verifyExact computes the exact SimPτ(q, g) by enumerating possible worlds,
-// with a per-world CSS pre-check and — unless disabled — early accept/reject
-// on the accumulated probability mass. The per-world CSS bound runs through
-// the worker's PairVerifier: every world of g (and of its conditioned groups)
-// shares g's structure, so only the λV matching is recomputed per world.
+// verifyExact computes the exact SimPτ(q, g) by enumerating possible worlds
+// — high-mass groups first, mixed-radix within a group — with early
+// accept/reject on the accumulated probability mass unless disabled.
+//
+// Each world gets a CSS pre-check and, if that passes, a threshold GED, and
+// most pairs decide at their first world. In a pair whose groups hold at
+// least relaxedMinWorlds(τ) worlds, the first later world that passes the
+// pre-check builds the relaxed mapping lists instead of running its GED,
+// once (buildRelaxed, relaxed.go), and that world and every later one are
+// scored against them; when the build fails, the loop goes on world by
+// world. The per-world CSS bound runs through the worker's
+// PairVerifier: every world of g (and of its conditioned groups) shares g's
+// structure, so only the λV matching is recomputed per world.
 //
 // A world whose exact GED exhausts VerifyMaxStates is ruled in when the
 // beam-search upper bound is within τ; otherwise its mass stays unresolved.
 // A reject must hold with the unresolved mass counted as similar, so a pair
 // that needs it to decide ends exactBudget and goes down the ladder.
-// assisted reports that at least one world hit the GED budget: the verdict
-// is then no longer exact.
+// assisted reports that at least one GED hit its budget: the verdict is then
+// no longer exact.
 func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group, opts *Options, st *rec) (Pair, bool, exactOutcome, bool) {
 	q, qi, gi := pi.q, pi.qi, pi.gi
 	if groups == nil {
@@ -657,9 +678,10 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 	// High-mass groups first: the early accept/reject thresholds are reached
 	// sooner when probable worlds are enumerated early.
 	sort.Slice(groups, func(i, j int) bool { return groups[i].Mass > groups[j].Mass })
-	totalMass := 0.0
+	totalMass, totalWorlds := 0.0, 0.0
 	for _, gr := range groups {
 		totalMass += gr.Mass
+		totalWorlds += gr.G.WorldCountFloat()
 	}
 	worldBudget := opts.MaxWorlds
 	faultArmed := fault.Enabled()
@@ -680,6 +702,12 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 	accepted := false
 	assisted := false
 	pairWorlds := int64(0)
+	// lists marks the relaxed lists built, tried a build attempted; bestAt
+	// is the listed mapping attaining best when a list-scored world set it,
+	// -1 otherwise.
+	lists, tried := false, false
+	minWorlds := relaxedMinWorlds(opts.Tau)
+	bestAt := -1
 
 	// The context is polled every ctxCheckEvery worlds, so short enumerations
 	// would outrun an already-expired deadline without this entry check.
@@ -720,7 +748,25 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 				}
 			}
 			remaining -= p
-			if st.pv.WorldLowerBound(w) <= opts.Tau {
+			ruledOut := !lists && st.pv.WorldLowerBound(w) > opts.Tau
+			if !ruledOut && !lists && !tried && pairWorlds > 1 && totalWorlds >= minWorlds && !testPerWorld {
+				// The first GED after the first world: build the relaxed
+				// lists instead, once, and score this world and every
+				// later one against them.
+				tried = true
+				lists = st.buildRelaxed(pi, opts)
+			}
+			switch {
+			case lists:
+				if d, at := st.rl.score(w.VertexLabelIDs(), opts.Tau); at >= 0 {
+					simP += p
+					if d < best.Distance {
+						best.Distance = d
+						best.World = w.Clone()
+						best.Mapping, bestAt = nil, at
+					}
+				}
+			case !ruledOut:
 				res, err := st.gedCompute(q, w, opts)
 				switch {
 				case err != nil:
@@ -732,7 +778,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 						if d < best.Distance {
 							best.Distance = d
 							best.World = w.Clone()
-							best.Mapping = m
+							best.Mapping, bestAt = m, -1
 						}
 					} else {
 						unresolved += p
@@ -742,7 +788,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 					if res.Distance < best.Distance {
 						best.Distance = res.Distance
 						best.World = w.Clone()
-						best.Mapping = res.Mapping
+						best.Mapping, bestAt = res.Mapping, -1
 					}
 				}
 			}
@@ -777,8 +823,20 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 		return Pair{}, false, exactDecided, assisted
 	}
 	best.SimP = simP
-	if !opts.KeepMappings {
+	switch {
+	case !opts.KeepMappings:
 		best.Mapping = nil
+	case bestAt >= 0:
+		// The mapping the per-world loop records is the one A* finds on
+		// the best world; a listed mapping attaining the same distance may
+		// be a different one. A failed GED here is treated like one in the
+		// loop: the verdict is assisted, and the listed mapping stands in.
+		if res, err := st.gedCompute(q, best.World, opts); err == nil && !res.Exceeded {
+			best.Mapping = res.Mapping
+		} else {
+			assisted = true
+			best.Mapping = st.rl.mapping(bestAt)
+		}
 	}
 	return best, true, exactDecided, assisted
 }

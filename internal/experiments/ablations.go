@@ -116,20 +116,20 @@ func AblationGroupingPolicy(scale Scale) (*metrics.Table, error) {
 	t.AddRow("cost-model (SimJ+opt)", st.CandidateRatio(), st.ProbPruned)
 
 	// Query-independent mass split, evaluated through the same grouped
-	// bound sum but with ugraph.ByMass choosing the splits.
+	// bound sum but with ugraph.Graph.PartitionWorlds choosing the splits.
 	cand, pruned := massPolicyRatio(d, u, 8, 2, 0.5)
 	t.AddRow("by-mass", cand, pruned)
 	return t, nil
 }
 
 // massPolicyRatio evaluates the grouped probabilistic bound with the
-// query-independent ByMass policy.
+// query-independent largest-mass splits of ugraph.Graph.PartitionWorlds.
 func massPolicyRatio(d []*graph.Graph, u []*ugraph.Graph, gn, tau int, alpha float64) (float64, int64) {
 	pairs := 0
 	candidates := 0
 	var pruned int64
 	for _, g := range u {
-		groups := g.PartitionWorlds(gn, ugraph.ByMass)
+		groups := g.PartitionWorlds(gn)
 		for _, q := range d {
 			pairs++
 			if filter.CSSLowerBoundUncertain(q, g) > tau {

@@ -54,14 +54,16 @@ func (k BoundKind) String() string {
 }
 
 // Scratch holds the reusable per-worker buffers a filter chain writes
-// through: the bipartite matching backing the λV computations and the
-// per-pair group cache of Algorithm 2's partition policy. The zero value is
-// ready to use; a Scratch must not be shared between goroutines.
+// through: the bipartite matching backing the λV computations, and the
+// per-pair group bounds and split frontier of Algorithm 2's partition
+// policy. The zero value is ready to use; a Scratch must not be shared
+// between goroutines.
 type Scratch struct {
 	// BP backs the λV matchings of the CSS bound and the per-group bounds.
 	BP matching.Bipartite
 
-	groupCache map[*ugraph.Graph]*groupEval
+	groupCache map[*splitNode]groupEval
+	frontier   []*splitNode
 }
 
 // PairContext is the per-pair state a chain of bounds shares: the two
@@ -264,28 +266,31 @@ func (groupBound) Kind() BoundKind { return Probabilistic }
 func (groupBound) Apply(pc *PairContext) Outcome {
 	sc := pc.Scratch
 	sc.resetGroupCache(pc)
-	groups := partitionForQuery(pc)
-	out := Outcome{GroupsBuilt: int64(len(groups))}
+	nodes := partitionForQuery(pc)
+	out := Outcome{GroupsBuilt: int64(len(nodes))}
 	ubSum := 0.0
-	kept := groups[:0]
-	for _, gr := range groups {
-		ge := sc.evalGroup(pc.QS, gr.G, pc.Tau)
+	for _, n := range nodes {
+		ge := sc.evalGroup(pc.QS, n, pc.Tau)
 		if ge.cssLB > pc.Tau {
 			out.GroupsCSSPruned++
 			continue
 		}
 		ub := ge.simUB
-		if ub > gr.Mass {
-			ub = gr.Mass
+		if ub > n.group.Mass {
+			ub = n.group.Mass
 		}
 		ubSum += ub
-		kept = append(kept, gr)
 	}
 	if pc.belowAlpha(ubSum) {
 		out.Pruned = true
 		return out
 	}
-	out.Groups = kept
+	out.Groups = make([]ugraph.Group, 0, len(nodes)-int(out.GroupsCSSPruned))
+	for _, n := range nodes {
+		if sc.evalGroup(pc.QS, n, pc.Tau).cssLB <= pc.Tau {
+			out.Groups = append(out.Groups, n.group)
+		}
+	}
 	return out
 }
 
@@ -306,43 +311,40 @@ func (b baselineBound) Apply(pc *PairContext) Outcome {
 
 // ── Possible-world grouping (Algorithm 2 machinery) ─────────────────────────
 
-// groupEval caches one possible-world group's signature and bounds during a
-// single pair's grouped pruning: the partition policy of §6.2 re-examines
-// every group each split round, which without the cache re-ran the O(V³)
-// λV matching and multiset scans O(k²) times per pair.
+// groupEval caches one possible-world group's bounds during a single pair's
+// grouped pruning: the partition policy of §6.2 re-examines every group each
+// split round, which without the cache re-ran the O(V³) λV matching and
+// multiset scans O(k²) times per pair.
 type groupEval struct {
-	gs    *GSig
 	cssLB int
 	simUB float64 // Theorem 4 bound; valid only when cssLB <= tau
 }
 
 // resetGroupCache clears the per-pair group cache and seeds it with the whole
-// graph's already-computed signature and CSS bound.
+// graph's already-computed CSS bound.
 func (sc *Scratch) resetGroupCache(pc *PairContext) {
 	if sc.groupCache == nil {
-		sc.groupCache = make(map[*ugraph.Graph]*groupEval)
+		sc.groupCache = make(map[*splitNode]groupEval)
 	}
 	clear(sc.groupCache)
-	ge := &groupEval{gs: pc.GS, cssLB: pc.cssLowerBound()}
+	ge := groupEval{cssLB: pc.cssLowerBound()}
 	if ge.cssLB <= pc.Tau {
 		ge.simUB = SimilarityUpperBoundSig(pc.QS, pc.GS, pc.Tau)
 	}
-	sc.groupCache[pc.GS.G] = ge
+	sc.groupCache[pc.GS.splitRoot()] = ge
 }
 
-// evalGroup returns the cached evaluation of a group's graph, computing it on
-// first sight. Group graphs are immutable once created by Condition, so
-// caching by pointer identity is sound; the values are exactly what direct
-// recomputation would yield.
-func (sc *Scratch) evalGroup(qs *QSig, g *ugraph.Graph, tau int) *groupEval {
-	ge, ok := sc.groupCache[g]
+// evalGroup returns the pair's cached bounds of one split-tree group,
+// computing them on first sight from the group's memoized signature; the
+// values are exactly what direct recomputation would yield.
+func (sc *Scratch) evalGroup(qs *QSig, n *splitNode, tau int) groupEval {
+	ge, ok := sc.groupCache[n]
 	if !ok {
-		gs := NewGSig(g)
-		ge = &groupEval{gs: gs, cssLB: CSSLowerBoundUncertainSigScratch(&sc.BP, qs, gs)}
+		ge.cssLB = CSSLowerBoundUncertainSigScratch(&sc.BP, qs, n.gs)
 		if ge.cssLB <= tau {
-			ge.simUB = SimilarityUpperBoundSig(qs, gs, tau)
+			ge.simUB = SimilarityUpperBoundSig(qs, n.gs, tau)
 		}
-		sc.groupCache[g] = ge
+		sc.groupCache[n] = ge
 	}
 	return ge
 }
@@ -350,30 +352,39 @@ func (sc *Scratch) evalGroup(qs *QSig, g *ugraph.Graph, tau int) *groupEval {
 // partitionForQuery divides g's possible worlds into at most GroupCount
 // groups using the cost model of §6.2: at every round, split the group with
 // the largest probabilistic upper bound (the loosest contributor), i.e.
-// minimise Σ ub_SimP over non-pruned groups. Per-group bounds come from the
-// scratch's group cache, so each group is evaluated once regardless of round
-// count.
-func partitionForQuery(pc *PairContext) []ugraph.Group {
+// minimise Σ ub_SimP over non-pruned groups. Which group to split depends on
+// the query; how a group splits does not, so the groups are nodes of g's
+// memoized split tree (GSig.splitRoot) and only their bounds are computed
+// per pair. The returned frontier is the scratch's, valid until the next
+// pair.
+func partitionForQuery(pc *PairContext) []*splitNode {
 	sc := pc.Scratch
-	policy := func(groups []ugraph.Group) int {
+	nodes := append(sc.frontier[:0], pc.GS.splitRoot())
+	for len(nodes) < pc.GroupCount {
 		best, bestUB := -1, -1.0
-		for i, gr := range groups {
-			if gr.G.SplitVertex() < 0 {
+		for i, n := range nodes {
+			if n.splitV < 0 {
 				continue
 			}
-			ge := sc.evalGroup(pc.QS, gr.G, pc.Tau)
+			ge := sc.evalGroup(pc.QS, n, pc.Tau)
 			ub := 0.0
 			if ge.cssLB <= pc.Tau {
 				ub = ge.simUB
-				if ub > gr.Mass {
-					ub = gr.Mass
+				if ub > n.group.Mass {
+					ub = n.group.Mass
 				}
 			}
 			if ub > bestUB {
 				best, bestUB = i, ub
 			}
 		}
-		return best
+		if best < 0 {
+			break
+		}
+		left, right := nodes[best].children()
+		nodes[best] = left
+		nodes = append(nodes, right)
 	}
-	return pc.GS.G.PartitionWorlds(pc.GroupCount, policy)
+	sc.frontier = nodes
+	return nodes
 }

@@ -238,7 +238,7 @@ func TestGroupBoundsSound(t *testing.T) {
 		q := randomCertain(rng, 1+rng.Intn(5), rng.Intn(5))
 		g := randomUncertain(rng, 1+rng.Intn(4), rng.Intn(4), 3)
 		tau := rng.Intn(4)
-		groups := g.PartitionWorlds(1+rng.Intn(5), nil)
+		groups := g.PartitionWorlds(1 + rng.Intn(5))
 		sum := 0.0
 		for _, gr := range groups {
 			sum += GroupUpperBound(q, gr, tau)

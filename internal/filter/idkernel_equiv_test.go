@@ -508,7 +508,7 @@ func TestUncertainKernelsMatchStringReference(t *testing.T) {
 			}
 		}
 
-		for _, gr := range g.PartitionWorlds(3, nil) {
+		for _, gr := range g.PartitionWorlds(3) {
 			got := GroupUpperBoundSig(qs, NewGSig(gr.G), gr.Mass, tau)
 			want := refGroupUpperBound(q, gr, tau)
 			if got != want {

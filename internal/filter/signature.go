@@ -102,6 +102,49 @@ type GSig struct {
 
 	condOnce sync.Once
 	conds    []condSig // nil when the graph has no split vertex
+
+	rootOnce sync.Once
+	root     *splitNode
+}
+
+// splitNode is one node of an uncertain graph's possible-world split tree:
+// a group of its worlds (the root covers all of them) with the group's
+// signature. A node splits as ugraph.Group.Split does, and the two halves
+// are built once, on first use, whichever pair asks first; the tree holds at
+// most 2^GN − 1 nodes when no partition exceeds GN groups.
+type splitNode struct {
+	group  ugraph.Group
+	gs     *GSig
+	splitV int // the group's SplitVertex; -1 when it cannot be split
+
+	once        sync.Once
+	left, right *splitNode
+}
+
+func newSplitNode(gr ugraph.Group, gs *GSig) *splitNode {
+	return &splitNode{group: gr, gs: gs, splitV: gr.G.SplitVertex()}
+}
+
+// children returns the node's two halves, building them on first use;
+// concurrency-safe. The node must be splittable (splitV >= 0). The halves
+// keep the masses Condition returns, so every group mass is bit-identical to
+// a fresh Group.Split's.
+func (n *splitNode) children() (*splitNode, *splitNode) {
+	n.once.Do(func() {
+		a, b, _ := n.group.Split()
+		n.left = newSplitNode(a, NewGSig(a.G))
+		n.right = newSplitNode(b, NewGSig(b.G))
+	})
+	return n.left, n.right
+}
+
+// splitRoot returns the root of the graph's memoized split tree, whose
+// signature is s itself; concurrency-safe like Relaxed.
+func (s *GSig) splitRoot() *splitNode {
+	s.rootOnce.Do(func() {
+		s.root = newSplitNode(ugraph.Group{G: s.G, Mass: s.Mass}, s)
+	})
+	return s.root
 }
 
 // Relaxed returns the certain relaxation of the uncertain graph: the same

@@ -12,11 +12,18 @@
 // prunes every state whose optimistic cost exceeds τ, which is what the SimJ
 // verification phase uses.
 //
-// The search is allocation-lean: searchers are pooled (sync.Pool), states and
-// mappings come from per-searcher chunk arenas, and the heuristic counts
-// label multisets in reusable slices over interned label ids instead of maps.
-// In a join, where Compute runs once per surviving possible world, this keeps
-// the verification hot path nearly allocation-free at steady state.
+// ComputeAll runs the same search in an all-solutions mode: it keeps popping
+// past the first goal and reports every complete mapping within τ, cheapest
+// first. A join verifies a pair of a many-world uncertain graph with one
+// ComputeAll against the graph's relaxation (uncertain vertices as
+// wildcards) and scores the possible worlds against the mappings it finds;
+// Compute runs once per world everywhere else: on a pair's first world, on
+// graphs with few worlds, and where the all-solutions search cannot finish.
+//
+// The search is allocation-lean: searchers are pooled (sync.Pool), states
+// come from a per-searcher chunk arena and carry one assignment plus a parent
+// pointer instead of a mapping copy, and the heuristic counts label
+// multisets in reusable slices over interned label ids instead of maps.
 package ged
 
 import (
@@ -31,6 +38,13 @@ import (
 
 // ErrBudget is returned when the search exceeds the configured state budget.
 var ErrBudget = errors.New("ged: state budget exhausted")
+
+// ErrTooManyMappings is returned by ComputeAll when more than MaxMappings
+// complete mappings lie within the threshold.
+var ErrTooManyMappings = errors.New("ged: mapping cap exceeded")
+
+// MaxMappings caps the mappings one ComputeAll reports.
+const MaxMappings = 1024
 
 // NoThreshold disables threshold pruning when passed as τ.
 const NoThreshold = int(^uint(0) >> 1)
@@ -98,12 +112,9 @@ func WithinThreshold(g1, g2 *graph.Graph, tau int) (int, bool) {
 	return r.Distance, !r.Exceeded
 }
 
-// Arena chunk sizes: mappings are at most 64 ints, states are small structs;
-// the chunks amortise allocation to ~one per few hundred generated states.
-const (
-	mapChunkInts   = 4096
-	stateChunkSize = 256
-)
+// stateChunkSize is the state arena's chunk size: it amortises allocation to
+// one per few hundred generated states.
+const stateChunkSize = 256
 
 // searcher holds the inputs and all reusable scratch of one A* run. The
 // smaller graph (by vertex count) is always mapped onto the larger one;
@@ -154,27 +165,34 @@ type searcher struct {
 	baseRemB, baseWildB, baseEB, baseEBWild int
 	baseMinV, baseMinE                      int
 
-	// Chunk arenas for mapping slices and states.
-	mapChunks [][]int
-	mapIdx    int
-	mapUsed   int
-	stChunks  [][]state
-	stIdx     int
-	stUsed    int
+	// curMap is the mapping of the state being expanded, rebuilt from its
+	// parent chain once per expansion (only the processed prefix is valid);
+	// outMap is a goal's mapping in the caller's direction.
+	curMap, outMap []int
 
-	pq stateHeap
+	// Chunk arena for states.
+	stChunks [][]state
+	stIdx    int
+	stUsed   int
+
+	pq       stateHeap
+	expanded int
 }
 
 var searcherPool = sync.Pool{
 	New: func() interface{} { return &searcher{ids: make(map[graph.LabelID]int)} },
 }
 
+// state is one partial mapping: the first k a-vertices in processing order
+// are assigned. It stores only the last assignment, order[k-1] -> v, and
+// reaches the others through parent.
 type state struct {
-	k       int    // number of a-vertices processed (in order)
-	used    uint64 // bitmask of b-vertices consumed
-	g       int    // accumulated cost
-	f       int    // g + heuristic
-	mapping []int  // a-vertex -> b-vertex or Deleted, indexed by a vertex id
+	k      int    // number of a-vertices processed (in order)
+	used   uint64 // bitmask of b-vertices consumed
+	g      int    // accumulated cost
+	f      int    // g + heuristic
+	v      int    // image of order[k-1]: a b-vertex or Deleted
+	parent *state // nil at the root
 }
 
 type stateHeap []*state
@@ -207,56 +225,109 @@ func Compute(g1, g2 *graph.Graph, opts Options) (Result, error) {
 	if err := fault.Hit("ged.compute", ""); err != nil {
 		return Result{}, err
 	}
-	return compute(g1, g2, opts)
+	s, err := newSearcher(g1, g2, opts)
+	if err != nil {
+		return Result{}, err
+	}
+	defer s.release()
+	goal, cost, err := s.next()
+	if err != nil {
+		return Result{States: s.expanded}, err
+	}
+	if goal == nil {
+		if opts.Threshold == NoThreshold {
+			return Result{}, errors.New("ged: search space exhausted without a goal (internal error)")
+		}
+		return Result{Distance: opts.Threshold + 1, Exceeded: true, States: s.expanded}, nil
+	}
+	gm := s.goalMapping(goal)
+	m := make(Mapping, len(gm))
+	copy(m, gm)
+	return Result{Distance: cost, Mapping: m, States: s.expanded}, nil
 }
 
-func compute(g1, g2 *graph.Graph, opts Options) (Result, error) {
+// ComputeAll is the all-solutions mode of Compute: it calls fn with every
+// complete mapping from g1 to g2 whose edit cost is at most opts.Threshold,
+// each once, in non-decreasing cost order; m is valid only during the call.
+// It expands every state any thresholded Compute between the same graphs
+// could expand, and more: after the first goal it keeps popping until every
+// remaining state exceeds the threshold. It returns the states expanded, and
+// fails like Compute on the "ged.compute" failpoint and opts.MaxStates, and
+// with ErrTooManyMappings when more than MaxMappings mappings are within the
+// threshold (the first MaxMappings have then been reported).
+func ComputeAll(g1, g2 *graph.Graph, opts Options, fn func(m Mapping, cost int)) (int, error) {
+	if err := fault.Hit("ged.compute", ""); err != nil {
+		return 0, err
+	}
+	s, err := newSearcher(g1, g2, opts)
+	if err != nil {
+		return 0, err
+	}
+	defer s.release()
+	for found := 0; ; found++ {
+		goal, cost, err := s.next()
+		if err != nil || goal == nil {
+			return s.expanded, err
+		}
+		if found == MaxMappings {
+			return s.expanded, ErrTooManyMappings
+		}
+		fn(s.goalMapping(goal), cost)
+	}
+}
+
+// newSearcher takes a pooled searcher and prepares it for one search of g1
+// against g2; release returns it.
+func newSearcher(g1, g2 *graph.Graph, opts Options) (*searcher, error) {
 	if g2.NumVertices() > 64 || g1.NumVertices() > 64 {
-		return Result{}, fmt.Errorf("ged: graphs larger than 64 vertices unsupported (got %d, %d)",
+		return nil, fmt.Errorf("ged: graphs larger than 64 vertices unsupported (got %d, %d)",
 			g1.NumVertices(), g2.NumVertices())
 	}
 	s := searcherPool.Get().(*searcher)
-	defer func() {
-		s.a, s.b = nil, nil
-		s.opts = Options{}
-		searcherPool.Put(s)
-	}()
 	s.a, s.b, s.swapped, s.opts = g1, g2, false, opts
 	if g1.NumVertices() > g2.NumVertices() {
 		s.a, s.b = g2, g1
 		s.swapped = true
 	}
-	s.mapIdx, s.mapUsed = 0, 0
 	s.stIdx, s.stUsed = 0, 0
 	s.intern()
 	s.computeOrder()
+	s.curMap = growInts(s.curMap, s.nA)
+	start := s.newState()
+	*start = state{v: Deleted, f: s.heuristic(0, 0)}
+	s.pq = append(s.pq[:0], start)
+	s.expanded = 0
+	return s, nil
+}
 
-	res, err := s.run()
-	if err != nil {
-		return res, err
+func (s *searcher) release() {
+	s.a, s.b = nil, nil
+	s.opts = Options{}
+	searcherPool.Put(s)
+}
+
+// goalMapping translates a goal state's assignments into the searcher's
+// outMap in the caller's direction (g1 -> g2), inverting when the graphs were
+// swapped.
+func (s *searcher) goalMapping(goal *state) Mapping {
+	n := s.nA
+	if s.swapped {
+		n = s.nB
 	}
-	if res.Exceeded {
-		res.Mapping = nil
-		return res, nil
-	}
-	// Translate the internal arena-backed mapping (a->b) to a fresh slice in
-	// the caller's direction (g1 -> g2); the arena is recycled with s.
-	m := make(Mapping, g1.NumVertices())
+	m := growInts(s.outMap, n)
+	s.outMap = m
 	for i := range m {
 		m[i] = Deleted
 	}
-	if s.swapped {
-		// internal a == g2; invert.
-		for u, v := range res.Mapping {
-			if v != Deleted {
-				m[v] = u
-			}
+	for st := goal; st.k > 0; st = st.parent {
+		u, v := s.order[st.k-1], st.v
+		if !s.swapped {
+			m[u] = v
+		} else if v != Deleted {
+			m[v] = u
 		}
-	} else {
-		copy(m, res.Mapping)
 	}
-	res.Mapping = m
-	return res, nil
+	return m
 }
 
 // growInts returns s resized to n, reusing capacity when possible. Contents
@@ -392,26 +463,6 @@ func (s *searcher) computeOrder() {
 	}
 }
 
-// newMapping hands out an n-int slice from the mapping arena.
-func (s *searcher) newMapping(n int) []int {
-	if s.mapIdx < len(s.mapChunks) && s.mapUsed+n > len(s.mapChunks[s.mapIdx]) {
-		s.mapIdx++
-		s.mapUsed = 0
-	}
-	if s.mapIdx >= len(s.mapChunks) {
-		c := mapChunkInts
-		if n > c {
-			c = n
-		}
-		s.mapChunks = append(s.mapChunks, make([]int, c))
-		s.mapUsed = 0
-	}
-	chunk := s.mapChunks[s.mapIdx]
-	out := chunk[s.mapUsed : s.mapUsed+n : s.mapUsed+n]
-	s.mapUsed += n
-	return out
-}
-
 // newState hands out a state from the state arena; callers overwrite it.
 func (s *searcher) newState() *state {
 	if s.stIdx < len(s.stChunks) && s.stUsed >= len(s.stChunks[s.stIdx]) {
@@ -427,60 +478,55 @@ func (s *searcher) newState() *state {
 	return st
 }
 
-func (s *searcher) run() (Result, error) {
-	m, n := s.a.NumVertices(), s.b.NumVertices()
-	start := s.newState()
-	*start = state{mapping: s.newMapping(m)}
-	for i := range start.mapping {
-		start.mapping[i] = Deleted
-	}
-	start.f = s.heuristic(0, 0)
-
-	s.pq = append(s.pq[:0], start)
-	pq := &s.pq
-	expanded := 0
-	best := Result{Distance: s.opts.Threshold + 1, Exceeded: true}
-
-	for pq.Len() > 0 {
-		cur := heap.Pop(pq).(*state)
+// next resumes the search and returns the next goal whose total cost is
+// within the threshold, with that cost; nil when none remains. Goals come out
+// in non-decreasing cost: states pop by f = g + h with an admissible h, and a
+// goal's h is exactly its completion cost.
+func (s *searcher) next() (*state, int, error) {
+	for s.pq.Len() > 0 {
+		cur := heap.Pop(&s.pq).(*state)
 		if s.opts.Threshold != NoThreshold && cur.f > s.opts.Threshold {
-			best.States = expanded
-			return best, nil // all remaining states exceed τ as well
+			s.pq = s.pq[:0] // all remaining states exceed τ as well
+			return nil, 0, nil
 		}
-		if cur.k == m {
+		if cur.k == s.nA {
 			total := cur.g + s.completionCost(cur)
 			if s.opts.Threshold != NoThreshold && total > s.opts.Threshold {
 				continue
 			}
-			return Result{Distance: total, Mapping: cur.mapping, States: expanded}, nil
+			return cur, total, nil
 		}
-		expanded++
-		if s.opts.MaxStates > 0 && expanded > s.opts.MaxStates {
-			return Result{States: expanded}, ErrBudget
+		s.expanded++
+		if s.opts.MaxStates > 0 && s.expanded > s.opts.MaxStates {
+			return nil, 0, ErrBudget
 		}
-		u := s.order[cur.k]
-		// Branch: map u to each unused b-vertex, or delete u. All successors
-		// share the heuristic's (k+1, cur.used) base aggregates; push applies
-		// only the per-successor delta.
-		s.prepareExpand(cur)
-		for v := 0; v < n; v++ {
-			if cur.used&(1<<uint(v)) != 0 {
-				continue
-			}
-			s.push(cur, u, v)
-		}
-		s.push(cur, u, Deleted)
+		s.expand(cur)
 	}
-	if s.opts.Threshold != NoThreshold {
-		best.States = expanded
-		return best, nil
+	return nil, 0, nil
+}
+
+// expand pushes cur's successors: its next a-vertex mapped to each unused
+// b-vertex, or deleted. All successors share the heuristic's (k+1, cur.used)
+// base aggregates; push applies only the per-successor delta. cur's mapping
+// is rebuilt into curMap once here for extensionCost.
+func (s *searcher) expand(cur *state) {
+	for st := cur; st.k > 0; st = st.parent {
+		s.curMap[s.order[st.k-1]] = st.v
 	}
-	return Result{}, errors.New("ged: search space exhausted without a goal (internal error)")
+	u := s.order[cur.k]
+	s.prepareExpand(cur)
+	for v := 0; v < s.nB; v++ {
+		if cur.used&(1<<uint(v)) != 0 {
+			continue
+		}
+		s.push(cur, u, v)
+	}
+	s.push(cur, u, Deleted)
 }
 
 // push extends cur by assigning a-vertex u to b-vertex v (or Deleted) and
 // enqueues the successor unless it is already over threshold. The heuristic
-// is evaluated before touching the arenas so pruned successors cost nothing;
+// is evaluated before touching the arena so pruned successors cost nothing;
 // it is the delta form over prepareExpand's base aggregates and equals
 // heuristic(cur.k+1, used) exactly.
 func (s *searcher) push(cur *state, u, v int) {
@@ -493,17 +539,14 @@ func (s *searcher) push(cur *state, u, v int) {
 	if s.opts.Threshold != NoThreshold && f > s.opts.Threshold {
 		return
 	}
-	nm := s.newMapping(len(cur.mapping))
-	copy(nm, cur.mapping)
-	nm[u] = v
 	next := s.newState()
-	*next = state{k: cur.k + 1, used: used, g: cost, f: f, mapping: nm}
+	*next = state{k: cur.k + 1, used: used, g: cost, f: f, v: v, parent: cur}
 	heap.Push(&s.pq, next)
 }
 
 // extensionCost is the exact cost added by assigning u -> v given the already
-// mapped prefix: the vertex operation plus all edge operations between u and
-// previously processed vertices.
+// mapped prefix (cur's assignments, in curMap): the vertex operation plus all
+// edge operations between u and previously processed vertices.
 func (s *searcher) extensionCost(cur *state, u, v int) int {
 	cost := 0
 	if v == Deleted {
@@ -513,7 +556,7 @@ func (s *searcher) extensionCost(cur *state, u, v int) int {
 	}
 	for k := 0; k < cur.k; k++ {
 		p := s.order[k]
-		w := cur.mapping[p]
+		w := s.curMap[p]
 		cost += s.edgePairCost(u, p, v, w)
 		cost += s.edgePairCost(p, u, w, v)
 	}

@@ -1,6 +1,7 @@
 package ged
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -259,5 +260,108 @@ func TestTriangleInequalitySpot(t *testing.T) {
 		if dac > dab+dbc {
 			t.Fatalf("triangle inequality violated: d(a,c)=%d > d(a,b)+d(b,c)=%d+%d", dac, dab, dbc)
 		}
+	}
+}
+
+// bruteMappings enumerates every injective partial mapping from a to b and
+// returns the cost of each whose MappingCost is at most tau, keyed by its
+// printed form.
+func bruteMappings(t *testing.T, a, b *graph.Graph, tau int) map[string]int {
+	t.Helper()
+	out := make(map[string]int)
+	n, m := a.NumVertices(), b.NumVertices()
+	mapping := make(Mapping, n)
+	usedB := make([]bool, m)
+	var rec func(u int)
+	rec = func(u int) {
+		if u == n {
+			c, err := MappingCost(a, b, mapping)
+			if err != nil {
+				t.Fatalf("oracle: %v", err)
+			}
+			if c <= tau {
+				out[fmt.Sprint(mapping)] = c
+			}
+			return
+		}
+		mapping[u] = Deleted
+		rec(u + 1)
+		for v := 0; v < m; v++ {
+			if !usedB[v] {
+				usedB[v] = true
+				mapping[u] = v
+				rec(u + 1)
+				usedB[v] = false
+			}
+		}
+	}
+	rec(0)
+	return out
+}
+
+// TestComputeAllMatchesBruteForce pins the all-solutions mode: on random
+// small pairs in both argument orders, ComputeAll reports exactly the
+// mappings a brute force finds within τ, each once, with its MappingCost, in
+// non-decreasing cost order, the first at Compute's distance.
+func TestComputeAllMatchesBruteForce(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for i := 0; i < 80; i++ {
+		a := randomGraph(rng, 1+rng.Intn(5), rng.Intn(6))
+		b := randomGraph(rng, 1+rng.Intn(5), rng.Intn(6))
+		tau := rng.Intn(5)
+		for _, pair := range [2][2]*graph.Graph{{a, b}, {b, a}} {
+			x, y := pair[0], pair[1]
+			want := bruteMappings(t, x, y, tau)
+			got := make(map[string]int)
+			last := -1
+			_, err := ComputeAll(x, y, Options{Threshold: tau}, func(m Mapping, cost int) {
+				key := fmt.Sprint(m)
+				if _, dup := got[key]; dup {
+					t.Fatalf("iter %d: mapping %s reported twice", i, key)
+				}
+				if cost < last {
+					t.Fatalf("iter %d: cost %d after %d", i, cost, last)
+				}
+				if c, err := MappingCost(x, y, m); err != nil || c != cost {
+					t.Fatalf("iter %d: mapping %s reported at %d, MappingCost %d (%v)", i, key, cost, c, err)
+				}
+				got[key], last = cost, cost
+			})
+			if err != nil {
+				t.Fatalf("iter %d: %v", i, err)
+			}
+			if len(got) != len(want) {
+				t.Fatalf("iter %d tau %d: %d mappings, brute force %d\nx=%v\ny=%v", i, tau, len(got), len(want), x, y)
+			}
+			for k, c := range want {
+				if got[k] != c {
+					t.Fatalf("iter %d: mapping %s missing or at the wrong cost", i, k)
+				}
+			}
+			r, _ := Compute(x, y, Options{Threshold: tau})
+			if r.Exceeded != (len(want) == 0) {
+				t.Fatalf("iter %d: Compute exceeded=%v with %d mappings within tau", i, r.Exceeded, len(want))
+			}
+		}
+	}
+}
+
+// TestComputeAllCaps pins ComputeAll's failures: more than MaxMappings
+// mappings within τ fail with ErrTooManyMappings after MaxMappings reports,
+// and MaxStates fails with ErrBudget.
+func TestComputeAllCaps(t *testing.T) {
+	// Eight isolated wildcard vertices against eight isolated vertices:
+	// every bijection costs 0, far more than MaxMappings.
+	a, b := graph.New(8), graph.New(8)
+	for i := 0; i < 8; i++ {
+		a.AddVertex("?")
+		b.AddVertex("A")
+	}
+	calls := 0
+	if _, err := ComputeAll(a, b, Options{Threshold: 0}, func(Mapping, int) { calls++ }); err != ErrTooManyMappings || calls != MaxMappings {
+		t.Fatalf("cap: err %v after %d calls, want ErrTooManyMappings after %d", err, calls, MaxMappings)
+	}
+	if _, err := ComputeAll(a, b, Options{Threshold: 0, MaxStates: 1}, func(Mapping, int) {}); err != ErrBudget {
+		t.Fatalf("budget: err %v, want ErrBudget", err)
 	}
 }

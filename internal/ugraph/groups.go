@@ -70,48 +70,28 @@ func indexRange(lo, hi int) []int {
 	return out
 }
 
-// PartitionPolicy selects which group to split next in PartitionWorlds.
-// Given the current groups it returns the index of the group to split, or a
-// negative value to stop early. Implementations typically pick the group
-// with the weakest pruning bound with respect to a query graph.
-type PartitionPolicy func(groups []Group) int
-
-// ByMass is the query-independent default policy: split the group with the
-// largest probability mass (the group contributing the loosest probability
-// bound, all else being equal).
-func ByMass(groups []Group) int {
-	best, bestMass := -1, -1.0
-	for i, gr := range groups {
-		if gr.G.SplitVertex() < 0 {
-			continue
-		}
-		if gr.Mass > bestMass {
-			best, bestMass = i, gr.Mass
-		}
-	}
-	return best
-}
-
 // PartitionWorlds divides the graph's possible worlds into at most k disjoint
-// groups (Algorithm 2's grouping step). The policy chooses the group to split
-// at every round; splitting stops when k groups exist or nothing remains
-// splittable. The union of the returned groups always covers exactly the
-// original worlds.
-func (g *Graph) PartitionWorlds(k int, policy PartitionPolicy) []Group {
-	if policy == nil {
-		policy = ByMass
-	}
+// groups (Algorithm 2's grouping step), query-independently: every round
+// splits the group with the largest probability mass (the group contributing
+// the loosest probability bound, all else being equal). Splitting stops when
+// k groups exist or nothing remains splittable. The union of the returned
+// groups always covers exactly the original worlds. The join's grouped bound
+// chooses its splits per query instead (filter's split tree); both split a
+// group the same way (Group.Split).
+func (g *Graph) PartitionWorlds(k int) []Group {
 	groups := []Group{g.AsGroup()}
 	for len(groups) < k {
-		i := policy(groups)
-		if i < 0 || i >= len(groups) {
+		best, bestMass := -1, -1.0
+		for i, gr := range groups {
+			if gr.G.SplitVertex() >= 0 && gr.Mass > bestMass {
+				best, bestMass = i, gr.Mass
+			}
+		}
+		if best < 0 {
 			break
 		}
-		a, b, ok := groups[i].Split()
-		if !ok {
-			break
-		}
-		groups[i] = a
+		a, b, _ := groups[best].Split()
+		groups[best] = a
 		groups = append(groups, b)
 	}
 	return groups

@@ -204,7 +204,7 @@ func TestGroupsCoverAllWorlds(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		g := randomUncertain(rng, 5, 4, 3)
 		k := 1 + rng.Intn(6)
-		groups := g.PartitionWorlds(k, nil)
+		groups := g.PartitionWorlds(k)
 		if len(groups) > k {
 			return false
 		}
@@ -236,7 +236,7 @@ func TestSplitUnsplittable(t *testing.T) {
 	if ok {
 		t.Fatal("certain graph split succeeded")
 	}
-	groups := g.PartitionWorlds(5, nil)
+	groups := g.PartitionWorlds(5)
 	if len(groups) != 1 {
 		t.Fatalf("PartitionWorlds on certain graph produced %d groups", len(groups))
 	}

@@ -83,15 +83,28 @@ if grep '"filter_' "$ART/stats.json"; then
 	echo "stats.json carries filter_* counters"
 	exit 1
 fi
+# Once a pair needs a GED for a world after its first, the exact rung scores
+# its remaining worlds against the relaxed graph's mapping lists instead.
+# This join's two candidates get there, so the list path must have run; a
+# zero means it went dark (or the counter did), and the artifacts above no
+# longer show it.
+relaxed_pairs=$(sed -n 's/.*"simjoin_relaxed_pairs_total": *\([0-9]*\).*/\1/p' "$ART/stats.json" | head -n 1)
+if [ "${relaxed_pairs:-0}" -eq 0 ]; then
+	echo "stats.json: simjoin_relaxed_pairs_total is ${relaxed_pairs:-missing}, want > 0"
+	exit 1
+fi
 
 echo "== chain-order equivalence (a reordered chain must not change the join)"
-# The race matrix above already pins chain-order invariance
-# (TestAdaptiveChainMatchesStatic, and TestJoinOracle's shuffled chain); this
-# drives the same contract end-to-end through the CLI on the deterministic
-# workload: the mode's chain reversed (-filters prob,css) must report exactly
-# the matches the default chain reports, and the same pair total. Result lines
-# are rank-stripped and sorted so only the match set and its SimP/ged values
-# are compared.
+# The tests above already pin chain-order invariance, under -race too (all
+# in internal/core): TestAdaptiveChainMatchesStatic (each mode's default
+# chain reversed, both index feeds, byte-identical pairs and counters),
+# TestFilterChainReorderMatchesOracle (explicit orders, with css demoted or
+# dropped, against the brute-force oracle) and TestJoinOracle's shuffled
+# chain. This step drives the same contract end-to-end through the CLI on
+# the deterministic workload: the mode's chain reversed (-filters prob,css)
+# must report exactly the matches the default chain reports, and the same
+# pair total. Result lines are rank-stripped and sorted so only the match
+# set and its SimP/ged values are compared.
 static_out=$(go run ./cmd/simjoin -workload er -scale 0.5 -tau 2 -alpha 0.3 -mode simj \
 	-show 100000)
 reordered_out=$(go run ./cmd/simjoin -workload er -scale 0.5 -tau 2 -alpha 0.3 -mode simj \
