@@ -188,14 +188,6 @@ func BenchmarkAblationTotalProbabilityBound(b *testing.B) {
 	}
 }
 
-func BenchmarkAblationIndexedJoin(b *testing.B) {
-	for i := 0; i < b.N; i++ {
-		if _, err := experiments.AblationIndexedJoin(benchScale); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkAblationEngines(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		if _, err := experiments.AblationEngines(benchScale); err != nil {

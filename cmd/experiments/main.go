@@ -152,7 +152,6 @@ func runAblations(s experiments.Scale, printTable func(string, *metrics.Table) e
 		}},
 		{"Ablation A5: edge-label uncertainty (reified join)", func() (*metrics.Table, error) { return experiments.AblationEdgeUncertainty(s) }},
 		{"Ablation A6: total-probability bound", func() (*metrics.Table, error) { return experiments.AblationTotalProbabilityBound(s) }},
-		{"Ablation A7: indexed join", func() (*metrics.Table, error) { return experiments.AblationIndexedJoin(s) }},
 		{"Ablation A8: SPARQL engines (reference vs gstore signatures)", func() (*metrics.Table, error) { return experiments.AblationEngines(s) }},
 	} {
 		t, err := a.fn()

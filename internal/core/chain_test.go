@@ -36,12 +36,13 @@ func invariantStats(st *Stats) map[string]int64 {
 	}
 }
 
-// TestAdaptiveChainMatchesStatic pins chain-order invariance: every bound is
-// sound, so for each mode and both index feeds the mode's default chain run
-// in reverse, as an explicit FilterChain, must return byte-identical pairs
-// and identical invariant counters, with the prune partition intact. Run
-// under -race -shuffle=on it also exercises the per-worker profile fold.
-func TestAdaptiveChainMatchesStatic(t *testing.T) {
+// TestReversedChainMatchesStatic pins chain-order invariance: every bound is
+// sound, so for each mode, through Join's one-shot index and through a
+// prebuilt one, the mode's default chain run in reverse, as an explicit
+// FilterChain, must return byte-identical pairs and identical invariant
+// counters, with the prune partition intact. Run under -race -shuffle=on it
+// also exercises the per-worker profile fold.
+func TestReversedChainMatchesStatic(t *testing.T) {
 	d, u := smallWorkload(42, 24, 24)
 	idx := BuildIndex(d)
 	feeds := map[string]func(Options) ([]Pair, Stats, error){
@@ -81,13 +82,13 @@ func TestAdaptiveChainMatchesStatic(t *testing.T) {
 	}
 }
 
-// TestAdaptiveChainHoistsSelectiveBound pins the -explain recipe for a
+// TestExplainOrderHoistsSelectiveBound pins the -explain recipe for a
 // measured chain order: profile a join whose chain fronts six bounds that are
 // blind on the adversarial workload, take the profile's EffectiveCostOrder,
 // and run again in that order. The order must hoist the one selective bound,
 // css, to the front, and the second run must return the same pairs for fewer
 // bound evaluations.
-func TestAdaptiveChainHoistsSelectiveBound(t *testing.T) {
+func TestExplainOrderHoistsSelectiveBound(t *testing.T) {
 	d, u := workload.Adversarial(workload.AdversarialConfig{
 		Seed: 5, Queries: 9, Uncertain: 9, Families: 3,
 		Vertices: 6, Chords: 1, FamilyLabels: 4, LabelsPerVertex: 2,
@@ -98,10 +99,11 @@ func TestAdaptiveChainHoistsSelectiveBound(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		// The cross product shows every pair to the chain: the index's label
-		// prescreen would remove the cross-family pairs css is there to prune.
+		// With the prescreens off every pair reaches the chain: the index's
+		// label prescreen would remove the cross-family pairs css is there to
+		// prune.
 		opts := Options{Tau: 2, Alpha: 0.5, Workers: 2, FilterChain: chain, Obs: obs.New()}
-		pairs, st, err := JoinWith(context.Background(), NewCrossSource(d, u), opts)
+		pairs, st, err := joinEveryPair(d, u, opts)
 		if err != nil {
 			t.Fatalf("chain %s: %v", spec, err)
 		}

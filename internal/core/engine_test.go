@@ -4,6 +4,7 @@ import (
 	"context"
 	"fmt"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"simjoin/internal/fault"
@@ -70,8 +71,12 @@ func TestFilterChainReorderMatchesOracle(t *testing.T) {
 	}
 }
 
-// TestJoinWithSources exercises the exported engine entry point directly with
-// the cross-product source and confirms it matches Join.
+// TestJoinWithSources exercises the exported engine entry point directly over
+// both Source constructors, a prebuilt index with its prescreens off (every
+// pair through the chain) and a stream feed against a Resident, and confirms
+// each matches Join. The stream feed prescreens exactly as Join does, so its
+// Stats match counter for counter; the every-pair run skips nothing, and
+// with css leading the chain it admits the same candidates.
 func TestJoinWithSources(t *testing.T) {
 	d, u := smallWorkload(17, 8, 8)
 	opts := Options{Tau: 1, Alpha: 0.6, Mode: ModeSimJ, Workers: 2}
@@ -80,13 +85,21 @@ func TestJoinWithSources(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	got, gs, err := JoinWith(context.Background(), NewCrossSource(d, u), opts)
+	got, gs, err := joinEveryPair(d, u, opts)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != len(want) || gs.Pairs != ws.Pairs || gs.Candidates != ws.Candidates {
-		t.Fatalf("JoinWith(cross) diverges from Join: %d/%d pairs, stats %+v vs %+v",
+	if len(got) != len(want) || gs.Pairs != ws.Pairs || gs.Candidates != ws.Candidates || gs.IndexSkipped != 0 {
+		t.Fatalf("every-pair JoinWith diverges from Join: %d/%d pairs, stats %+v vs %+v",
 			len(got), len(want), gs, ws)
+	}
+	got, ss, err := JoinWith(context.Background(), NewStreamSource(NewResident(u), d), opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertSamePairs(t, "stream vs Join", got, want)
+	if ss, ws := normPartStats(ss), normPartStats(ws); !reflect.DeepEqual(ss, ws) {
+		t.Fatalf("stream JoinWith stats diverge from Join:\n got %+v\nwant %+v", ss, ws)
 	}
 }
 
@@ -106,7 +119,7 @@ func TestPrunedByAccounting(t *testing.T) {
 		if indexed {
 			_, st, err = Join(d, u, opts)
 		} else {
-			_, st, err = JoinWith(context.Background(), NewCrossSource(d, u), opts)
+			_, st, err = joinEveryPair(d, u, opts)
 		}
 		if err != nil {
 			t.Fatal(err)

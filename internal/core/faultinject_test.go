@@ -224,8 +224,8 @@ func TestGEDErrorFaultIsNotFatal(t *testing.T) {
 // TestJoinContextCancelDeterministic cancels the join from the pair hook
 // after exactly three pairs on a single worker and checks the partial Stats
 // are deterministic: three pairs processed by the worker (Pairs beyond the
-// prescreen skips, which depend on how far the feed ran ahead), the run
-// marked Cancelled, and no results leaked.
+// prescreen skips of the graphs it swept), the run marked Cancelled, and no
+// results leaked.
 func TestJoinContextCancelDeterministic(t *testing.T) {
 	d, u := smallWorkload(19, 6, 6)
 	ctx, cancel := context.WithCancel(context.Background())

@@ -21,10 +21,11 @@ import (
 //     costs O(labels) instead of the O(V³) matching
 //     (filter.LabelOverlapScreen).
 //
-// Both screens are implied by the CSS bound, so the index feed returns
-// exactly the pairs of the cross product (JoinWith with NewCrossSource).
-// Join builds a one-shot Index per call; a caller joining the same D
-// repeatedly builds one and passes idx.Source(u) to JoinWith.
+// Both screens are implied by the CSS bound, so a join over the index returns
+// exactly the Def. 7 answer set of the full cross product. The index is every
+// join's candidate feed: Join builds a one-shot Index per call, a caller
+// joining the same D repeatedly builds one and passes idx.Source(u) to
+// JoinWith, and NewStreamSource indexes one request's queries.
 //
 // The queries are packed once, at BuildIndex time, into a size-sorted
 // structure of arrays: contiguous size runs make the ±τ window one position
@@ -97,8 +98,8 @@ func (idx *Index) Candidates(g *ugraph.Graph, tau int) []int {
 
 // indexScratch is the reusable state of one candidate sweep: g's union label
 // set, its nonzero word positions, the per-position overlap accumulator and
-// the candidate buffer. The index feed (indexSource.Feed) reuses one across
-// every uncertain graph.
+// the candidate buffer. Each join worker reuses one across every uncertain
+// graph it sweeps.
 type indexScratch struct {
 	set   graph.LabelSet
 	nz    []int
@@ -106,12 +107,25 @@ type indexScratch struct {
 	cands []int
 }
 
+// testNoPrescreen, when set, turns the sweep's size and label prescreens off:
+// every sweep returns every query, so every pair reaches the filter chain.
+// It is the every-pair reference the prescreened joins are diffed against in
+// tests.
+var testNoPrescreen bool
+
 // candidates is Candidates with a caller-owned scratch, in sweep order
-// (ascending size, then index) rather than sorted: the join feed does not
-// need the order, and skipping the sort keeps the feed linear. The returned
-// slice is freshly allocated at its exact length: emitted batches alias it,
-// so it must outlive the next call.
+// (ascending size, then index) rather than sorted: the join does not need the
+// order, and skipping the sort keeps the sweep linear. The returned slice is
+// the scratch's candidate buffer, valid until the next sweep with sc.
 func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
+	out := sc.cands[:0]
+	if testNoPrescreen {
+		for _, id := range idx.ids {
+			out = append(out, int(id))
+		}
+		sc.cands = out
+		return out
+	}
 	n := len(idx.ids)
 	gNumV := int32(g.NumVertices())
 	gWilds := int32(filter.UnionConcreteLabels(g, &sc.set))
@@ -124,7 +138,6 @@ func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
 	}
 
 	lo, hi := g.Size()-tau, g.Size()+tau
-	out := sc.cands[:0]
 	r := sort.Search(len(idx.runVal), func(r int) bool { return int(idx.runVal[r]) >= lo })
 	for ; r < len(idx.runVal) && int(idx.runVal[r]) <= hi; r++ {
 		p0, p1 := int(idx.runOff[r]), int(idx.runOff[r+1])
@@ -155,17 +168,33 @@ func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
 		}
 	}
 	sc.cands = out
-	if len(out) == 0 {
-		return nil
-	}
-	return slices.Clone(out)
+	return out
 }
 
-// Source returns the CandidateSource streaming only the pairs that survive
-// the index's prescreens against u, for use with JoinWith. JoinWith over it
-// returns exactly the pairs and Stats counters of Join(idx.d, u, opts);
-// Stats.IndexSkipped counts the pairs the prescreens eliminated without
-// touching the bound machinery.
-func (idx *Index) Source(u []*ugraph.Graph) CandidateSource {
-	return &indexSource{idx: idx, u: u}
+// Source is a join's candidate feed: the uncertain graphs u, each swept
+// against an Index over the certain graphs by the join's workers. Only the
+// pairs that survive the index's prescreens reach the filter chain; the rest
+// count in Stats.IndexSkipped. Build one with Index.Source or
+// NewStreamSource.
+type Source struct {
+	idx   *Index
+	u     []*ugraph.Graph
+	gsigs []*filter.GSig // u's prebuilt signatures (a Resident's); nil builds each on demand
+}
+
+// Source returns the feed sweeping u against the index, for use with
+// JoinWith. JoinWith over it returns exactly the pairs and Stats counters of
+// Join(idx.d, u, opts).
+func (idx *Index) Source(u []*ugraph.Graph) *Source {
+	return &Source{idx: idx, u: u}
+}
+
+// gsig returns uncertain graph gi's filter signature: the prebuilt one when
+// the source carries them, else a fresh one. The worker asks only for graphs
+// with a surviving candidate.
+func (s *Source) gsig(gi int) *filter.GSig {
+	if s.gsigs != nil {
+		return s.gsigs[gi]
+	}
+	return filter.NewGSig(s.u[gi])
 }

@@ -77,15 +77,15 @@ func wildcardHeavyWorkload(seed int64, nd, nu int, wildFrac float64) ([]*graph.G
 
 // TestIndexLabelScreenWildcardQueries covers the screen's wildcard terms:
 // wildcard-heavy and all-wildcard queries must never be screened out when a
-// match is possible, so the index-backed source agrees with the cross-product
-// source through the same engine.
+// match is possible, so the prescreened index feed agrees with the every-pair
+// join through the same engine.
 func TestIndexLabelScreenWildcardQueries(t *testing.T) {
 	for _, wildFrac := range []float64{0.6, 1.0} {
 		d, u := wildcardHeavyWorkload(61, 10, 8, wildFrac)
 		idx := BuildIndex(d)
 		for _, tau := range []int{0, 1, 2} {
 			opts := Options{Tau: tau, Alpha: 0.5, Mode: ModeSimJ, Workers: 2}
-			want, _, err := JoinWith(context.Background(), NewCrossSource(d, u), opts)
+			want, _, err := joinEveryPair(d, u, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -94,7 +94,7 @@ func TestIndexLabelScreenWildcardQueries(t *testing.T) {
 				t.Fatal(err)
 			}
 			if len(got) != len(want) {
-				t.Fatalf("wildFrac=%v tau=%d: indexed %d pairs, cross %d",
+				t.Fatalf("wildFrac=%v tau=%d: indexed %d pairs, every-pair %d",
 					wildFrac, tau, len(got), len(want))
 			}
 			for i := range got {

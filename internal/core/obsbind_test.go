@@ -196,12 +196,12 @@ func TestPublishStats(t *testing.T) {
 }
 
 // TestJoinStatsMatchRegistry runs real joins with a registry and a tracer
-// attached, through Join's index feed and through the every-pair cross
-// product, and checks (a) the registry holds exactly the returned Stats
-// (checkPublished), (b) the histograms count what the Stats count — the
-// chain sees every pair the prescreens did not skip, and every GED call is
-// observed once — and (c) the tracer holds one core.join span and no
-// per-pair spans.
+// attached, through Join's prescreened index feed and through the every-pair
+// join (cross=true: joinEveryPair, the prescreens off), and checks (a) the
+// registry holds exactly the returned Stats (checkPublished), (b) the
+// histograms count what the Stats count — the chain sees every pair the
+// prescreens did not skip, and every GED call is observed once — and (c) the
+// tracer holds one core.join span and no per-pair spans.
 func TestJoinStatsMatchRegistry(t *testing.T) {
 	d, u := smallWorkload(7, 8, 8)
 	for _, cross := range []bool{false, true} {
@@ -225,7 +225,7 @@ func checkJoinRegistry(t *testing.T, d []*graph.Graph, u []*ugraph.Graph, mode M
 	var st Stats
 	var err error
 	if cross {
-		_, st, err = JoinWith(context.Background(), NewCrossSource(d, u), opts)
+		_, st, err = joinEveryPair(d, u, opts)
 	} else {
 		_, st, err = Join(d, u, opts)
 	}
@@ -234,7 +234,7 @@ func checkJoinRegistry(t *testing.T, d []*graph.Graph, u []*ugraph.Graph, mode M
 	}
 	switch {
 	case cross && st.IndexSkipped != 0:
-		t.Fatalf("mode %v: cross product skipped %d pairs", mode, st.IndexSkipped)
+		t.Fatalf("mode %v: every-pair join skipped %d pairs", mode, st.IndexSkipped)
 	case !cross && st.IndexSkipped == 0:
 		t.Fatalf("mode %v: Join's prescreens skipped nothing", mode)
 	}
@@ -287,7 +287,7 @@ func TestJoinContextDeadline(t *testing.T) {
 	d, u := smallWorkload(5, 12, 12)
 	ctx, cancel := context.WithTimeout(context.Background(), time.Nanosecond)
 	defer cancel()
-	time.Sleep(time.Millisecond) // ensure expiry before the feed starts
+	<-ctx.Done() // expired before the workers start
 	_, _, err := JoinContext(ctx, d, u, DefaultOptions())
 	if !errors.Is(err, context.DeadlineExceeded) {
 		t.Fatalf("err = %v, want context.DeadlineExceeded", err)

@@ -184,7 +184,7 @@ func publishBoundProfile(reg *obs.Registry, prof []BoundCost) {
 // explainStages maps display labels to the stage-latency histogram names
 // WriteExplain summarises. The verdict-rung split reuses Verdict.String().
 var explainStages = []struct{ label, metric string }{
-	{"source (per batch)", "simjoin_source_seconds"},
+	{"source (per graph)", "simjoin_source_seconds"},
 	{"prune (per pair)", "simjoin_prune_seconds"},
 	{"verify (per candidate)", "simjoin_verify_seconds"},
 	{"verify[exact]", verifyRungMetric(VerdictExact)},

@@ -277,9 +277,9 @@ type Stats struct {
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α
 	// IndexSkipped counts pairs eliminated by the index's size and label
-	// prescreens before the filter chain — the feed of Join and of JoinWith
-	// over Index.Source; 0 for the cross-product and stream sources. They are also counted in
-	// CSSPruned: the prescreens are implied by the CSS bound.
+	// prescreens before the filter chain. Every join sweeps an index (Join,
+	// Index.Source, NewStreamSource), so every join books them. They are also
+	// counted in CSSPruned: the prescreens are implied by the CSS bound.
 	IndexSkipped int64
 	SampledPairs int64 // pairs decided by the Monte Carlo sampling rung
 	ExactPairs   int64 // pairs decided by exact possible-world enumeration
@@ -370,15 +370,14 @@ func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, err
 }
 
 // JoinContext is Join with cancellation: when ctx is cancelled the workers
-// stop picking up new pairs, in-flight pairs finish, and ctx.Err() is
-// returned along with the Stats accumulated so far (results are dropped —
-// a partial join result would be silently incomplete). It is a thin wrapper
-// over the pipeline engine (see engine.go) with a one-shot Index over D as
-// the candidate source: the index's size and label prescreens are implied by
-// the CSS bound, so the answer set is the cross product's, while the pairs
-// they rule out never reach the filter chain (Stats.IndexSkipped). Callers
-// that need every pair shown to the chain use
-// JoinWith(ctx, NewCrossSource(d, u), opts).
+// stop picking up new uncertain graphs and pairs, in-flight pairs finish,
+// and ctx.Err() is returned along with the Stats accumulated so far (results
+// are dropped — a partial join result would be silently incomplete). It is a
+// thin wrapper over the pipeline engine (see engine.go) with a one-shot Index
+// over D as the candidate feed: the index's size and label prescreens are
+// implied by the CSS bound, so the answer set is the full cross product's,
+// while the pairs they rule out never reach the filter chain
+// (Stats.IndexSkipped).
 func JoinContext(ctx context.Context, d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
 	return joinEngine(ctx, BuildIndex(d).Source(u), opts)
 }

@@ -185,20 +185,29 @@ func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, g *ugraph.Graph, ta
 	return out
 }
 
+// joinEveryPair is JoinWith over a one-shot index with its prescreens off
+// (testNoPrescreen): every pair of d × u reaches the filter chain, the cross
+// product the prescreened feeds are checked against.
+func joinEveryPair(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
+	testNoPrescreen = true
+	defer func() { testNoPrescreen = false }()
+	return JoinWith(context.Background(), BuildIndex(d).Source(u), opts)
+}
+
 // checkJoinOracle is the differential oracle every candidate feed answers to.
 // It draws a workload from seed and runs every combination of
 //
-//	feed      JoinWith(NewCrossSource), Join, JoinWith(Index.Source) over
-//	          one prebuilt index, JoinWith(NewStreamSource)
+//	feed      the every-pair join (joinEveryPair), Join, JoinWith(Index.Source)
+//	          over one prebuilt index, JoinWith(NewStreamSource)
 //	chain     each Mode's default chain, and a shuffled explicit FilterChain
 //	workers   1 and 4
 //
 // checking each run against naiveJoin (Def. 7 by brute force) and the Stats
 // partition identities, and every run of one chain against the first run of
-// that chain, pair for pair. The cross-product feeds show every pair to the
-// chain (IndexSkipped 0); the two index feeds skip exactly the pairs the
-// prescreens rule out. Per chain, JoinTopK with k = |D| must return the same
-// answer set, grouped by uncertain graph and ranked by pairBetter. It also
+// that chain, pair for pair. The every-pair join shows every pair to the
+// chain (IndexSkipped 0); the three prescreened feeds skip exactly the pairs
+// the prescreens rule out. Per chain, JoinTopK with k = |D| must return the
+// same answer set, grouped by uncertain graph and ranked by pairBetter. It also
 // checks Index.Candidates against bruteCandidates for every uncertain graph
 // and the verdict ladder under small budgets (checkLadder), and returns how
 // many pairs the prescreens ruled out with the ladder's tally.
@@ -245,14 +254,12 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 		skipped int64
 		run     func(Options) ([]Pair, Stats, error)
 	}{
-		{"cross", 0, func(o Options) ([]Pair, Stats, error) {
-			return JoinWith(context.Background(), NewCrossSource(d, u), o)
-		}},
+		{"every-pair", 0, func(o Options) ([]Pair, Stats, error) { return joinEveryPair(d, u, o) }},
 		{"join", prescreened, func(o Options) ([]Pair, Stats, error) { return Join(d, u, o) }},
 		{"indexed", prescreened, func(o Options) ([]Pair, Stats, error) {
 			return JoinWith(context.Background(), idx.Source(u), o)
 		}},
-		{"stream", 0, func(o Options) ([]Pair, Stats, error) {
+		{"stream", prescreened, func(o Options) ([]Pair, Stats, error) {
 			return JoinWith(context.Background(), NewStreamSource(res, d), o)
 		}},
 	}
@@ -318,13 +325,14 @@ func (a *ladderTally) add(b ladderTally) {
 	a.sampledWrong += b.sampledWrong
 }
 
-// checkLadder runs every pair of the workload alone, as a 1 × 1 join (so
-// its Stats name the rung that decided it and an armed failpoint fires on
-// that pair), under each of ladderBudgets. Every run must partition its
-// candidates into verdicts; no pruned pair may be in Def. 7; every exact or
-// approx-bound accept must be in Def. 7 with a SimP between α and the exact
-// value; and no exact or approx-bound reject may drop a Def. 7 pair.
-// Sampled decisions hold only up to δ, so they are tallied, not checked.
+// checkLadder runs every pair of the workload alone, as a 1 × 1 join with
+// the prescreens off (so its Stats name the rung that decided it and an
+// armed failpoint fires on that pair), under each of ladderBudgets. Every
+// run must partition its candidates into verdicts; no pruned pair may be in
+// Def. 7; every exact or approx-bound accept must be in Def. 7 with a SimP
+// between α and the exact value; and no exact or approx-bound reject may
+// drop a Def. 7 pair. Sampled decisions hold only up to δ, so they are
+// tallied, not checked.
 func checkLadder(t *testing.T, name string, d []*graph.Graph, u []*ugraph.Graph, want map[[2]int]float64, tau int, alpha float64) (tally ladderTally) {
 	t.Helper()
 	for _, b := range ladderBudgets {
@@ -338,8 +346,7 @@ func checkLadder(t *testing.T, name string, d []*graph.Graph, u []*ugraph.Graph,
 					}
 				}
 				pname := fmt.Sprintf("%s budget=%s pair=(%d,%d)", name, b.name, qi, gi)
-				got, st, err := JoinWith(context.Background(),
-					NewCrossSource([]*graph.Graph{q}, []*ugraph.Graph{g}), opts)
+				got, st, err := joinEveryPair([]*graph.Graph{q}, []*ugraph.Graph{g}, opts)
 				fault.Reset()
 				if err != nil {
 					t.Fatalf("%s: %v", pname, err)
@@ -492,8 +499,8 @@ func TestJoinOracle(t *testing.T) {
 		prescreened[tau] += n
 		ladder.add(l)
 	}
-	// At τ ≤ 1 the prescreens must rule pairs out, or Join's index feed is
-	// indistinguishable from the cross product here.
+	// At τ ≤ 1 the prescreens must rule pairs out, or the prescreened feeds
+	// are indistinguishable from the every-pair join here.
 	if prescreened[0] == 0 || prescreened[1] == 0 {
 		t.Fatalf("prescreens ruled out %v pairs per τ", prescreened)
 	}
@@ -526,13 +533,12 @@ func FuzzJoinOracle(f *testing.F) {
 }
 
 // TestJoinBlockEquivalenceProperty drives random workloads — including
-// sub-normalised ones — through both candidate feeds, the cross product
-// (JoinWith(NewCrossSource)) and the index's block sweep (the feed behind
-// Join: each size run screened as one block by the word-parallel
-// overlap bound, then the exact label screen), across modes and query-set
-// sizes of 1, 7 and 64 so the size runs range from single queries to wide
-// blocks. Results must be bit-identical, pairs must partition exactly, and
-// the prescreen may only remove candidates.
+// sub-normalised ones — through the every-pair join (joinEveryPair) and the
+// index's block sweep (the feed behind Join: each size run screened as one
+// block by the word-parallel overlap bound, then the exact label screen),
+// across modes and query-set sizes of 1, 7 and 64 so the size runs range
+// from single queries to wide blocks. Results must be bit-identical, pairs
+// must partition exactly, and the prescreen may only remove candidates.
 func TestJoinBlockEquivalenceProperty(t *testing.T) {
 	modes := []Mode{ModeCSSOnly, ModeSimJ, ModeSimJOpt}
 	sizes := []int{1, 7, 64}
@@ -550,7 +556,7 @@ func TestJoinBlockEquivalenceProperty(t *testing.T) {
 				GroupCount: 4,
 				Workers:    3,
 			}
-			want, ws, err := JoinWith(context.Background(), NewCrossSource(d, u), opts)
+			want, ws, err := joinEveryPair(d, u, opts)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -560,7 +566,7 @@ func TestJoinBlockEquivalenceProperty(t *testing.T) {
 			}
 			ctxt := fmt.Sprintf("seed=%d mode=%v nd=%d", seed, mode, nd)
 			assertSamePairs(t, ctxt, got, want)
-			for name, st := range map[string]*Stats{"cross": &ws, "indexed": &is} {
+			for name, st := range map[string]*Stats{"every-pair": &ws, "indexed": &is} {
 				if st.Pairs != int64(len(d)*len(u)) || st.Results != int64(len(want)) {
 					t.Fatalf("%s %s: pairs/results %d/%d, want %d/%d",
 						ctxt, name, st.Pairs, st.Results, len(d)*len(u), len(want))
@@ -570,10 +576,10 @@ func TestJoinBlockEquivalenceProperty(t *testing.T) {
 				}
 			}
 			if ws.IndexSkipped != 0 {
-				t.Fatalf("%s: cross product recorded IndexSkipped = %d", ctxt, ws.IndexSkipped)
+				t.Fatalf("%s: every-pair join recorded IndexSkipped = %d", ctxt, ws.IndexSkipped)
 			}
 			if is.Candidates > ws.Candidates {
-				t.Fatalf("%s: indexed candidates %d > cross product %d", ctxt, is.Candidates, ws.Candidates)
+				t.Fatalf("%s: indexed candidates %d > every-pair join %d", ctxt, is.Candidates, ws.Candidates)
 			}
 		}
 	}

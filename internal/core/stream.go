@@ -1,17 +1,17 @@
 package core
 
-// The streaming-arrivals candidate source.
+// The streaming-arrivals candidate feed.
 //
-// The batch drivers rebuild the uncertain side's filter signatures on every
-// Join call — fine for offline template building, wasteful for a resident
-// service that answers thousands of requests against the same uncertain side.
-// Resident packs that side exactly once: the graphs and their GSigs live for
-// the life of the process, and every arriving query joins only its own delta
-// — |D_request| × |U_resident| pairs with zero resident recomputation.
+// Join rebuilds the uncertain side's filter signatures on every call — fine
+// for offline template building, wasteful for a resident service that answers
+// thousands of requests against the same uncertain side. Resident packs that
+// side exactly once: the graphs and their GSigs live for the life of the
+// process, and every arriving query joins only its own delta —
+// |D_request| × |U_resident| pairs with zero resident recomputation.
 //
 // A Resident is immutable after construction and safe for any number of
 // concurrent JoinWith runs: GSig memoization is sync.Once-guarded and each
-// NewStreamSource call owns its private query-side state.
+// NewStreamSource call owns its private index over the request's queries.
 
 import (
 	"simjoin/internal/filter"
@@ -35,14 +35,11 @@ func NewResident(u []*ugraph.Graph) *Resident {
 // Len returns the number of resident uncertain graphs.
 func (r *Resident) Len() int { return len(r.u) }
 
-// Graph returns resident graph gi (the G index of stream-join results).
-func (r *Resident) Graph(gi int) *ugraph.Graph { return r.u[gi] }
-
-// NewStreamSource returns the streaming-arrivals CandidateSource: the
-// arriving query graphs d (typically one per request) crossed with the
-// resident uncertain side. It is the cross-product source with the resident
-// signatures reused verbatim; only the query-side signatures are built here,
-// once per call.
-func NewStreamSource(r *Resident, d []*graph.Graph) CandidateSource {
-	return newCrossSource(d, r.u, r.gsigs)
+// NewStreamSource returns the streaming-arrivals feed: the arriving query
+// graphs d (typically one per request) swept against the resident uncertain
+// side. Only d is indexed here, once per call; the resident signatures are
+// reused verbatim. The index's prescreens apply as in Join, so a stream join
+// reports the prescreened pairs in Stats.IndexSkipped.
+func NewStreamSource(r *Resident, d []*graph.Graph) *Source {
+	return &Source{idx: BuildIndex(d), u: r.u, gsigs: r.gsigs}
 }

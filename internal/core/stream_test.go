@@ -8,7 +8,7 @@ import (
 	"testing"
 )
 
-// Tests of the streaming-arrivals source beyond the differential oracle
+// Tests of the streaming-arrivals feed beyond the differential oracle
 // (TestJoinOracle): one request per query, many requests sharing one
 // Resident concurrently, and cancellation.
 
@@ -23,8 +23,10 @@ func sortPairsQG(ps []Pair) {
 
 // TestStreamSourceMatchesJoin joins every query one at a time against a
 // Resident (one JoinWith per query, as the resident service does per
-// request): each request must see the whole resident set, and the union,
-// re-indexed to d's query indices, must equal the batch Join pair for pair.
+// request): each request must see the whole resident set, the union,
+// re-indexed to d's query indices, must equal the batch Join pair for pair,
+// and the requests' prescreen skips and candidates must sum to Join's (the
+// prescreens decide each pair on its own).
 func TestStreamSourceMatchesJoin(t *testing.T) {
 	d, u := smallWorkload(23, 12, 10)
 	res := NewResident(u)
@@ -32,11 +34,14 @@ func TestStreamSourceMatchesJoin(t *testing.T) {
 		opts := DefaultOptions()
 		opts.Alpha = 0.5
 		opts.Workers = workers
-		want, _, err := Join(d, u, opts)
+		want, ws, err := Join(d, u, opts)
 		if err != nil {
 			t.Fatal(err)
 		}
-		var all []Pair
+		var (
+			all                 []Pair
+			skipped, candidates int64
+		)
 		for qi := range d {
 			pairs, st, err := JoinWith(context.Background(), NewStreamSource(res, d[qi:qi+1]), opts)
 			if err != nil {
@@ -45,6 +50,8 @@ func TestStreamSourceMatchesJoin(t *testing.T) {
 			if want := int64(res.Len()); st.Pairs != want {
 				t.Fatalf("workers=%d query %d: Pairs = %d, want %d", workers, qi, st.Pairs, want)
 			}
+			skipped += st.IndexSkipped
+			candidates += st.Candidates
 			for _, p := range pairs {
 				p.Q = qi
 				all = append(all, p)
@@ -52,6 +59,10 @@ func TestStreamSourceMatchesJoin(t *testing.T) {
 		}
 		sortPairsQG(all)
 		assertSamePairs(t, fmt.Sprintf("workers=%d: stream vs batch", workers), all, want)
+		if skipped != ws.IndexSkipped || candidates != ws.Candidates {
+			t.Fatalf("workers=%d: streams skipped %d with %d candidates, Join %d with %d",
+				workers, skipped, candidates, ws.IndexSkipped, ws.Candidates)
+		}
 	}
 }
 

@@ -1,7 +1,6 @@
 package experiments
 
 import (
-	"context"
 	"fmt"
 	"time"
 
@@ -251,38 +250,6 @@ func AblationTotalProbabilityBound(scale Scale) (*metrics.Table, error) {
 	n := float64(len(d) * len(u))
 	t.AddRow("Theorem 4", plainT.Round(time.Microsecond), plainSum/n, "-")
 	t.AddRow("total probability", condT.Round(time.Microsecond), condSum/n, tighter)
-	return t, nil
-}
-
-// AblationIndexedJoin (A7) compares the nested-loop join (every pair through
-// the filter chain, via the explicit cross-product source) against Join, which
-// feeds the chain from the size/label index, on the WebQ workload.
-func AblationIndexedJoin(scale Scale) (*metrics.Table, error) {
-	p, err := preparedWorkload(scale.webqConfig())
-	if err != nil {
-		return nil, err
-	}
-	opts := DefaultJoinOptions()
-	opts.Workers = 1
-	opts.KeepMappings = false
-
-	t := metrics.NewTable("join", "wallClock", "pairs", "prescreen-skipped")
-	start := time.Now()
-	pairs, _, err := core.JoinWith(context.Background(), core.NewCrossSource(p.D, p.U), opts)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("nested loop", time.Since(start).Round(time.Microsecond), len(pairs), 0)
-
-	start = time.Now()
-	iPairs, iStats, err := p.Join(opts)
-	if err != nil {
-		return nil, err
-	}
-	t.AddRow("indexed", time.Since(start).Round(time.Microsecond), len(iPairs), iStats.IndexSkipped)
-	if len(iPairs) != len(pairs) {
-		return nil, fmt.Errorf("indexed join returned %d pairs, nested loop %d", len(iPairs), len(pairs))
-	}
 	return t, nil
 }
 

@@ -38,7 +38,6 @@ func TestEveryExperimentRuns(t *testing.T) {
 		{"a4", func() (*metrics.Table, error) { return AblationParallelism(s, []int{1, 2}) }},
 		{"a5", func() (*metrics.Table, error) { return AblationEdgeUncertainty(s) }},
 		{"a6", func() (*metrics.Table, error) { return AblationTotalProbabilityBound(s) }},
-		{"a7", func() (*metrics.Table, error) { return AblationIndexedJoin(s) }},
 		{"a8", func() (*metrics.Table, error) { return AblationEngines(s) }},
 	}
 	for _, c := range cases {

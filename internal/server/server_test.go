@@ -429,7 +429,14 @@ func TestDrain(t *testing.T) {
 		finished <- w.Code
 	}()
 	<-started
-	time.Sleep(30 * time.Millisecond) // let the request reach the delay failpoint
+	// Drain only once the request holds its admission slot (it then sits in
+	// the delay failpoint): a request admitted after BeginDrain is shed.
+	for deadline := time.Now().Add(5 * time.Second); s.adm.Inflight() != 1; {
+		if time.Now().After(deadline) {
+			t.Fatalf("request never admitted: inflight %d", s.adm.Inflight())
+		}
+		time.Sleep(time.Millisecond)
+	}
 
 	s.BeginDrain()
 	// New work is shed while draining.

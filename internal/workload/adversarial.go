@@ -19,7 +19,7 @@ package workload
 // on every pair before reaching the one bound that decides. A profiled run
 // (simjoin -explain) shows this: its effective-cost order puts css first, and
 // re-running in that order skips the blind bounds on every pruned pair
-// (TestAdaptiveChainHoistsSelectiveBound in internal/core).
+// (TestExplainOrderHoistsSelectiveBound in internal/core).
 //
 // Graph i on either side belongs to family i % Families — a contract the
 // workload test relies on.

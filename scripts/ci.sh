@@ -96,8 +96,9 @@ fi
 
 echo "== chain-order equivalence (a reordered chain must not change the join)"
 # The tests above already pin chain-order invariance, under -race too (all
-# in internal/core): TestAdaptiveChainMatchesStatic (each mode's default
-# chain reversed, both index feeds, byte-identical pairs and counters),
+# in internal/core): TestReversedChainMatchesStatic (each mode's default
+# chain reversed, through Join and a prebuilt index, byte-identical pairs
+# and counters),
 # TestFilterChainReorderMatchesOracle (explicit orders, with css demoted or
 # dropped, against the brute-force oracle) and TestJoinOracle's shuffled
 # chain. This step drives the same contract end-to-end through the CLI on
@@ -174,6 +175,14 @@ wait "$soakpid"
 # The flushed snapshot must record a clean drain and zero uncounted panics.
 grep -q '"cleanDrain": true' "$ART/soak-stats.json"
 grep -q '"server_panics_total": 0' "$ART/soak-stats.json"
+# /join sweeps the request's query against the resident side through the
+# index, so the size and label prescreens must have skipped pairs on this
+# workload; a zero means the service's joins bypass them again.
+index_skipped=$(sed -n 's/.*"simjoin_index_skipped_total": *\([0-9]*\).*/\1/p' "$ART/soak-stats.json" | head -n 1)
+if [ "${index_skipped:-0}" -eq 0 ]; then
+	echo "soak-stats.json: simjoin_index_skipped_total is ${index_skipped:-missing}, want > 0"
+	exit 1
+fi
 rm -rf "$soaktmp"
 
 echo "== fuzz smoke (20s per target)"
