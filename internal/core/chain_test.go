@@ -100,8 +100,8 @@ func TestExplainOrderHoistsSelectiveBound(t *testing.T) {
 			t.Fatal(err)
 		}
 		// With the prescreens off every pair reaches the chain: the index's
-		// label prescreen would remove the cross-family pairs css is there to
-		// prune.
+		// label and counted CSS prescreens would remove the cross-family
+		// pairs css is there to prune.
 		opts := Options{Tau: 2, Alpha: 0.5, Workers: 2, FilterChain: chain, Obs: obs.New()}
 		pairs, st, err := joinEveryPair(d, u, opts)
 		if err != nil {

@@ -20,8 +20,6 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
-
-	"simjoin/internal/filter"
 )
 
 // JoinWith runs the join pipeline of Def. 7 over src with the same contract
@@ -84,7 +82,7 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 			}
 			g := src.u[gi]
 			sweepStart := time.Now()
-			cands := idx.candidates(g, opts.Tau, &sc)
+			cands, gs := src.sweep(gi, opts.Tau, &sc)
 			// The prescreens are implied by the CSS bound, so their skips
 			// count as CSS prunes that never reached the chain.
 			skipped := int64(idx.Len() - len(cands))
@@ -94,11 +92,11 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 			if jo.progress {
 				jo.pairsDone.Add(skipped)
 			}
-			var gs *filter.GSig
-			if len(cands) > 0 {
-				gs = src.gsig(gi)
-			}
-			jo.sourceSeconds.ObserveDuration(time.Since(sweepStart))
+			// The sweep is pruning that ran before the chain (the counted
+			// CSS bound among it), so its time counts in PruneTime too.
+			sweepDur := time.Since(sweepStart)
+			jo.sourceSeconds.ObserveDuration(sweepDur)
+			local.PruneTime += sweepDur
 			for _, qi := range cands {
 				if ctx.Err() != nil {
 					break

@@ -225,9 +225,10 @@ func TestGEDErrorFaultIsNotFatal(t *testing.T) {
 // after exactly three pairs on a single worker and checks the partial Stats
 // are deterministic: three pairs processed by the worker (Pairs beyond the
 // prescreen skips of the graphs it swept), the run marked Cancelled, and no
-// results leaked.
+// results leaked. The workload is 12 × 12 so that enough pairs (7 of 144)
+// get past the index's prescreens for the hook to fire three times.
 func TestJoinContextCancelDeterministic(t *testing.T) {
-	d, u := smallWorkload(19, 6, 6)
+	d, u := smallWorkload(19, 12, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	seen := 0

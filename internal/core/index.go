@@ -10,31 +10,33 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-// Index accelerates SimJ over a fixed certain-graph set D with two cheap,
-// sound prescreens applied before the per-pair CSS bound:
+// Index accelerates SimJ over a fixed certain-graph set D with three cheap,
+// sound prescreens applied before the filter chain, cheapest first:
 //
 //  1. Size screen — ged(q,g) ≥ |size(q) − size(g)| where size = |V| + |E|
 //     (every edit changes the size by exactly 1), so only queries in a
 //     ±τ size window around g need scanning.
-//  2. Label screen — ged(q,g) ≥ max(|V(q)|,|V(g)|) − λV(q,g) (part of the
-//     LM filter), and λV is upper-bounded by a multiset-overlap count that
-//     costs O(labels) instead of the O(V³) matching
-//     (filter.LabelOverlapScreen).
+//  2. Label-overlap bound — a word-parallel upper bound on q's vertices
+//     whose label g can match, from popcounts over the queries' label
+//     bitsets; the pair is skipped when max(|V(q)|,|V(g)|) minus that bound
+//     exceeds τ.
+//  3. Counted CSS bound — Theorem 3 with the Def. 10 matching replaced by a
+//     label count (filter.CSSLowerBoundCounted), which needs g's GSig but no
+//     O(|V|³) matching.
 //
-// Both screens are implied by the CSS bound, so a join over the index returns
-// exactly the Def. 7 answer set of the full cross product. The index is every
-// join's candidate feed: Join builds a one-shot Index per call, a caller
-// joining the same D repeatedly builds one and passes idx.Source(u) to
-// JoinWith, and NewStreamSource indexes one request's queries.
+// Screen 2 is a relaxation of screen 3, and screen 3 never exceeds the CSS
+// bound of Theorem 3, so a join over the index returns exactly the Def. 7
+// answer set of the full cross product. The index is every join's candidate
+// feed: Join builds a one-shot Index per call, a caller joining the same D
+// repeatedly builds one and passes idx.Source(u) to JoinWith, and
+// NewStreamSource indexes one request's queries.
 //
 // The queries are packed once, at BuildIndex time, into a size-sorted
 // structure of arrays: contiguous size runs make the ±τ window one position
 // range, and the queries' concrete-label bitsets are stored word-major, so the
 // sweep over a window streams one contiguous row per nonzero word of g's label
-// set. The sweep first computes a word-parallel upper bound on each query's
-// label overlap and runs the exact label screen only on the queries that
-// bound cannot rule out. The index also stores every query's filter signature
-// (filter.QSig), shared by all joins over the index.
+// set. The index also stores every query's filter signature (filter.QSig),
+// shared by all joins over the index.
 type Index struct {
 	d     []*graph.Graph
 	qsigs []*filter.QSig
@@ -88,14 +90,6 @@ func BuildIndex(d []*graph.Graph) *Index {
 // Len returns the number of indexed graphs.
 func (idx *Index) Len() int { return len(idx.d) }
 
-// Candidates returns the indices of queries surviving both prescreens
-// against the uncertain graph g at threshold tau, in ascending order.
-func (idx *Index) Candidates(g *ugraph.Graph, tau int) []int {
-	cands := idx.candidates(g, tau, new(indexScratch))
-	slices.Sort(cands)
-	return cands
-}
-
 // indexScratch is the reusable state of one candidate sweep: g's union label
 // set, its nonzero word positions, the per-position overlap accumulator and
 // the candidate buffer. Each join worker reuses one across every uncertain
@@ -107,24 +101,33 @@ type indexScratch struct {
 	cands []int
 }
 
-// testNoPrescreen, when set, turns the sweep's size and label prescreens off:
-// every sweep returns every query, so every pair reaches the filter chain.
-// It is the every-pair reference the prescreened joins are diffed against in
-// tests.
+// testNoPrescreen, when set, turns the sweep's prescreens off: every sweep
+// returns every query, so every pair reaches the filter chain. It is the
+// every-pair reference the prescreened joins are diffed against in tests.
 var testNoPrescreen bool
 
-// candidates is Candidates with a caller-owned scratch, in sweep order
-// (ascending size, then index) rather than sorted: the join does not need the
-// order, and skipping the sort keeps the sweep linear. The returned slice is
-// the scratch's candidate buffer, valid until the next sweep with sc.
-func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
+// sweep returns the queries surviving the index's three prescreens against
+// uncertain graph gi at threshold tau, in sweep order (ascending size, then
+// index): the join does not need another order, and skipping the sort keeps
+// the sweep linear. The returned slice is the scratch's candidate buffer,
+// valid until the next sweep with sc. It also returns gi's signature, which
+// the counted CSS bound reads: s.gsig is called at the first position that
+// reaches that bound, so a graph whose positions all fail the cheaper
+// screens builds none and gets nil. A sweep with candidates always returns
+// the signature, which the chain then reuses.
+func (s *Source) sweep(gi, tau int, sc *indexScratch) ([]int, *filter.GSig) {
+	idx, g := s.idx, s.u[gi]
 	out := sc.cands[:0]
+	var gs *filter.GSig
 	if testNoPrescreen {
 		for _, id := range idx.ids {
 			out = append(out, int(id))
 		}
 		sc.cands = out
-		return out
+		if len(out) > 0 {
+			gs = s.gsig(gi)
+		}
+		return out, gs
 	}
 	n := len(idx.ids)
 	gNumV := int32(g.NumVertices())
@@ -155,26 +158,30 @@ func (idx *Index) candidates(g *ugraph.Graph, tau int, sc *indexScratch) []int {
 		for i, di := range acc {
 			p := p0 + i
 			// Each of q's dq − di distinct labels absent from g leaves at
-			// least one q-vertex unmatched, so this overlap bound is never
-			// below the exact screen's estimate: pairs it rules out the exact
-			// screen would rule out too.
+			// least one q-vertex unmatched, so ub is never below the label
+			// overlap Wq + Wg + Σ_{l ∈ labels(g)} cnt_q(l), which in turn
+			// bounds λVcount: pairs this test rules out the counted bound
+			// would rule out too.
 			ub := idx.numV[p] - (idx.dq[p] - di) + gWilds
 			if int(max(idx.numV[p], gNumV)-ub) > tau {
 				continue
 			}
-			if id := idx.ids[p]; filter.LabelOverlapScreen(idx.qsigs[id], &sc.set, int(gWilds), int(gNumV), tau) {
+			if gs == nil {
+				gs = s.gsig(gi)
+			}
+			if id := idx.ids[p]; filter.CSSLowerBoundCounted(idx.qsigs[id], gs) <= tau {
 				out = append(out, int(id))
 			}
 		}
 	}
 	sc.cands = out
-	return out
+	return out, gs
 }
 
 // Source is a join's candidate feed: the uncertain graphs u, each swept
-// against an Index over the certain graphs by the join's workers. Only the
-// pairs that survive the index's prescreens reach the filter chain; the rest
-// count in Stats.IndexSkipped. Build one with Index.Source or
+// against an Index over the certain graphs by the join's workers (sweep).
+// Only the pairs that survive the index's prescreens reach the filter chain;
+// the rest count in Stats.IndexSkipped. Build one with Index.Source or
 // NewStreamSource.
 type Source struct {
 	idx   *Index
@@ -190,8 +197,8 @@ func (idx *Index) Source(u []*ugraph.Graph) *Source {
 }
 
 // gsig returns uncertain graph gi's filter signature: the prebuilt one when
-// the source carries them, else a fresh one. The worker asks only for graphs
-// with a surviving candidate.
+// the source carries them, else a fresh one. Only sweep asks, at most once
+// per graph.
 func (s *Source) gsig(gi int) *filter.GSig {
 	if s.gsigs != nil {
 		return s.gsigs[gi]

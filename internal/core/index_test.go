@@ -3,11 +3,20 @@ package core
 import (
 	"context"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
 )
+
+// sweepSorted is the index sweep of the one uncertain graph g at threshold
+// tau, in ascending query order: the candidates a join's worker chains for g.
+func sweepSorted(idx *Index, g *ugraph.Graph, tau int) []int {
+	cands, _ := idx.Source([]*ugraph.Graph{g}).sweep(0, tau, new(indexScratch))
+	slices.Sort(cands)
+	return cands
+}
 
 func TestIndexCandidatesSound(t *testing.T) {
 	// Every pair the index skips must be beyond tau for every world.
@@ -16,7 +25,7 @@ func TestIndexCandidatesSound(t *testing.T) {
 	naive := naiveJoin(d, u, 2, 0.1)
 	for gi, g := range u {
 		cands := map[int]bool{}
-		for _, qi := range idx.Candidates(g, 2) {
+		for _, qi := range sweepSorted(idx, g, 2) {
 			cands[qi] = true
 		}
 		for key := range naive {
@@ -34,7 +43,7 @@ func TestIndexEmpty(t *testing.T) {
 	}
 	g := ugraph.New(1)
 	g.AddVertex(ugraph.Label{Name: "A", P: 1})
-	if c := idx.Candidates(g, 5); len(c) != 0 {
+	if c := sweepSorted(idx, g, 5); len(c) != 0 {
 		t.Fatalf("candidates from empty index: %v", c)
 	}
 	pairs, st, err := JoinWith(context.Background(), idx.Source([]*ugraph.Graph{g}), Options{Tau: 1, Alpha: 0.5})
@@ -110,8 +119,8 @@ func TestIndexLabelScreenWildcardQueries(t *testing.T) {
 }
 
 // TestIndexLabelScreenAllWildcardQuery pins the degenerate case directly: a
-// query of only variables overlaps any graph on every vertex, so only the
-// size screen may reject it.
+// query of only variables overlaps any graph on every vertex, so no label
+// term may reject it; only structure (size, edge labels, degrees) can.
 func TestIndexLabelScreenAllWildcardQuery(t *testing.T) {
 	q := graph.New(3)
 	for i := 0; i < 3; i++ {
@@ -121,14 +130,16 @@ func TestIndexLabelScreenAllWildcardQuery(t *testing.T) {
 	q.MustAddEdge(1, 2, "p")
 	idx := BuildIndex([]*graph.Graph{q})
 
-	// Same size, fully disjoint concrete labels: label screen must admit.
+	// Same shape and edge labels, fully disjoint concrete vertex labels: the
+	// query's wildcards match every vertex, so ged = 0 and the prescreens
+	// must admit the pair.
 	g := ugraph.New(3)
 	for i := 0; i < 3; i++ {
 		g.AddVertex(ugraph.Label{Name: "Z", P: 1})
 	}
-	g.MustAddEdge(0, 1, "q")
-	g.MustAddEdge(1, 2, "q")
-	if c := idx.Candidates(g, 0); len(c) != 1 {
+	g.MustAddEdge(0, 1, "p")
+	g.MustAddEdge(1, 2, "p")
+	if c := sweepSorted(idx, g, 0); len(c) != 1 {
 		t.Fatalf("all-wildcard query screened out at tau=0: %v", c)
 	}
 
@@ -146,14 +157,14 @@ func TestIndexLabelScreenAllWildcardQuery(t *testing.T) {
 	concrete.MustAddEdge(0, 1, "p")
 	concrete.MustAddEdge(1, 2, "p")
 	idx2 := BuildIndex([]*graph.Graph{concrete})
-	if c := idx2.Candidates(wild, 0); len(c) != 1 {
+	if c := sweepSorted(idx2, wild, 0); len(c) != 1 {
 		t.Fatalf("all-wildcard graph screened out at tau=0: %v", c)
 	}
 }
 
 // TestIndexScreenGenerousTauAdmitsAll checks the admit-everything boundary:
-// once tau reaches max graph size, neither prescreen may drop a single query,
-// whatever the label overlap.
+// once tau reaches size(q) + size(g) for every query, no prescreen may drop a
+// single query, whatever the label overlap.
 func TestIndexScreenGenerousTauAdmitsAll(t *testing.T) {
 	d, u := wildcardHeavyWorkload(67, 12, 6, 0.5)
 	maxSize := 0
@@ -164,13 +175,12 @@ func TestIndexScreenGenerousTauAdmitsAll(t *testing.T) {
 	}
 	idx := BuildIndex(d)
 	for _, g := range u {
-		tau := maxSize
-		if g.Size() > tau {
-			tau = g.Size()
-		}
-		// tau >= size of both sides >= |V| of both sides: the size window
-		// spans the whole index and maxV - overlap <= maxV <= tau.
-		if c := idx.Candidates(g, tau); len(c) != idx.Len() {
+		// tau >= size(q) + size(g): the size window spans the whole index,
+		// and the counted bound is at most C = |V(big)| + |E(big)| − λE +
+		// ⌈dif/2⌉ ≤ size(big) + |E(small)| ≤ tau (dif ≤ 2|E(small)|), which
+		// also covers the label-overlap bound's max(|V|) − overlap.
+		tau := maxSize + g.Size()
+		if c := sweepSorted(idx, g, tau); len(c) != idx.Len() {
 			t.Fatalf("tau=%d admitted %d of %d queries", tau, len(c), idx.Len())
 		}
 	}
@@ -188,10 +198,10 @@ func TestIndexSizeScreen(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		big.AddVertex(ugraph.Label{Name: "A", P: 1})
 	}
-	if c := idx.Candidates(big, 1); len(c) != 0 {
+	if c := sweepSorted(idx, big, 1); len(c) != 0 {
 		t.Fatalf("size screen failed: %v", c)
 	}
-	if c := idx.Candidates(big, 10); len(c) != 1 {
+	if c := sweepSorted(idx, big, 10); len(c) != 1 {
 		t.Fatalf("generous tau should pass: %v", c)
 	}
 }

@@ -258,15 +258,21 @@ type Stats struct {
 	RelaxedPairs     int64
 	RelaxedMappings  int64
 	RelaxedFallbacks int64
-	PruneTime        time.Duration
-	VerifyTime       time.Duration
-	GroupsBuilt      int64 // possible-world groups constructed (SimJ+opt)
-	GroupsPruned     int64 // groups removed by their CSS bound
+	// PruneTime is the time spent pruning: every graph's index sweep (the
+	// size screen, the label-overlap bound and the counted CSS bound, with
+	// the signature build the last one may trigger) plus every pair's
+	// filter chain. VerifyTime is the verdict ladder's time.
+	PruneTime    time.Duration
+	VerifyTime   time.Duration
+	GroupsBuilt  int64 // possible-world groups constructed (SimJ+opt)
+	GroupsPruned int64 // groups removed by their CSS bound
 	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
 	// eliminated each one, under the bounds' registry names: BoundProfile's
 	// prunes folded by name. Summed over the bounds it equals CSSPruned +
-	// ProbPruned minus IndexSkipped (pairs the index prescreens removed never
-	// reach a bound). Nil when nothing was pruned.
+	// ProbPruned minus IndexSkipped: pairs the index prescreens removed,
+	// those the counted CSS bound ruled out included, never reach a bound,
+	// so the chain's css entry counts only what the exact matching adds.
+	// Nil when nothing was pruned.
 	PrunedBy map[string]int64 `json:",omitempty"`
 	// BoundProfile is the per-bound cost/selectivity profile in chain order:
 	// one entry per chain position with the bound's evaluation count, prune
@@ -276,10 +282,12 @@ type Stats struct {
 	BoundProfile []BoundCost `json:",omitempty"`
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α
-	// IndexSkipped counts pairs eliminated by the index's size and label
-	// prescreens before the filter chain. Every join sweeps an index (Join,
-	// Index.Source, NewStreamSource), so every join books them. They are also
-	// counted in CSSPruned: the prescreens are implied by the CSS bound.
+	// IndexSkipped counts pairs eliminated by the index's prescreens before
+	// the filter chain: the size screen, the label-overlap bound and the
+	// counted CSS bound (filter.CSSLowerBoundCounted). Every join sweeps an
+	// index (Join, Index.Source, NewStreamSource), so every join books them.
+	// They are also counted in CSSPruned: the prescreens are implied by the
+	// CSS bound.
 	IndexSkipped int64
 	SampledPairs int64 // pairs decided by the Monte Carlo sampling rung
 	ExactPairs   int64 // pairs decided by exact possible-world enumeration
@@ -374,10 +382,10 @@ func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, err
 // and ctx.Err() is returned along with the Stats accumulated so far (results
 // are dropped — a partial join result would be silently incomplete). It is a
 // thin wrapper over the pipeline engine (see engine.go) with a one-shot Index
-// over D as the candidate feed: the index's size and label prescreens are
-// implied by the CSS bound, so the answer set is the full cross product's,
-// while the pairs they rule out never reach the filter chain
-// (Stats.IndexSkipped).
+// over D as the candidate feed: the index's prescreens (size, label overlap,
+// counted CSS bound) are implied by the CSS bound, so the answer set is the
+// full cross product's, while the pairs they rule out never reach the filter
+// chain (Stats.IndexSkipped).
 func JoinContext(ctx context.Context, d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
 	return joinEngine(ctx, BuildIndex(d).Source(u), opts)
 }

@@ -167,18 +167,17 @@ func assertSamePairs(t testing.TB, ctxt string, got, want []Pair) {
 	}
 }
 
-// bruteCandidates is the reference for Index.Candidates: every query, in
-// index order, inside the ±τ size window of g that passes the exact label
-// screen.
-func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, g *ugraph.Graph, tau int) []int {
-	var set graph.LabelSet
-	wilds := filter.UnionConcreteLabels(g, &set)
+// bruteCandidates is the reference for the index sweep: every query, in
+// index order, inside the ±τ size window of gs's graph that the counted CSS
+// bound (filter.CSSLowerBoundCounted) keeps. It runs that bound on every
+// query in the window, with no word-parallel pre-bound in front.
+func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, gs *filter.GSig, tau int) []int {
 	var out []int
 	for qi, q := range d {
-		if diff := q.Size() - g.Size(); diff > tau || -diff > tau {
+		if diff := q.Size() - gs.G.Size(); diff > tau || -diff > tau {
 			continue
 		}
-		if filter.LabelOverlapScreen(qsigs[qi], &set, wilds, g.NumVertices(), tau) {
+		if filter.CSSLowerBoundCounted(qsigs[qi], gs) <= tau {
 			out = append(out, qi)
 		}
 	}
@@ -208,9 +207,10 @@ func joinEveryPair(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, S
 // chain (IndexSkipped 0); the three prescreened feeds skip exactly the pairs
 // the prescreens rule out. Per chain, JoinTopK with k = |D| must return the
 // same answer set, grouped by uncertain graph and ranked by pairBetter. It also
-// checks Index.Candidates against bruteCandidates for every uncertain graph
-// and the verdict ladder under small budgets (checkLadder), and returns how
-// many pairs the prescreens ruled out with the ladder's tally.
+// checks the index sweep against bruteCandidates for every uncertain graph,
+// every pair the sweep drops against the exact CSS bound, and the verdict
+// ladder under small budgets (checkLadder), and returns how many pairs the
+// prescreens ruled out with the ladder's tally.
 func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (prescreened int64, ladder ladderTally) {
 	t.Helper()
 	var d []*graph.Graph
@@ -227,9 +227,18 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 
 	idx := BuildIndex(d)
 	for gi, g := range u {
-		got, ref := idx.Candidates(g, tau), bruteCandidates(idx.qsigs, d, g, tau)
+		gs := filter.NewGSig(g)
+		got, ref := sweepSorted(idx, g, tau), bruteCandidates(idx.qsigs, d, gs, tau)
 		if !slices.Equal(got, ref) {
 			t.Fatalf("seed=%d tau=%d g=%d: index candidates %v, brute force %v", seed, tau, gi, got, ref)
+		}
+		// Against the exact bound, not its counted neighbour: every pair the
+		// sweep drops must be beyond τ by Theorem 3's matching.
+		for qi := range d {
+			if lb := filter.CSSLowerBoundUncertainSig(idx.qsigs[qi], gs); lb <= tau && !slices.Contains(got, qi) {
+				t.Fatalf("seed=%d tau=%d: sweep dropped (q=%d, g=%d), whose CSS bound %d is within tau",
+					seed, tau, qi, gi, lb)
+			}
 		}
 		prescreened += int64(len(d) - len(got))
 	}
@@ -535,7 +544,7 @@ func FuzzJoinOracle(f *testing.F) {
 // TestJoinBlockEquivalenceProperty drives random workloads — including
 // sub-normalised ones — through the every-pair join (joinEveryPair) and the
 // index's block sweep (the feed behind Join: each size run screened as one
-// block by the word-parallel overlap bound, then the exact label screen),
+// block by the word-parallel overlap bound, then the counted CSS bound),
 // across modes and query-set sizes of 1, 7 and 64 so the size runs range
 // from single queries to wide blocks. Results must be bit-identical, pairs
 // must partition exactly, and the prescreen may only remove candidates.

@@ -1,6 +1,6 @@
 package filter
 
-// The per-graph label summary and the λV overlap prescreen behind
+// The per-graph label summary and the counted form of Theorem 3 behind
 // core.Index's candidate sweep.
 
 import (
@@ -10,8 +10,8 @@ import (
 
 // UnionConcreteLabels fills set (cleared on entry) with the union of g's
 // concrete candidate vertex labels and returns the number of vertices that
-// carry a wildcard candidate: the uncertain side's input to
-// LabelOverlapScreen.
+// carry a wildcard candidate: the uncertain side's input to core.Index's
+// word-parallel label-overlap bound.
 func UnionConcreteLabels(g *ugraph.Graph, set *graph.LabelSet) (wilds int) {
 	set.Reset()
 	for v := 0; v < g.NumVertices(); v++ {
@@ -30,30 +30,52 @@ func UnionConcreteLabels(g *ugraph.Graph, set *graph.LabelSet) (wilds int) {
 	return wilds
 }
 
-// LabelOverlapScreen applies the λV multiset-overlap prescreen of the
-// index-backed candidate source (core.Index): a generous upper bound on
-// the vertex-label overlap of q and g, pruning the pair when even that bound
-// leaves more than τ unmatched vertices on the larger side (the LM filter —
-// and hence the CSS bound — would prune it anyway, so the screen is sound for
-// Def. 7). gSet is the union of g's concrete candidate labels, gWilds the
-// number of g-vertices with a wildcard candidate, gNumV its vertex count.
-// Returns true when the pair survives.
-func LabelOverlapScreen(qs *QSig, gSet *graph.LabelSet, gWilds, gNumV, tau int) bool {
-	overlap := qs.VWilds // every wildcard q-vertex can match something
-	if qs.VSet.Intersects(gSet) {
-		for _, lc := range qs.VLabels {
-			if gSet.Has(lc.ID) {
-				overlap += int(lc.N)
-			}
-		}
+// LambdaVCounted is an upper bound on LambdaVUncertainSig(qs, gs) that runs
+// no matching:
+//
+//	λVcount = min(|V(q)|, |V(g)|, Wq + Wg + Σ_l min(cnt_q(l), n_g(l)))
+//
+// where Wq counts q's wildcard vertices, Wg counts g's vertices with a
+// wildcard candidate label, cnt_q(l) counts q's vertices labelled l, and
+// n_g(l) counts g's vertices carrying l among their candidates; l ranges
+// over q's concrete labels.
+//
+// Proof that λVcount ≥ λV. Take a maximum matching M of Def. 10's bipartite
+// graph. Every edge (u, v) of M has a wildcard q-vertex u, or a g-vertex v
+// with a wildcard candidate, or a concrete label l of u among v's
+// candidates. M uses each vertex once, so at most Wq edges are of the first
+// kind, at most Wg of the second, and, for each l, at most min(cnt_q(l),
+// n_g(l)) of the third: distinct q-vertices labelled l on one side,
+// distinct g-vertices carrying l on the other. (An edge of several kinds is
+// counted more than once, which only loosens the bound.) A matching has at
+// most min(|V(q)|, |V(g)|) edges.
+//
+// It costs one map lookup per distinct concrete label of q and allocates
+// nothing.
+func LambdaVCounted(qs *QSig, gs *GSig) int {
+	n := qs.VWilds + len(gs.wildVerts)
+	for _, lc := range qs.VLabels {
+		n += min(int(lc.N), len(gs.byLabel[lc.ID]))
 	}
-	overlap += gWilds // wildcard g-vertices absorb leftover q-vertices
-	maxV := qs.NumV
-	if gNumV > maxV {
-		maxV = gNumV
-	}
-	if overlap > maxV {
-		overlap = maxV
-	}
-	return maxV-overlap <= tau
+	return min(n, min(qs.NumV, gs.NumV))
+}
+
+// CSSLowerBoundCounted is the counted form of Theorem 3: C(q, g) − λVcount,
+// with λV replaced by LambdaVCounted. It is sound and never tighter than the
+// exact bound: λVcount ≥ λV, so
+//
+//	CSSLowerBoundCounted(qs, gs) ≤ CSSLowerBoundUncertainSig(qs, gs),
+//
+// and a pair it puts beyond τ is beyond τ in every possible world. It needs
+// no clamp at zero: λE ≤ min(|E(q)|, |E(g)|) and ⌈dif/2⌉ ≥ 0, so
+// C ≥ max(|V(q)|, |V(g)|) ≥ λVcount.
+//
+// It is never below max(|V(q)|, |V(g)|) − overlap, where overlap = Wq + Wg +
+// Σ_{l ∈ labels(g)} cnt_q(l) counts q's vertices whose label g could match:
+// every term of λVcount's sum is at most overlap's, and C ≥ max(|V(q)|,
+// |V(g)|). A pair that this overlap bound, or any relaxation of it such as
+// core.Index's word-parallel bound, puts beyond τ is beyond τ here too, so
+// such a bound is a valid pre-filter in front of this one.
+func CSSLowerBoundCounted(qs *QSig, gs *GSig) int {
+	return CSSConstantSig(qs, gs) - LambdaVCounted(qs, gs)
 }
