@@ -11,10 +11,11 @@ test:
 	$(GO) test ./...
 
 # Race-detect the concurrency-heavy packages: the join worker pools, the
-# pooled/scratch-reusing filter and GED kernels they call, and the
-# observability instruments they write through.
+# pooled/scratch-reusing filter and GED kernels they call, the
+# observability instruments they write through, and the template matcher
+# that concurrent /ask requests share.
 race:
-	$(GO) test -race ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server
+	$(GO) test -race ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server ./internal/template ./internal/qa
 
 # Coverage-guided smoke on each fuzz target (seed corpora live under
 # internal/*/testdata/fuzz; crashers found in CI land there too).

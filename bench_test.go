@@ -15,6 +15,7 @@ import (
 	"math/rand"
 	"os"
 	"strconv"
+	"sync"
 	"testing"
 
 	"simjoin/internal/core"
@@ -22,7 +23,9 @@ import (
 	"simjoin/internal/filter"
 	"simjoin/internal/ged"
 	"simjoin/internal/graph"
+	"simjoin/internal/linker"
 	"simjoin/internal/nlq"
+	"simjoin/internal/template"
 	"simjoin/internal/ugraph"
 	"simjoin/internal/workload"
 )
@@ -427,6 +430,53 @@ func BenchmarkTreeEditDistance(b *testing.B) {
 		nlq.TreeEditDistance(t1, t2)
 	}
 }
+
+// bestMatchFixture is BenchmarkBestMatch's WebQ(1) template store, lexicon
+// and 200 holdout questions, built once per process: -count reruns reuse it.
+var bestMatchFixture struct {
+	once      sync.Once
+	store     *template.Store
+	lex       *linker.Lexicon
+	questions []string
+	err       error
+}
+
+// BenchmarkBestMatch measures /ask's template matching: one op is one
+// template.Store.BestMatch call at minPhi 0.5, cycling through 200 holdout
+// questions against the templates SimJ learns on WebQ(1). Training stays
+// outside the timer.
+func BenchmarkBestMatch(b *testing.B) {
+	f := &bestMatchFixture
+	f.once.Do(func() {
+		w, err := workload.GenerateQA(workload.WebQConfig(1))
+		if err != nil {
+			f.err = err
+			return
+		}
+		p := experiments.Prepare(w)
+		pairs, _, err := p.Join(experiments.DefaultJoinOptions())
+		if err != nil {
+			f.err = err
+			return
+		}
+		f.store, _ = p.BuildTemplates(pairs)
+		f.lex = w.KB.Lexicon
+		for _, q := range w.HoldoutQuestions(1007, 200, 0.2) {
+			f.questions = append(f.questions, q.Text)
+		}
+	})
+	if f.err != nil {
+		b.Fatal(f.err)
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		bestMatchSink, _ = f.store.BestMatch(f.questions[i%len(f.questions)], f.lex, 0.5)
+	}
+}
+
+// bestMatchSink keeps BenchmarkBestMatch's calls from being optimised away.
+var bestMatchSink template.Match
 
 // BenchmarkFilterChainSig measures steady-state per-pair evaluation of the
 // signature-based filter chain (css, prob, prob-tight) with warmed memoized

@@ -8,20 +8,24 @@ import "strings"
 // template Slot — slots align with any word, which is exactly how templates
 // absorb the entity phrases of a new question (§2.2).
 func TreeEditDistance(a, b *DepNode) int {
-	ta, tb := flatten(a), flatten(b)
-	return zhangShasha(ta, tb)
+	return PrepareTree(a).Distance(PrepareTree(b))
 }
 
-// flatTree is a postorder-numbered tree: labels, leftmost-leaf-descendant
-// indices, and keyroots, the inputs of Zhang–Shasha.
-type flatTree struct {
+// PreparedTree is a dependency tree flattened for TreeEditDistance: its
+// postorder labels, leftmost-leaf-descendant indices and keyroots, the
+// inputs of Zhang–Shasha. Prepare a tree once to compare it against many.
+type PreparedTree struct {
 	labels   []string
 	lld      []int
 	keyroots []int
 }
 
-func flatten(root *DepNode) flatTree {
-	var ft flatTree
+// Distance is TreeEditDistance between the two prepared trees.
+func (a PreparedTree) Distance(b PreparedTree) int { return zhangShasha(a, b) }
+
+// PrepareTree flattens a tree (nil is the empty tree) for Distance.
+func PrepareTree(root *DepNode) PreparedTree {
+	var ft PreparedTree
 	var walk func(n *DepNode) int // returns postorder index of n
 	walk = func(n *DepNode) int {
 		first := -1
@@ -68,7 +72,7 @@ func renameCost(a, b string) int {
 	return 1
 }
 
-func zhangShasha(t1, t2 flatTree) int {
+func zhangShasha(t1, t2 PreparedTree) int {
 	n, m := len(t1.labels), len(t2.labels)
 	if n == 0 {
 		return m

@@ -421,14 +421,21 @@ func TestDrain(t *testing.T) {
 	h := s.Handler()
 	spec := graphSpecOf(d[0])
 
-	started := make(chan struct{})
-	finished := make(chan int, 1)
+	// The in-flight request writes into a recorder the test owns. Its
+	// handler writes the response before its deferred done(), and Drain
+	// waits on done(), so once Drain returns the response is complete and
+	// safe to read.
+	body, err := json.Marshal(JoinRequest{Graph: spec})
+	if err != nil {
+		t.Fatal(err)
+	}
+	inflight := httptest.NewRecorder()
+	req := httptest.NewRequest(http.MethodPost, "/join", bytes.NewReader(body))
+	served := make(chan struct{})
 	go func() {
-		close(started)
-		w := postJSON(t, h, "/join", JoinRequest{Graph: spec})
-		finished <- w.Code
+		defer close(served)
+		h.ServeHTTP(inflight, req)
 	}()
-	<-started
 	// Drain only once the request holds its admission slot (it then sits in
 	// the delay failpoint): a request admitted after BeginDrain is shed.
 	for deadline := time.Now().Add(5 * time.Second); s.adm.Inflight() != 1; {
@@ -446,14 +453,13 @@ func TestDrain(t *testing.T) {
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatalf("drain: %v", err)
 	}
-	select {
-	case code := <-finished:
-		if code != http.StatusOK {
-			t.Fatalf("in-flight request finished with %d", code)
-		}
-	default:
+	if inflight.Body.Len() == 0 {
 		t.Fatal("Drain returned before the in-flight request finished")
 	}
+	if inflight.Code != http.StatusOK {
+		t.Fatalf("in-flight request finished with %d", inflight.Code)
+	}
+	<-served
 }
 
 func TestAskWithoutQA(t *testing.T) {

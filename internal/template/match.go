@@ -144,40 +144,152 @@ func alignTokens(tmplTokens, units []string, compatible func(i, j int) bool) (ca
 // MatchQuestion aligns one template against a question: dependency-tree edit
 // distance for the score, role-aware token alignment for slot capture and φ.
 // Class slots only capture class nouns, entity slots only linkable mentions.
+// It is the score of the question's analysis against this template, the one
+// matching path BestMatch also takes.
 func (t *Template) MatchQuestion(question string, lex *linker.Lexicon) Match {
-	units := collapseQuestion(question, lex)
-	var fillable []bool
+	return t.score(analyse(question, lex))
+}
+
+// analysis is the question's half of matching: everything MatchQuestion
+// derives from the question alone, built once per question however many
+// templates are scored against it. It is not safe for concurrent use.
+type analysis struct {
+	text string
+	lex  *linker.Lexicon
+	// units is the collapsed question (collapseQuestion); isClass and
+	// linkable flag the class nouns and the linkable mentions among them
+	// (both nil without a lexicon, when every unit fills any slot).
+	units             []string
+	isClass, linkable []bool
+	lower             map[string]bool // lowercased units
+	tree              nlq.PreparedTree
+	// rels is the question's semantic graph as the converse check reads it,
+	// extracted on first need (relations).
+	rels      []relation
+	extracted bool
+}
+
+// relation is one relation of the question's semantic graph, lowercased:
+// its phrase's non-stopword words, and the surfaces of both arguments with
+// the last word of each (class-noun arguments taint their bare noun too:
+// "a city").
+type relation struct {
+	words []string
+	args  []string
+}
+
+func analyse(question string, lex *linker.Lexicon) *analysis {
+	a := &analysis{text: question, lex: lex, units: collapseQuestion(question, lex)}
+	a.lower = make(map[string]bool, len(a.units))
+	for _, u := range a.units {
+		a.lower[strings.ToLower(u)] = true
+	}
 	if lex != nil {
-		fillable = make([]bool, len(units))
-		for j, u := range units {
-			_, isClass := lex.LookupClass(u)
-			fillable[j] = isClass || len(lex.LinkEntity(u)) > 0
+		a.isClass = make([]bool, len(a.units))
+		a.linkable = make([]bool, len(a.units))
+		for j, u := range a.units {
+			_, a.isClass[j] = lex.LookupClass(u)
+			a.linkable[j] = len(lex.LinkEntity(u)) > 0
 		}
 	}
-	roleAt := make(map[int]SlotRole, len(t.Slots))
-	for _, s := range t.Slots {
-		roleAt[s.NLIndex] = s.Role
-	}
-	compatible := func(i, j int) bool {
-		if fillable != nil && !fillable[j] {
+	a.tree = nlq.PrepareTree(nlq.BuildDepTree(question, lex))
+	return a
+}
+
+// covers reports whether every keyword is one of the question's units.
+func (a *analysis) covers(keywords []string) bool {
+	for _, k := range keywords {
+		if !a.lower[k] {
 			return false
 		}
-		if lex == nil {
+	}
+	return true
+}
+
+// relations returns the question's relations, extracting them on the first
+// call. A question nlq.Extract cannot analyse has none (the φ threshold then
+// remains the only guard, as in the paper).
+func (a *analysis) relations() []relation {
+	if a.extracted {
+		return a.rels
+	}
+	a.extracted = true
+	sg, err := nlq.Extract(a.text, a.lex)
+	if err != nil {
+		return nil
+	}
+	for _, r := range sg.Rels {
+		var rel relation
+		for _, w := range strings.Fields(r.Phrase) {
+			if !nlq.IsStopword(w) {
+				rel.words = append(rel.words, strings.ToLower(w))
+			}
+		}
+		for _, ai := range []int{r.Arg1, r.Arg2} {
+			surface := sg.Args[ai].Surface
+			fields := strings.Fields(surface)
+			rel.args = append(rel.args, strings.ToLower(surface), strings.ToLower(fields[len(fields)-1]))
+		}
+		a.rels = append(a.rels, rel)
+	}
+	return a.rels
+}
+
+// matchSide is the template's half of matching, built once per template
+// (Template.side) from its Tokens and Slots.
+type matchSide struct {
+	// keywords are the lowercased non-slot tokens; a question lacking one
+	// leaves Match.KeywordsCovered false.
+	keywords []string
+	// has is the lowercased token set, slots included.
+	has map[string]bool
+	// roles is the slot role at each token index (SlotEntity where no slot
+	// sits).
+	roles []SlotRole
+	tree  nlq.PreparedTree
+}
+
+// side returns the template's half of matching, building it on first use;
+// concurrent callers share one build.
+func (t *Template) side() *matchSide {
+	t.sideOnce.Do(func() {
+		ms := &t.matchSide
+		ms.has = make(map[string]bool, len(t.Tokens))
+		for _, tok := range t.Tokens {
+			low := strings.ToLower(tok)
+			ms.has[low] = true
+			if tok != nlq.Slot {
+				ms.keywords = append(ms.keywords, low)
+			}
+		}
+		ms.roles = make([]SlotRole, len(t.Tokens))
+		for _, s := range t.Slots {
+			if s.NLIndex >= 0 && s.NLIndex < len(ms.roles) {
+				ms.roles[s.NLIndex] = s.Role
+			}
+		}
+		ms.tree = nlq.PrepareTree(nlq.BuildDepTree(strings.Join(t.Tokens, " "), nil))
+	})
+	return &t.matchSide
+}
+
+// score matches the template against an analysed question.
+func (t *Template) score(q *analysis) Match {
+	side := t.side()
+	compatible := func(i, j int) bool {
+		if q.lex == nil {
 			return true
 		}
-		_, isClass := lex.LookupClass(units[j])
-		if roleAt[i] == SlotClass {
-			return isClass
+		if side.roles[i] == SlotClass {
+			return q.isClass[j]
 		}
-		return len(lex.LinkEntity(units[j])) > 0
+		return q.linkable[j]
 	}
-	qTree := nlq.BuildDepTree(question, lex)
-	ted := nlq.TreeEditDistance(qTree, t.Tree())
-	captures, covered, _ := alignTokens(t.Tokens, units, compatible)
+	captures, covered, _ := alignTokens(t.Tokens, q.units, compatible)
 
-	m := Match{Template: t, TED: ted, Fillers: make([]string, len(t.Slots))}
-	if len(units) > 0 {
-		m.Phi = float64(covered) / float64(len(units))
+	m := Match{Template: t, TED: q.tree.Distance(side.tree), Fillers: make([]string, len(t.Slots))}
+	if len(q.units) > 0 {
+		m.Phi = float64(covered) / float64(len(q.units))
 	}
 	for si, s := range t.Slots {
 		if cap, ok := captures[s.NLIndex]; ok {
@@ -188,20 +300,7 @@ func (t *Template) MatchQuestion(question string, lex *linker.Lexicon) Match {
 	// question, otherwise the template describes a different relation and
 	// must not be instantiated ("composed by" templates on "married to"
 	// questions).
-	have := make(map[string]bool, len(units))
-	for _, u := range units {
-		have[strings.ToLower(u)] = true
-	}
-	m.KeywordsCovered = true
-	for _, tok := range t.Tokens {
-		if tok == nlq.Slot {
-			continue
-		}
-		if !have[strings.ToLower(tok)] {
-			m.KeywordsCovered = false
-			break
-		}
-	}
+	m.KeywordsCovered = q.covers(side.keywords)
 	// Converse check — partial matching with guardrails. The paper's φ
 	// matching drops question constraints a template does not cover
 	// (Appendix F.2), which is safe for detachable sibling constraints
@@ -210,36 +309,19 @@ func (t *Template) MatchQuestion(question string, lex *linker.Lexicon) Match {
 	// argument leaks into a slot ("lives in a city LOCATED IN X" must not
 	// fill the lives-in slot with X). So: uncovered relations are allowed
 	// only if none of their argument phrases was captured by a slot.
-	if lex != nil && m.KeywordsCovered {
-		tmplHas := make(map[string]bool, len(t.Tokens))
-		for _, tok := range t.Tokens {
-			tmplHas[strings.ToLower(tok)] = true
-		}
-		tainted := uncoveredRelationArgs(question, lex, tmplHas)
-		for _, f := range m.Fillers {
-			if f != "" && tainted[strings.ToLower(f)] {
-				m.KeywordsCovered = false
-				break
-			}
-		}
+	if q.lex != nil && m.KeywordsCovered && leaks(m.Fillers, q.relations(), side.has) {
+		m.KeywordsCovered = false
 	}
 	return m
 }
 
-// uncoveredRelationArgs returns the lowercase argument surfaces of every
-// question relation whose phrase words are not all present in the template.
-// When the question cannot be analysed the empty set is returned (the φ
-// threshold remains the only guard, as in the paper).
-func uncoveredRelationArgs(question string, lex *linker.Lexicon, tmplHas map[string]bool) map[string]bool {
-	tainted := make(map[string]bool)
-	sg, err := nlq.Extract(question, lex)
-	if err != nil {
-		return tainted
-	}
-	for _, r := range sg.Rels {
+// leaks reports whether a slot captured an argument of a question relation
+// whose phrase words are not all template tokens.
+func leaks(fillers []string, rels []relation, tmplHas map[string]bool) bool {
+	for _, r := range rels {
 		covered := true
-		for _, w := range strings.Fields(r.Phrase) {
-			if !nlq.IsStopword(w) && !tmplHas[strings.ToLower(w)] {
+		for _, w := range r.words {
+			if !tmplHas[w] {
 				covered = false
 				break
 			}
@@ -247,15 +329,19 @@ func uncoveredRelationArgs(question string, lex *linker.Lexicon, tmplHas map[str
 		if covered {
 			continue
 		}
-		for _, ai := range []int{r.Arg1, r.Arg2} {
-			arg := sg.Args[ai]
-			tainted[strings.ToLower(arg.Surface)] = true
-			// Class-noun arguments taint their bare noun too ("a city").
-			fields := strings.Fields(arg.Surface)
-			tainted[strings.ToLower(fields[len(fields)-1])] = true
+		for _, f := range fillers {
+			if f == "" {
+				continue
+			}
+			lf := strings.ToLower(f)
+			for _, arg := range r.args {
+				if arg == lf {
+					return true
+				}
+			}
 		}
 	}
-	return tainted
+	return false
 }
 
 // InstantiateVerified resolves slot phrases like Instantiate but exploits

@@ -53,14 +53,25 @@ func (s *Store) Templates() []*Template {
 // below it — the partial-match knob of Table 5; pass 1.0 to require a full
 // match. It returns an error when the store is empty or nothing reaches
 // minPhi.
+//
+// The question is analysed once and scored against each template as
+// MatchQuestion would score it. A template with a non-slot word the question
+// lacks is skipped before alignment and tree edit distance: its match has
+// KeywordsCovered false, so it could never be Complete, and the choice is
+// the one scoring every template would make. BestMatch may run concurrently
+// with itself, but not with Add.
 func (s *Store) BestMatch(question string, lex *linker.Lexicon, minPhi float64) (Match, error) {
 	if len(s.all) == 0 {
 		return Match{}, fmt.Errorf("template: store is empty")
 	}
+	q := analyse(question, lex)
 	var best Match
 	found := false
 	for _, t := range s.all {
-		m := t.MatchQuestion(question, lex)
+		if !q.covers(t.side().keywords) {
+			continue
+		}
+		m := t.score(q)
 		if m.Phi < minPhi-1e-9 || !m.Complete() {
 			continue
 		}

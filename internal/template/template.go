@@ -9,6 +9,7 @@ import (
 	"fmt"
 	"sort"
 	"strings"
+	"sync"
 
 	"simjoin/internal/ged"
 	"simjoin/internal/nlq"
@@ -60,7 +61,10 @@ type Template struct {
 	// Support counts how many join pairs produced this template.
 	Support int
 
-	tree *nlq.DepNode // cached dependency tree of the NL pattern
+	// sideOnce guards matchSide, the template's half of matching, built on
+	// first use from Tokens and Slots (which must not change after that).
+	sideOnce  sync.Once
+	matchSide matchSide
 }
 
 // slotValue returns the placeholder term value of slot i.
@@ -247,14 +251,6 @@ outer:
 // plus the slotted query text.
 func (t *Template) Key() string {
 	return strings.Join(t.Tokens, " ") + "\x00" + t.Query.String()
-}
-
-// Tree returns (building lazily) the dependency tree of the NL pattern.
-func (t *Template) Tree() *nlq.DepNode {
-	if t.tree == nil {
-		t.tree = nlq.BuildDepTree(strings.Join(t.Tokens, " "), nil)
-	}
-	return t.tree
 }
 
 // String renders the template like Fig. 4(d).

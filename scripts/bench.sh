@@ -3,9 +3,10 @@
 #
 # Runs the join suite (BenchmarkJoinER, BenchmarkJoinTopK, the
 # screening-bound BenchmarkJoinERScreen, and the template-workload
-# BenchmarkJoinIndexedScaled plus its milestone twin) and the per-pair kernel
-# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound) with
-# -benchmem, averages the repetitions, and writes
+# BenchmarkJoinIndexedScaled plus its milestone twin), the per-pair kernel
+# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound) and
+# the Q/A path's template matching (BenchmarkBestMatch, one /ask's
+# template.Store.BestMatch) with -benchmem, averages the repetitions, and writes
 # BENCH_join.json in the v2 schema: {"benchmarks": {name: {ns_per_op,
 # allocs_per_op, bytes_per_op, samples}}}. The raw `go test` output is echoed
 # so regressions are visible in logs too.
@@ -25,7 +26,7 @@
 set -eu
 
 COUNT="${COUNT:-5}"
-PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound)\$}"
+PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound|BestMatch)\$}"
 OUT="${OUT:-BENCH_join.json}"
 
 raw=$(SHARD_MILESTONE="${SHARD_MILESTONE:-}" go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 2h .)

@@ -26,8 +26,8 @@ done
 echo "== go test (shuffled)"
 go test -shuffle=on ./...
 
-echo "== go test -race, shuffled (core, filter, ged, obs, fault, server)"
-go test -race -shuffle=on ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server
+echo "== go test -race, shuffled (core, filter, ged, obs, fault, server, template, qa)"
+go test -race -shuffle=on ./internal/core ./internal/filter ./internal/ged ./internal/obs ./internal/fault ./internal/server ./internal/template ./internal/qa
 
 echo "== benchmark module (bench/: vet + smoke test)"
 # bench/ is its own Go module (replace simjoin => ../), so the root
