@@ -479,7 +479,8 @@ func BenchmarkBestMatch(b *testing.B) {
 var bestMatchSink template.Match
 
 // BenchmarkFilterChainSig measures steady-state per-pair evaluation of the
-// signature-based filter chain (css, prob, prob-tight) with warmed memoized
+// signature-based bounds (the CSS and Prob stages, then the tight bound on
+// the worker's scratch and the pair's CSS bound) with warmed memoized
 // sub-signatures and a reused scratch — the engine's hot path per candidate
 // pair. Expected: 0 allocs/op.
 func BenchmarkFilterChainSig(b *testing.B) {
@@ -488,14 +489,13 @@ func BenchmarkFilterChainSig(b *testing.B) {
 	d, u := workload.ER(cfg)
 	qsigs := filter.NewQSigs(d)
 	gsigs := filter.NewGSigs(u)
-	chain := []filter.Bound{filter.MustBound("css"), filter.MustBound("prob"), filter.MustBound("prob-tight")}
 	var sc filter.Scratch
 	var pc filter.PairContext
 	eval := func(qs *filter.QSig, gs *filter.GSig) {
 		pc = filter.PairContext{QS: qs, GS: gs, Tau: 2, Alpha: 0.5, GroupCount: 10, Scratch: &sc}
-		for _, bd := range chain {
-			bd.Apply(&pc)
-		}
+		filter.CSS.Apply(&pc)
+		filter.Prob.Apply(&pc)
+		filter.TotalProbabilityUpperBoundSigScratch(&sc.BP, qs, gs, pc.Tau, pc.CSSLB)
 	}
 	for _, qs := range qsigs { // warm the memoized per-condition sub-signatures
 		for _, gs := range gsigs {

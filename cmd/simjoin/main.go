@@ -16,14 +16,12 @@ import (
 	"os/signal"
 	"runtime"
 	"runtime/pprof"
-	"strings"
 	"syscall"
 	"time"
 
 	"simjoin/internal/core"
 	"simjoin/internal/experiments"
 	"simjoin/internal/fault"
-	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
 	"simjoin/internal/ugraph"
@@ -35,8 +33,7 @@ func main() {
 		wl        = flag.String("workload", "qald", "workload: qald|webq|mm|er|sf")
 		tau       = flag.Int("tau", 1, "GED threshold")
 		alpha     = flag.Float64("alpha", 0.9, "similarity probability threshold")
-		mode      = flag.String("mode", "opt", "pruning mode: css|simj|opt")
-		filters   = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob'; -explain prints a measured order to pass here (bounds: "+strings.Join(filter.BoundNames(), ", ")+")")
+		mode      = flag.String("mode", "opt", "pruning mode and its filter chain: css (css) | simj (css,prob) | opt (css,group)")
 		gn        = flag.Int("gn", 10, "possible-world group count (opt mode)")
 		scale     = flag.Float64("scale", 1.0, "workload scale factor")
 		show      = flag.Int("show", 5, "matched pairs to print")
@@ -44,7 +41,7 @@ func main() {
 		debugAddr = flag.String("debug-addr", "", "serve /metrics, /debug/vars and /debug/pprof/ on this address during the run")
 		statsJSON = flag.String("stats-json", "", "write the final Stats and metrics snapshot as JSON to this file")
 		traceOut  = flag.String("trace-out", "", "write recorded spans as Chrome trace_event JSON to this file")
-		explain   = flag.Bool("explain", false, "print the join's cost model after the run: per-bound evals/prunes/selectivity/ns-per-eval with effective-cost ranks, and stage latency P50/P95/P99")
+		explain   = flag.Bool("explain", false, "print the join's cost model after the run: per-bound evals/prunes/selectivity/ns-per-eval/effective cost, and stage latency P50/P95/P99")
 		events    = flag.String("events", "", "write sampled pair-decision events as JSONL to this file ('-' for stdout)")
 		eventsN   = flag.Int("events-every", 100, "with -events, sample one pair in N (1 records every pair)")
 		progress  = flag.Duration("progress", 0, "log join progress at this interval (e.g. 2s; 0 disables)")
@@ -144,7 +141,7 @@ func main() {
 	// kills the process the default way (stop() restores default handling).
 	ctx, stop := signal.NotifyContext(context.Background(), syscall.SIGINT, syscall.SIGTERM)
 	defer stop()
-	if err := run(ctx, *wl, *tau, *alpha, *mode, *filters, *gn, experiments.Scale(*scale), *show, obsCfg, robust); err != nil {
+	if err := run(ctx, *wl, *tau, *alpha, *mode, *gn, experiments.Scale(*scale), *show, obsCfg, robust); err != nil {
 		fmt.Fprintln(os.Stderr, "simjoin:", err)
 		os.Exit(1)
 	}
@@ -167,7 +164,7 @@ type obsConfig struct {
 	progress    time.Duration
 }
 
-func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filters string, gn int, scale experiments.Scale, show int, oc obsConfig, rc robustConfig) error {
+func run(ctx context.Context, wl string, tau int, alpha float64, modeName string, gn int, scale experiments.Scale, show int, oc obsConfig, rc robustConfig) error {
 	opts := core.DefaultOptions()
 	opts.Tau = tau
 	opts.Alpha = alpha
@@ -216,31 +213,15 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 		defer srv.Close()
 		fmt.Fprintf(os.Stderr, "debug endpoint on http://%s/\n", srv.Addr)
 	}
-	var chainDesc string
 	switch modeName {
 	case "css":
 		opts.Mode = core.ModeCSSOnly
-		chainDesc = "css"
 	case "simj":
 		opts.Mode = core.ModeSimJ
-		chainDesc = "css,prob"
 	case "opt":
 		opts.Mode = core.ModeSimJOpt
-		chainDesc = "css,group"
 	default:
 		return fmt.Errorf("unknown mode %q", modeName)
-	}
-	if filters != "" {
-		chain, err := filter.ParseChain(filters)
-		if err != nil {
-			return err
-		}
-		opts.FilterChain = chain
-		names := make([]string, len(chain))
-		for i, b := range chain {
-			names[i] = b.Name()
-		}
-		chainDesc = strings.Join(names, ",")
 	}
 
 	var (
@@ -286,8 +267,8 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 		return fmt.Errorf("unknown workload %q", wl)
 	}
 
-	fmt.Printf("joining |D|=%d certain graphs with |U|=%d uncertain graphs (tau=%d alpha=%v mode=%s filters=%s)\n",
-		len(d), len(u), opts.Tau, opts.Alpha, opts.Mode, chainDesc)
+	fmt.Printf("joining |D|=%d certain graphs with |U|=%d uncertain graphs (tau=%d alpha=%v mode=%s)\n",
+		len(d), len(u), opts.Tau, opts.Alpha, opts.Mode)
 	start := time.Now()
 	pairs, st, err := core.JoinContext(ctx, d, u, opts)
 	if err != nil {
@@ -308,9 +289,10 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName, filte
 		st.CSSPruned, st.IndexSkipped, st.ProbPruned, st.Candidates, st.CandidateRatio(), st.WorldsChecked, st.GEDCalls)
 	fmt.Printf("verdicts: exact=%d sampled=%d approx=%d undecided=%d (budget-fallbacks=%d deadline-hits=%d)\n",
 		st.ExactPairs, st.SampledPairs, st.ApproxPairs, st.SkippedPairs, st.BudgetFallbacks, st.DeadlineHits)
-	if len(st.PrunedBy) > 0 {
+	if len(st.BoundProfile) > 0 {
 		// Chain order: the profile lists every bound at its chain position,
-		// including bounds that pruned nothing; PrunedBy is its prunes.
+		// including bounds that pruned nothing, so a chain that ran but
+		// pruned nothing still reports its zeros (PrunedBy is nil then).
 		fmt.Printf("pruned-by:")
 		for _, bc := range st.BoundProfile {
 			fmt.Printf(" %s=%d", bc.Bound, bc.Prunes)

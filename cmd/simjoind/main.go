@@ -23,14 +23,12 @@ import (
 	"net/http"
 	"os"
 	"os/signal"
-	"strings"
 	"syscall"
 	"time"
 
 	"simjoin/internal/core"
 	"simjoin/internal/experiments"
 	"simjoin/internal/fault"
-	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
 	"simjoin/internal/qa"
@@ -41,12 +39,11 @@ import (
 
 func main() {
 	var (
-		wl      = flag.String("workload", "er", "workload: er|sf|qald|webq|mm")
-		tau     = flag.Int("tau", 2, "GED threshold")
-		alpha   = flag.Float64("alpha", 0.5, "similarity probability threshold")
-		filters = flag.String("filters", "", "comma-separated filter chain overriding the mode's default bound order, e.g. 'count,css,prob' (bounds: "+strings.Join(filter.BoundNames(), ", ")+"); per-request \"filters\" fields override this")
-		scale   = flag.Float64("scale", 1.0, "workload scale factor")
-		minPhi  = flag.Float64("phi", 0.5, "minimum template matching proportion (QA workloads)")
+		wl     = flag.String("workload", "er", "workload: er|sf|qald|webq|mm")
+		tau    = flag.Int("tau", 2, "GED threshold")
+		alpha  = flag.Float64("alpha", 0.5, "similarity probability threshold")
+		scale  = flag.Float64("scale", 1.0, "workload scale factor")
+		minPhi = flag.Float64("phi", 0.5, "minimum template matching proportion (QA workloads)")
 
 		addr     = flag.String("addr", ":8080", "listen address (use :0 for an ephemeral port)")
 		addrFile = flag.String("addr-file", "", "write the bound address to this file once listening (for scripted boots)")
@@ -101,13 +98,6 @@ func main() {
 	opts := core.DefaultOptions()
 	opts.Tau = *tau
 	opts.Alpha = *alpha
-	if *filters != "" {
-		chain, err := filter.ParseChain(*filters)
-		if err != nil {
-			fatal(err)
-		}
-		opts.FilterChain = chain
-	}
 
 	fmt.Fprintf(os.Stderr, "simjoind: loading workload %q (scale %v)...\n", *wl, *scale)
 	start := time.Now()

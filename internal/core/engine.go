@@ -47,10 +47,7 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 	if err := opts.normalise(); err != nil {
 		return nil, Stats{}, err
 	}
-	chain, err := opts.chain()
-	if err != nil {
-		return nil, Stats{}, err
-	}
+	chain := opts.chain()
 	start := time.Now()
 	jo := newJoinObs(&opts)
 	idx := src.idx

@@ -5,71 +5,13 @@ import (
 	"fmt"
 	"math/rand"
 	"reflect"
+	"slices"
 	"testing"
 
 	"simjoin/internal/fault"
 	"simjoin/internal/filter"
 	"simjoin/internal/obs"
 )
-
-// chainOf resolves a list of registered bound names, failing the test on
-// unknown names so chain tests stay in sync with the registry.
-func chainOf(t *testing.T, names ...string) []filter.Bound {
-	t.Helper()
-	chain := make([]filter.Bound, len(names))
-	for i, n := range names {
-		b, ok := filter.BoundByName(n)
-		if !ok {
-			t.Fatalf("bound %q not registered", n)
-		}
-		chain[i] = b
-	}
-	return chain
-}
-
-// TestFilterChainReorderMatchesOracle runs the join under several explicit
-// chain orders — including chains that demote css, drop it entirely, or
-// front-load the cheap certain-graph baselines — and checks every order
-// returns exactly the oracle's pairs. Bounds only prune provably-unqualified
-// pairs, so reordering (or removing) them must never change the result set.
-func TestFilterChainReorderMatchesOracle(t *testing.T) {
-	chains := [][]string{
-		{"css", "prob"},
-		{"prob", "css"},
-		{"prob-tight", "css"},
-		{"count", "lm", "css", "prob"},
-		{"segos", "pars", "path-gram", "cstar", "css", "group"},
-		{"group"},
-		{"lm", "count", "cstar", "path-gram", "pars", "segos", "css", "prob", "prob-tight", "group"},
-	}
-	for seed := int64(3); seed <= 5; seed++ {
-		d, u := smallWorkload(seed, 6, 6)
-		for _, tau := range []int{0, 1, 2} {
-			want := naiveJoin(d, u, tau, 0.6)
-			for _, names := range chains {
-				opts := Options{Tau: tau, Alpha: 0.6, GroupCount: 4, Workers: 2,
-					FilterChain: chainOf(t, names...)}
-				got, st, err := Join(d, u, opts)
-				if err != nil {
-					t.Fatalf("chain %v: %v", names, err)
-				}
-				if len(got) != len(want) {
-					t.Fatalf("seed=%d tau=%d chain %v: got %d pairs, want %d",
-						seed, tau, names, len(got), len(want))
-				}
-				for _, p := range got {
-					if _, ok := want[[2]int{p.Q, p.G}]; !ok {
-						t.Fatalf("chain %v returned false pair (%d,%d)", names, p.Q, p.G)
-					}
-				}
-				if st.CSSPruned+st.ProbPruned+st.Candidates != st.Pairs {
-					t.Fatalf("chain %v: pruned(%d+%d)+candidates(%d) != pairs(%d)",
-						names, st.CSSPruned, st.ProbPruned, st.Candidates, st.Pairs)
-				}
-			}
-		}
-	}
-}
 
 // TestJoinWithSources exercises the exported engine entry point directly over
 // both Source constructors, a prebuilt index with its prescreens off (every
@@ -110,8 +52,7 @@ func TestPrunedByAccounting(t *testing.T) {
 	d, u := smallWorkload(41, 12, 12)
 	for _, indexed := range []bool{false, true} {
 		reg := obs.New()
-		opts := Options{Tau: 1, Alpha: 0.9, GroupCount: 4, Workers: 2, Obs: reg,
-			FilterChain: chainOf(t, "count", "css", "prob")}
+		opts := Options{Tau: 1, Alpha: 0.9, Mode: ModeSimJ, GroupCount: 4, Workers: 2, Obs: reg}
 		var (
 			st  Stats
 			err error
@@ -136,25 +77,40 @@ func TestPrunedByAccounting(t *testing.T) {
 	}
 }
 
-// TestChainValidation covers Options.FilterChain edge cases.
+// TestChainValidation pins each Mode's one chain, the order Algorithms 1
+// and 2 fix: the stages land in BoundProfile in chain order and under their
+// names, every stage is booked even when it prunes nothing, and an unknown
+// Mode runs structural pruning only. Each stage's Kind decides whether its
+// prunes count as CSSPruned or ProbPruned.
 func TestChainValidation(t *testing.T) {
-	d, u := smallWorkload(1, 2, 2)
-	opts := Options{Tau: 1, Alpha: 0.5, FilterChain: []filter.Bound{nil}}
-	if _, _, err := Join(d, u, opts); err == nil {
-		t.Error("nil bound in chain accepted")
-	}
-	// An explicit chain overrides the mode entirely.
-	reg := obs.New()
-	opts = Options{Tau: 1, Alpha: 0.5, Mode: ModeSimJOpt, GroupCount: 4, Workers: 1,
-		Obs: reg, FilterChain: chainOf(t, "lm")}
-	_, st, err := Join(d, u, opts)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for bound := range st.PrunedBy {
-		if bound != "lm" {
-			t.Errorf("chain [lm] pruned via unexpected bound %q", bound)
+	d, u := smallWorkload(1, 4, 4)
+	for _, c := range []struct {
+		mode Mode
+		want []string
+	}{
+		{ModeCSSOnly, []string{"css"}},
+		{ModeSimJ, []string{"css", "prob"}},
+		{ModeSimJOpt, []string{"css", "group"}},
+		{Mode(99), []string{"css"}},
+	} {
+		_, st, err := Join(d, u, Options{Tau: 1, Alpha: 0.5, Mode: c.mode, GroupCount: 4, Workers: 1})
+		if err != nil {
+			t.Fatal(err)
 		}
+		var got []string
+		for i, bc := range st.BoundProfile {
+			if bc.Pos != i {
+				t.Errorf("mode %v: profile entry %d at position %d", c.mode, i, bc.Pos)
+			}
+			got = append(got, bc.Bound)
+		}
+		if !slices.Equal(got, c.want) {
+			t.Errorf("mode %v: chain %v, want %v", c.mode, got, c.want)
+		}
+	}
+	if filter.CSS.Kind() != filter.Structural || filter.Prob.Kind() != filter.Probabilistic ||
+		filter.Group.Kind() != filter.Probabilistic {
+		t.Error("a chain stage has the wrong Kind")
 	}
 }
 

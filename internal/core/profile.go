@@ -3,16 +3,13 @@ package core
 // Join-time profiling: per-bound cost/selectivity accounting and the
 // explain/report surface.
 //
-// The filter chain became reorderable in PR 4, but choosing an order needs
-// data the join did not record: what each bound costs per evaluation and how
-// much it prunes *at its position in the chain* (selectivity is positional —
-// a bound late in the chain only sees the pairs its predecessors passed).
-// Each worker accumulates per-position shards (plain int64 fields, no
-// atomics, no allocation in steady state); at join end the shards fold into
+// Each worker accumulates per-position shards of what every chain stage cost
+// and pruned (plain int64 fields, no atomics, no allocation in steady state);
+// selectivity is positional, since a stage late in the chain only sees the
+// pairs its predecessors passed. At join end the shards fold into
 // Stats.BoundProfile, in chain order, and publish to the registry as
-// labelled counters. WriteExplain renders the resulting cost model; its
-// effective-cost order is a measured chain to pass back as
-// Options.FilterChain (simjoin -explain, then -filters).
+// labelled counters. WriteExplain renders the resulting cost model (simjoin
+// -explain).
 
 import (
 	"fmt"
@@ -62,9 +59,9 @@ func (c *BoundCost) NsPerEval() float64 {
 	return float64(c.Nanos) / float64(c.Evals)
 }
 
-// EffectiveCost is the cost model's ordering key: nanoseconds spent per pair
-// pruned (cost-per-eval / selectivity). Cheap, selective bounds score low
-// and belong early in the chain; a bound that never prunes scores +Inf.
+// EffectiveCost is nanoseconds spent per pair pruned (cost-per-eval /
+// selectivity): what a prune by this stage cost. A cheap, selective stage
+// scores low; a stage that never prunes scores +Inf.
 func (c *BoundCost) EffectiveCost() float64 {
 	sel := c.Selectivity()
 	if sel == 0 {
@@ -198,12 +195,12 @@ func verifyRungMetric(v Verdict) string {
 	return obs.Name("simjoin_verify_rung_seconds", "verdict", v.String())
 }
 
-// WriteExplain renders the join's cost model: the per-bound table (evals,
-// prunes, selectivity, ns/eval, effective cost and the effective-cost rank)
-// in chain order, the implied effective-cost ordering, the verification
-// effort (worlds, GED searches and states, relaxed mapping lists), and
-// P50/P95/P99 latency summaries for every pipeline stage. st supplies the
-// profile and the counters, snap the stage histograms.
+// WriteExplain renders the join's cost model: the index prescreen's skips,
+// the per-bound table (evals, prunes, selectivity, ns/eval and effective
+// cost) in chain order, the verification effort (worlds, GED searches and
+// states, relaxed mapping lists), and P50/P95/P99 latency summaries for
+// every pipeline stage. st supplies the profile and the counters, snap the
+// stage histograms.
 func WriteExplain(w io.Writer, st *Stats, snap obs.Snapshot) {
 	prof := st.BoundProfile
 	if st.IndexSkipped > 0 {
@@ -236,84 +233,24 @@ func WriteExplain(w io.Writer, st *Stats, snap obs.Snapshot) {
 
 // WriteBoundTable renders just the per-bound cost model table for a profile.
 func WriteBoundTable(w io.Writer, prof []BoundCost) {
-	ranks := effectiveCostRanks(prof)
 	fmt.Fprintln(w, "per-bound cost model (chain order):")
-	fmt.Fprintf(w, "  %-4s %-12s %12s %12s %8s %8s %12s %14s %5s\n",
-		"pos", "bound", "evals", "prunes", "sel", "pass", "ns/eval", "eff-cost", "rank")
+	fmt.Fprintf(w, "  %-4s %-12s %12s %12s %8s %8s %12s %14s\n",
+		"pos", "bound", "evals", "prunes", "sel", "pass", "ns/eval", "eff-cost")
 	for i := range prof {
 		bc := &prof[i]
-		fmt.Fprintf(w, "  %-4d %-12s %12d %12d %8.4f %8.4f %12.0f %14s %5d\n",
+		fmt.Fprintf(w, "  %-4d %-12s %12d %12d %8.4f %8.4f %12.0f %14s\n",
 			bc.Pos, bc.Bound, bc.Evals, bc.Prunes, bc.Selectivity(), bc.PassRate(),
-			bc.NsPerEval(), formatEffCost(bc.EffectiveCost()), ranks[i])
+			bc.NsPerEval(), formatEffCost(bc.EffectiveCost()))
 	}
-	fmt.Fprintf(w, "effective-cost order (cheapest pruning first): %s\n", EffectiveCostOrder(prof))
-}
-
-// effectiveCostLess is the one deterministic comparator behind every
-// effective-cost ranking: ascending effective cost, ties broken by chain
-// position, then by bound name. The name tie-break matters for name-folded
-// profiles (ProfileByBound) where several bounds can share a position; without
-// it two equal-cost bounds would rank in map-iteration order.
-func effectiveCostLess(a, b *BoundCost) bool {
-	ca, cb := a.EffectiveCost(), b.EffectiveCost()
-	if ca != cb {
-		return ca < cb
-	}
-	if a.Pos != b.Pos {
-		return a.Pos < b.Pos
-	}
-	return a.Bound < b.Bound
-}
-
-// effectiveCostIndex returns the profile's indices sorted by effectiveCostLess.
-func effectiveCostIndex(prof []BoundCost) []int {
-	idx := make([]int, len(prof))
-	for i := range idx {
-		idx[i] = i
-	}
-	sort.SliceStable(idx, func(a, b int) bool {
-		return effectiveCostLess(&prof[idx[a]], &prof[idx[b]])
-	})
-	return idx
-}
-
-// effectiveCostRanks assigns each profile entry its 1-based rank under
-// ascending effective cost (ties broken by chain position, then bound name).
-func effectiveCostRanks(prof []BoundCost) []int {
-	ranks := make([]int, len(prof))
-	for r, i := range effectiveCostIndex(prof) {
-		ranks[i] = r + 1
-	}
-	return ranks
-}
-
-// EffectiveCostOrder returns the bound names ordered by ascending effective
-// cost — the chain order a greedy cost-based optimizer would pick from this
-// profile, as a "-filters"-compatible comma-separated list. Repeated names
-// (one bound profiled at several positions, e.g. a merged cross-order
-// profile) appear once, at their cheapest rank.
-func EffectiveCostOrder(prof []BoundCost) string {
-	seen := make(map[string]bool, len(prof))
-	out := ""
-	for _, j := range effectiveCostIndex(prof) {
-		if seen[prof[j].Bound] {
-			continue
-		}
-		seen[prof[j].Bound] = true
-		if out != "" {
-			out += ","
-		}
-		out += prof[j].Bound
-	}
-	return out
 }
 
 // ProfileByBound folds a profile by bound name, summing evals, prunes and
 // nanos across chain positions; each entry keeps the smallest position the
 // bound appeared at, and the result is sorted by name. This is the positional
-// profile's order-independent view: runs of differently-ordered chains
-// produce name-folded profiles whose eval/prune totals are directly
-// comparable, which is why the prune-drift tooling keys on it.
+// profile's position-independent view: the name-folded profiles of two runs
+// compare bound by bound even when the runs' chains differ (a merged Stats
+// of css,prob and css,group joins holds both), which is why the prune-drift
+// tooling keys on it.
 func ProfileByBound(prof []BoundCost) []BoundCost {
 	byName := make(map[string]*BoundCost, len(prof))
 	for i := range prof {

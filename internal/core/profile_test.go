@@ -6,7 +6,6 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
-	"reflect"
 	"strings"
 	"testing"
 
@@ -102,19 +101,14 @@ func TestPrunephaseProfiledZeroAlloc(t *testing.T) {
 	gsigs := filter.NewGSigs(u)
 	opts := DefaultOptions()
 	opts.Alpha = 0.5
-	// The group bound is excluded, matching the filter package's own
+	// SimJ's chain, not SimJ+opt's, matching the filter package's own
 	// zero-alloc gate: partitioning possible worlds legitimately allocates.
-	opts.FilterChain = []filter.Bound{
-		filter.MustBound("css"), filter.MustBound("prob"), filter.MustBound("prob-tight"),
-	}
+	opts.Mode = ModeSimJ
 	if err := opts.normalise(); err != nil {
 		t.Fatal(err)
 	}
 	opts.Obs = obs.New()
-	chain, err := opts.chain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := opts.chain()
 	jo := newJoinObs(&opts)
 	st := newRec(jo, &opts, chain)
 	if !jo.profile {
@@ -243,20 +237,12 @@ func TestEffectiveCost(t *testing.T) {
 	if !math.IsInf(dead.EffectiveCost(), 1) {
 		t.Errorf("never-pruning bound effective cost = %v, want +Inf", dead.EffectiveCost())
 	}
-	prof := []BoundCost{
-		{Pos: 0, Bound: "a", Evals: 100, Prunes: 90, Nanos: 90000},
-		{Pos: 1, Bound: "b", Evals: 100, Prunes: 50, Nanos: 1000},
-		{Pos: 2, Bound: "c", Evals: 100, Prunes: 0, Nanos: 500},
-	}
-	if got := EffectiveCostOrder(prof); got != "b,a,c" {
-		t.Errorf("EffectiveCostOrder = %q, want b,a,c", got)
-	}
 }
 
 // TestWriteExplain renders the explain report off a real profiled join and
 // checks the promised surfaces are present: the index prescreen line, the
-// per-bound cost table, the effective-cost ordering, the verification and
-// relaxed-list lines, and the stage latency quantiles.
+// per-bound cost table, the verification and relaxed-list lines, and the
+// stage latency quantiles.
 func TestWriteExplain(t *testing.T) {
 	d, u := smallWorkload(13, 8, 8)
 	opts := DefaultOptions()
@@ -274,9 +260,8 @@ func TestWriteExplain(t *testing.T) {
 	}
 	for _, want := range []string{
 		fmt.Sprintf("index prescreen: %d of %d pairs", st.IndexSkipped, st.Pairs),
-		"per-bound cost model", "pos", "bound", "evals", "prunes", "sel", "ns/eval", "eff-cost", "rank",
+		"per-bound cost model", "pos", "bound", "evals", "prunes", "sel", "ns/eval", "eff-cost",
 		"css", "group",
-		"effective-cost order",
 		fmt.Sprintf("verification: %d worlds, %d GED searches, %d A* states", st.WorldsChecked, st.GEDCalls, st.GEDStatesExpanded),
 		fmt.Sprintf("relaxed lists: %d pairs scored, %d mappings, %d fallbacks", st.RelaxedPairs, st.RelaxedMappings, st.RelaxedFallbacks),
 		"stage latencies", "p50", "p95", "p99",
@@ -297,9 +282,9 @@ func TestWriteExplain(t *testing.T) {
 }
 
 // TestStatsMergeFoldsCrossOrderProfiles asserts Stats.Merge and
-// ProfileByBound keep eval/prune totals exact when the merged joins profiled
-// the same bounds at *different* chain positions — the shape merged Stats
-// take when joins run differently-ordered explicit chains.
+// ProfileByBound keep eval/prune totals exact when the merged profiles hold
+// the same bounds at *different* chain positions: Merge keys entries by
+// (position, bound), ProfileByBound folds them by name.
 func TestStatsMergeFoldsCrossOrderProfiles(t *testing.T) {
 	a := Stats{BoundProfile: []BoundCost{
 		{Pos: 0, Bound: "css", Evals: 100, Prunes: 90, Nanos: 1000},
@@ -339,40 +324,5 @@ func TestStatsMergeFoldsCrossOrderProfiles(t *testing.T) {
 		if got, want := bc.Selectivity(), float64(w[1])/float64(w[0]); got != want {
 			t.Fatalf("folded %s selectivity %v, want %v", bc.Bound, got, want)
 		}
-	}
-}
-
-// TestEffectiveCostOrderDeterministic (satellite: rank tie-breaking) pins the
-// deterministic tie-break: equal effective costs rank by chain position, then
-// bound name, and EffectiveCostOrder never repeats a name.
-func TestEffectiveCostOrderDeterministic(t *testing.T) {
-	prof := []BoundCost{ // all never prune: every effective cost is +Inf
-		{Pos: 2, Bound: "c", Evals: 10},
-		{Pos: 0, Bound: "a", Evals: 10},
-		{Pos: 1, Bound: "b", Evals: 10},
-	}
-	if got := EffectiveCostOrder(prof); got != "a,b,c" {
-		t.Fatalf("EffectiveCostOrder = %q, want position-ordered %q", got, "a,b,c")
-	}
-	ranks := effectiveCostRanks(prof)
-	if !reflect.DeepEqual(ranks, []int{3, 1, 2}) {
-		t.Fatalf("ranks = %v, want [3 1 2]", ranks)
-	}
-	// Same position (a name-folded profile), still deterministic: name order.
-	tied := []BoundCost{
-		{Pos: 0, Bound: "y", Evals: 10},
-		{Pos: 0, Bound: "x", Evals: 10},
-	}
-	if got := EffectiveCostOrder(tied); got != "x,y" {
-		t.Fatalf("EffectiveCostOrder = %q, want name-ordered %q", got, "x,y")
-	}
-	// Duplicate names collapse to the cheapest rank.
-	dup := []BoundCost{
-		{Pos: 0, Bound: "css", Evals: 100, Prunes: 1, Nanos: 100},
-		{Pos: 1, Bound: "css", Evals: 10, Prunes: 9, Nanos: 10},
-		{Pos: 2, Bound: "prob", Evals: 10, Prunes: 5, Nanos: 10},
-	}
-	if got := EffectiveCostOrder(dup); got != "css,prob" {
-		t.Fatalf("EffectiveCostOrder = %q, want deduped %q", got, "css,prob")
 	}
 }

@@ -192,7 +192,7 @@ func TestRelaxedListsMatchPerWorld(t *testing.T) {
 		one := Options{Tau: tau, Alpha: 0.5, KeepMappings: true, MaxWorlds: 1}
 		configs = append(configs, config{fmt.Sprintf("tau=%d MaxWorlds=1", tau), one, false})
 	}
-	groupBound := []filter.Bound{filter.MustBound("group")}
+	groupBound := []filter.Bound{filter.Group}
 	var relaxed, fallbacks int64
 	for _, c := range corpora {
 		qsigs, gsigs := filter.NewQSigs(c.d), filter.NewGSigs(c.u)

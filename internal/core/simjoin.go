@@ -102,17 +102,6 @@ type Options struct {
 	// best world was scored against the relaxed mapping lists.
 	KeepMappings bool
 
-	// FilterChain, when non-empty, replaces the Mode-derived pruning stages
-	// with an explicit ordered bound chain (see filter.ParseChain and the
-	// filter registry): bounds run left to right, each may prune the pair,
-	// and survivors enter the verdict ladder unchanged. Mode is ignored for
-	// pruning when a chain is set (it still picks the default chain when the
-	// chain is empty). Every bound is sound, so any order admits the same
-	// survivors; a measured order comes from a profiled run's
-	// EffectiveCostOrder (simjoin -explain). Per-bound prune counts land in
-	// Stats.PrunedBy.
-	FilterChain []filter.Bound
-
 	// Obs, when non-nil, receives live metrics for the run — per-stage
 	// latency histograms and per-call GED histograms — and, on completion,
 	// the cumulative Stats counters and per-bound profile, written once from
@@ -176,35 +165,18 @@ func (o *Options) normalise() error {
 	return nil
 }
 
-// chain resolves the pruning pipeline: Options.FilterChain verbatim when set,
-// otherwise the Mode's default stage order from the filter registry —
-// Algorithm 1 is [css, prob], Algorithm 2 is [css, group], and ModeCSSOnly
-// is [css].
-func (o *Options) chain() ([]filter.Bound, error) {
-	if len(o.FilterChain) > 0 {
-		for i, b := range o.FilterChain {
-			if b == nil {
-				return nil, fmt.Errorf("core: FilterChain[%d] is nil", i)
-			}
-		}
-		return o.FilterChain, nil
-	}
+// chain is the Mode's pruning pipeline: Algorithm 1 is [css, prob],
+// Algorithm 2 is [css, group], and ModeCSSOnly (and any unknown mode) is
+// [css].
+func (o *Options) chain() []filter.Bound {
 	switch o.Mode {
 	case ModeSimJ:
-		return defaultChain("css", "prob"), nil
+		return []filter.Bound{filter.CSS, filter.Prob}
 	case ModeSimJOpt:
-		return defaultChain("css", "group"), nil
-	default: // ModeCSSOnly and unknown modes: structural pruning only
-		return defaultChain("css"), nil
+		return []filter.Bound{filter.CSS, filter.Group}
+	default:
+		return []filter.Bound{filter.CSS}
 	}
-}
-
-func defaultChain(names ...string) []filter.Bound {
-	out := make([]filter.Bound, len(names))
-	for i, n := range names {
-		out[i] = filter.MustBound(n)
-	}
-	return out
 }
 
 // Pair is one join result: SPARQL query graph q = D[Q] matched uncertain
@@ -267,18 +239,20 @@ type Stats struct {
 	GroupsBuilt  int64 // possible-world groups constructed (SimJ+opt)
 	GroupsPruned int64 // groups removed by their CSS bound
 	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
-	// eliminated each one, under the bounds' registry names: BoundProfile's
-	// prunes folded by name. Summed over the bounds it equals CSSPruned +
-	// ProbPruned minus IndexSkipped: pairs the index prescreens removed,
-	// those the counted CSS bound ruled out included, never reach a bound,
-	// so the chain's css entry counts only what the exact matching adds.
-	// Nil when nothing was pruned.
+	// eliminated each one, under the bounds' names (Bound.Name):
+	// BoundProfile's prunes folded by name. Summed over the bounds it equals
+	// CSSPruned + ProbPruned minus IndexSkipped: pairs the index prescreens
+	// removed, those the counted CSS bound ruled out included, never reach a
+	// bound, so the chain's css entry counts only what the exact matching
+	// adds.
+	// Nil when the chain pruned nothing; BoundProfile still lists every
+	// stage then, so a per-bound report reads BoundProfile.
 	PrunedBy map[string]int64 `json:",omitempty"`
 	// BoundProfile is the per-bound cost/selectivity profile in chain order:
-	// one entry per chain position with the bound's evaluation count, prune
-	// count and (when profiling timing was on) accumulated evaluation
-	// nanoseconds. See BoundCost and WriteExplain (profile.go). Nil when the
-	// join ran no bounds.
+	// one entry per chain position, evaluated or not, with the bound's
+	// evaluation count, prune count and (when profiling timing was on)
+	// accumulated evaluation nanoseconds. See BoundCost and WriteExplain
+	// (profile.go).
 	BoundProfile []BoundCost `json:",omitempty"`
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α

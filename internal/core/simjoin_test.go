@@ -14,6 +14,7 @@ import (
 	"simjoin/internal/filter"
 	"simjoin/internal/ged"
 	"simjoin/internal/graph"
+	"simjoin/internal/matching"
 	"simjoin/internal/ugraph"
 )
 
@@ -198,7 +199,7 @@ func joinEveryPair(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, S
 //
 //	feed      the every-pair join (joinEveryPair), Join, JoinWith(Index.Source)
 //	          over one prebuilt index, JoinWith(NewStreamSource)
-//	chain     each Mode's default chain, and a shuffled explicit FilterChain
+//	chain     each Mode's chain: [css], [css, prob], [css, group]
 //	workers   1 and 4
 //
 // checking each run against naiveJoin (Def. 7 by brute force) and the Stats
@@ -243,19 +244,13 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 		prescreened += int64(len(d) - len(got))
 	}
 
-	rng := rand.New(rand.NewSource(seed))
-	shuffled := filter.BoundNames()
-	rng.Shuffle(len(shuffled), func(i, j int) { shuffled[i], shuffled[j] = shuffled[j], shuffled[i] })
-	shuffled = shuffled[:2+rng.Intn(len(shuffled)-1)]
 	chains := []struct {
-		name  string
-		mode  Mode
-		chain []filter.Bound
+		name string
+		mode Mode
 	}{
-		{"css", ModeCSSOnly, nil},
-		{"simj", ModeSimJ, nil},
-		{"opt", ModeSimJOpt, nil},
-		{fmt.Sprint(shuffled), ModeSimJ, defaultChain(shuffled...)},
+		{"css", ModeCSSOnly},
+		{"simj", ModeSimJ},
+		{"opt", ModeSimJOpt},
 	}
 	res := NewResident(u)
 	feeds := []struct {
@@ -277,8 +272,7 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 		var first []Pair
 		for _, feed := range feeds {
 			for _, workers := range []int{1, 4} {
-				opts := Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3,
-					Workers: workers, FilterChain: ch.chain}
+				opts := Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3, Workers: workers}
 				name := fmt.Sprintf("seed=%d tau=%d alpha=%v chain=%s feed=%s workers=%d",
 					seed, tau, alpha, ch.name, feed.name, workers)
 				got, st, err := feed.run(opts)
@@ -295,7 +289,7 @@ func checkJoinOracle(t *testing.T, seed int64, nd, nu, tau int, alpha float64) (
 			}
 		}
 		checkTopK(t, fmt.Sprintf("seed=%d tau=%d alpha=%v chain=%s topk", seed, tau, alpha, ch.name),
-			d, u, Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3, Workers: 4, FilterChain: ch.chain},
+			d, u, Options{Tau: tau, Alpha: alpha, Mode: ch.mode, GroupCount: 3, Workers: 4},
 			want, prescreened)
 	}
 	ladder = checkLadder(t, fmt.Sprintf("seed=%d tau=%d alpha=%v", seed, tau, alpha), d, u, want, tau, alpha)
@@ -699,31 +693,40 @@ func TestJoinMatchesOracleAllModes(t *testing.T) {
 	}
 }
 
+// TestTightProbBoundMatchesOracle checks the tight bound of ablation A6,
+// evaluated as a worker would (its matching scratch, the pair's CSS bound),
+// against the brute-force join: no pair it rules out is a result, and it is
+// never looser than Theorem 4's bound. Vacuity guard: it must rule pairs
+// out.
 func TestTightProbBoundMatchesOracle(t *testing.T) {
 	d, u := smallWorkload(23, 8, 8)
+	qsigs, gsigs := filter.NewQSigs(d), filter.NewGSigs(u)
+	var bp matching.Bipartite
+	ruledOut := 0
 	for _, tau := range []int{0, 1, 2} {
 		for _, alpha := range []float64{0.4, 0.8} {
 			want := naiveJoin(d, u, tau, alpha)
-			got, st, err := Join(d, u, Options{Tau: tau, Alpha: alpha, Mode: ModeSimJ, Workers: 2,
-				FilterChain: defaultChain("css", "prob-tight")})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(got) != len(want) {
-				t.Fatalf("tau=%d alpha=%v: %d pairs, want %d", tau, alpha, len(got), len(want))
-			}
-			// The tighter bound can only prune more.
-			loose, st2, err := Join(d, u, Options{Tau: tau, Alpha: alpha, Mode: ModeSimJ, Workers: 2})
-			if err != nil {
-				t.Fatal(err)
-			}
-			if len(loose) != len(want) {
-				t.Fatalf("loose bound changed results")
-			}
-			if st.Candidates > st2.Candidates {
-				t.Errorf("tight bound kept more candidates (%d > %d)", st.Candidates, st2.Candidates)
+			for qi, qs := range qsigs {
+				for gi, gs := range gsigs {
+					lb := filter.CSSLowerBoundUncertainSigScratch(&bp, qs, gs)
+					tight := filter.TotalProbabilityUpperBoundSigScratch(&bp, qs, gs, tau, lb)
+					if plain := filter.SimilarityUpperBoundSig(qs, gs, tau); tight > plain {
+						t.Fatalf("tau=%d pair (%d,%d): tight bound %v looser than Theorem 4's %v", tau, qi, gi, tight, plain)
+					}
+					if tight >= alpha-filter.MassSlack {
+						continue
+					}
+					ruledOut++
+					if simP, ok := want[[2]int{qi, gi}]; ok {
+						t.Fatalf("tau=%d alpha=%v: tight bound %v rules out (%d,%d), a result with SimP %v",
+							tau, alpha, tight, qi, gi, simP)
+					}
+				}
 			}
 		}
+	}
+	if ruledOut == 0 {
+		t.Fatal("the tight bound ruled out no pair; the check is vacuous")
 	}
 }
 

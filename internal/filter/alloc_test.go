@@ -7,18 +7,18 @@ import (
 )
 
 // TestFilterChainSigZeroAlloc pins the steady-state allocation behaviour of
-// the signature-based filter chain: once the pair signatures exist and the
+// the signature-based bounds: once the pair signatures exist and the
 // memoized per-condition sub-signatures have been built (first evaluation),
-// re-evaluating css, prob and prob-tight on a pair must not allocate at all.
-// The group bound is excluded — partitioning possible worlds legitimately
-// builds conditioned graphs.
+// re-evaluating the CSS and Prob stages and the tight bound (with the
+// worker's scratch and the pair's CSS bound) on a pair must not allocate at
+// all. The Group stage is excluded — partitioning possible worlds
+// legitimately builds conditioned graphs.
 func TestFilterChainSigZeroAlloc(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.Count = 4
 	d, u := workload.ER(cfg)
 	qsigs := NewQSigs(d)
 	gsigs := NewGSigs(u)
-	chain := []Bound{MustBound("css"), MustBound("prob"), MustBound("prob-tight")}
 	var sc Scratch
 
 	// The context is hoisted and reused like the engine's per-worker rec.pctx:
@@ -29,9 +29,9 @@ func TestFilterChainSigZeroAlloc(t *testing.T) {
 		for _, qs := range qsigs {
 			for _, gs := range gsigs {
 				pc = PairContext{QS: qs, GS: gs, Tau: 2, Alpha: 0.5, GroupCount: 10, Scratch: &sc}
-				for _, b := range chain {
-					b.Apply(&pc)
-				}
+				CSS.Apply(&pc)
+				Prob.Apply(&pc)
+				TotalProbabilityUpperBoundSigScratch(&sc.BP, qs, gs, pc.Tau, pc.CSSLB)
 			}
 		}
 	}

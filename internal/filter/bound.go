@@ -1,29 +1,22 @@
 package filter
 
-// The pluggable filter chain.
+// The filter chain's stages.
 //
-// The paper's Algorithm 1/2 is a fixed bound order (CSS, then a probabilistic
-// upper bound), but "one size does not fit all": signature-based pruning only
-// pays off on some workloads, so the chain is data here, not code. Every
-// pruning bound the repo implements — the uncertain-graph bounds of
-// Theorems 3/4 and Algorithm 2, and the certain-graph baseline filters of
-// baselines.go — is wrapped as a Bound, named in a registry, and composed
-// into an ordered chain the join engine walks per pair.
+// The paper fixes the pruning order. Algorithm 1 runs the CSS bound of
+// Theorem 3 and then Theorem 4's probabilistic bound; Algorithm 2 runs CSS
+// and then the grouped bound. Those are the three Bounds below, CSS, Prob and
+// Group, and each join mode walks one fixed chain of them: [CSS], [CSS, Prob]
+// or [CSS, Group] (core.Options.Mode). Every stage is sound, so a pruned pair
+// is never a result.
 //
-// Certain-graph baselines are applied to an uncertain graph through its
-// relaxation (GSig.Relaxed): a certain graph whose vertex labels survive only
-// when unambiguous, every other vertex degrading to a wildcard. Wildcards
-// only ever add label matches, so for each of these bounds
-// lb(q, relaxed(g)) ≤ lb(q, w) ≤ ged(q, w) for every possible world w: a
-// relaxation-based prune lb > τ proves SimPτ(q,g) = 0 and is sound for any
-// α ∈ (0, 1].
+// The certain-graph baselines of baselines.go (LM, count, c-star,
+// path-grams, Pars, SEGOS) and the law-of-total-probability refinement of
+// Theorem 4 (TotalProbabilityUpperBound) are not stages: Fig. 15 and the
+// ablations compare them with CSS as alternatives, and call them as plain
+// functions. A baseline bounds an uncertain pair soundly through the graph's
+// certain relaxation (GSig.Relaxed).
 
 import (
-	"fmt"
-	"sort"
-	"strings"
-
-	"simjoin/internal/graph"
 	"simjoin/internal/matching"
 	"simjoin/internal/ugraph"
 )
@@ -40,18 +33,6 @@ const (
 	// falls below α.
 	Probabilistic
 )
-
-// String implements fmt.Stringer.
-func (k BoundKind) String() string {
-	switch k {
-	case Structural:
-		return "structural"
-	case Probabilistic:
-		return "probabilistic"
-	default:
-		return fmt.Sprintf("BoundKind(%d)", int(k))
-	}
-}
 
 // Scratch holds the reusable per-worker buffers a filter chain writes
 // through: the bipartite matching backing the λV computations, and the
@@ -131,87 +112,26 @@ type Outcome struct {
 // concurrent use on distinct PairContexts (all per-pair state lives in the
 // context and its Scratch).
 type Bound interface {
-	// Name is the registry key, stable across releases (it names CLI flags,
-	// Stats.PrunedBy entries and metrics).
+	// Name is the stage's stable name: it keys Stats.PrunedBy and
+	// Stats.BoundProfile, the simjoin_bound_* metric labels and the event
+	// log.
 	Name() string
 	Kind() BoundKind
 	Apply(*PairContext) Outcome
 }
 
-// ── Registry ────────────────────────────────────────────────────────────────
+// ── Chain stages ────────────────────────────────────────────────────────────
 
-// boundReg is the fixed name → Bound table, keyed by each bound's Name.
-// Which bounds a join runs, and in which order, is a per-join choice (the
-// chain); the set to choose from never changes at run time, so the table is
-// built once and read without a lock.
-var boundReg = func() map[string]Bound {
-	reg := make(map[string]Bound)
-	for _, b := range []Bound{
-		cssBound{},
-		probBound{},
-		probBound{tight: true},
-		groupBound{},
-		baselineBound{name: "lm", lb: func(q, g *graph.Graph, _ int) int { return LMLowerBound(q, g) }},
-		baselineBound{name: "count", lb: func(q, g *graph.Graph, _ int) int { return CountLowerBound(q, g) }},
-		baselineBound{name: "cstar", lb: func(q, g *graph.Graph, _ int) int { return CStarLowerBound(q, g) }},
-		baselineBound{name: "path-gram", lb: func(q, g *graph.Graph, _ int) int { return PathGramLowerBound(q, g) }},
-		baselineBound{name: "pars", lb: func(q, g *graph.Graph, _ int) int { return ParsLowerBound(q, g) }},
-		baselineBound{name: "segos", lb: SegosLowerBound},
-	} {
-		reg[b.Name()] = b
-	}
-	return reg
-}()
-
-// BoundByName looks a registered bound up.
-func BoundByName(name string) (Bound, bool) {
-	b, ok := boundReg[name]
-	return b, ok
-}
-
-// MustBound is BoundByName for names known to be registered; it panics
-// otherwise.
-func MustBound(name string) Bound {
-	b, ok := BoundByName(name)
-	if !ok {
-		panic(fmt.Sprintf("filter: unknown bound %q", name))
-	}
-	return b
-}
-
-// BoundNames returns the registered bound names, sorted.
-func BoundNames() []string {
-	out := make([]string, 0, len(boundReg))
-	for name := range boundReg {
-		out = append(out, name)
-	}
-	sort.Strings(out)
-	return out
-}
-
-// ParseChain resolves a comma-separated bound list ("count,css,prob") into an
-// ordered chain.
-func ParseChain(spec string) ([]Bound, error) {
-	var chain []Bound
-	for _, name := range strings.Split(spec, ",") {
-		name = strings.TrimSpace(name)
-		if name == "" {
-			continue
-		}
-		b, ok := BoundByName(name)
-		if !ok {
-			return nil, fmt.Errorf("filter: unknown bound %q (known: %s)",
-				name, strings.Join(BoundNames(), ", "))
-		}
-		chain = append(chain, b)
-	}
-	if len(chain) == 0 {
-		return nil, fmt.Errorf("filter: empty filter chain %q", spec)
-	}
-	return chain, nil
-}
-
-// ── Built-in bounds ─────────────────────────────────────────────────────────
+// The three chain stages: ModeCSSOnly runs [CSS], ModeSimJ [CSS, Prob] and
+// ModeSimJOpt [CSS, Group].
+var (
+	// CSS is the structural CSS lower bound of Theorem 3.
+	CSS Bound = cssBound{}
+	// Prob is Theorem 4's similarity-probability upper bound.
+	Prob Bound = probBound{}
+	// Group is Algorithm 2's grouped probabilistic bound.
+	Group Bound = groupBound{}
+)
 
 // cssBound is the structural CSS lower bound of Theorem 3, evaluated on the
 // uncertain graph directly (wildcard-aware λV matching). It records the
@@ -227,30 +147,14 @@ func (cssBound) Apply(pc *PairContext) Outcome {
 	return Outcome{Pruned: lb > pc.Tau}
 }
 
-// probBound is the similarity-probability upper bound: Theorem 4's Markov
-// bound, or its law-of-total-probability refinement when tight ("prob-tight",
-// ablation A6).
-type probBound struct{ tight bool }
+// probBound is Theorem 4's similarity-probability upper bound.
+type probBound struct{}
 
-func (b probBound) Name() string {
-	if b.tight {
-		return "prob-tight"
-	}
-	return "prob"
-}
+func (probBound) Name() string    { return "prob" }
 func (probBound) Kind() BoundKind { return Probabilistic }
 
-func (b probBound) Apply(pc *PairContext) Outcome {
-	var ub float64
-	if b.tight {
-		// Reuses the worker's matching scratch and the pair's cached CSS
-		// lower bound; the conditioned sub-signatures are memoized on GS, so
-		// steady-state evaluation allocates nothing.
-		ub = totalProbabilityUB(&pc.Scratch.BP, pc.QS, pc.GS, pc.Tau, pc.cssLowerBound())
-	} else {
-		ub = SimilarityUpperBoundSig(pc.QS, pc.GS, pc.Tau)
-	}
-	return Outcome{Pruned: pc.belowAlpha(ub)}
+func (probBound) Apply(pc *PairContext) Outcome {
+	return Outcome{Pruned: pc.belowAlpha(SimilarityUpperBoundSig(pc.QS, pc.GS, pc.Tau))}
 }
 
 // groupBound is Algorithm 2's grouped probabilistic bound: partition the
@@ -292,21 +196,6 @@ func (groupBound) Apply(pc *PairContext) Outcome {
 		}
 	}
 	return out
-}
-
-// baselineBound adapts one of the certain-graph baseline filters (LM, count,
-// C-star, path-grams, Pars, SEGOS) to uncertain pairs via the relaxation
-// argument in the package comment above: lb(q, relaxed(g)) lower-bounds
-// ged(q, w) for every possible world w, so lb > τ proves SimPτ = 0.
-type baselineBound struct {
-	name string
-	lb   func(q, g *graph.Graph, tau int) int
-}
-
-func (b baselineBound) Name() string  { return b.name }
-func (baselineBound) Kind() BoundKind { return Structural }
-func (b baselineBound) Apply(pc *PairContext) Outcome {
-	return Outcome{Pruned: b.lb(pc.QS.G, pc.GS.Relaxed(), pc.Tau) > pc.Tau}
 }
 
 // ── Possible-world grouping (Algorithm 2 machinery) ─────────────────────────

@@ -2,7 +2,6 @@ package filter
 
 import (
 	"math/rand"
-	"reflect"
 	"testing"
 
 	"simjoin/internal/ged"
@@ -10,69 +9,27 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-// allBoundNames is the full bound table; registry tests pin it so a rename or
-// a dropped entry fails loudly.
-var allBoundNames = []string{
-	"count", "css", "cstar", "group", "lm",
-	"pars", "path-gram", "prob", "prob-tight", "segos",
-}
-
-func TestBoundRegistryComplete(t *testing.T) {
-	got := BoundNames()
-	want := append([]string(nil), allBoundNames...)
-	// BoundNames is sorted; keep the expectation sorted too.
-	if !reflect.DeepEqual(got, want) {
-		t.Fatalf("BoundNames() = %v, want %v", got, want)
-	}
-	for _, name := range want {
-		b, ok := BoundByName(name)
-		if !ok {
-			t.Fatalf("BoundByName(%q) missing", name)
-		}
-		if b.Name() != name {
-			t.Errorf("bound registered as %q reports Name() = %q", name, b.Name())
-		}
-	}
-	if _, ok := BoundByName("nope"); ok {
-		t.Error("BoundByName accepted an unknown name")
-	}
-}
-
-func TestParseChain(t *testing.T) {
-	chain, err := ParseChain(" count, css ,prob ")
-	if err != nil {
-		t.Fatal(err)
-	}
-	var names []string
-	for _, b := range chain {
-		names = append(names, b.Name())
-	}
-	if !reflect.DeepEqual(names, []string{"count", "css", "prob"}) {
-		t.Fatalf("ParseChain order = %v", names)
-	}
-	if _, err := ParseChain("css,bogus"); err == nil {
-		t.Error("unknown bound accepted")
-	}
-	if _, err := ParseChain(" , ,"); err == nil {
-		t.Error("empty chain accepted")
-	}
+// baselines are the certain-graph baseline lower bounds of baselines.go. On
+// an uncertain graph each is evaluated against its certain relaxation
+// (GSig.Relaxed).
+var baselines = []struct {
+	name string
+	lb   func(q, g *graph.Graph, tau int) int
+}{
+	{"lm", func(q, g *graph.Graph, _ int) int { return LMLowerBound(q, g) }},
+	{"count", func(q, g *graph.Graph, _ int) int { return CountLowerBound(q, g) }},
+	{"cstar", func(q, g *graph.Graph, _ int) int { return CStarLowerBound(q, g) }},
+	{"path-gram", func(q, g *graph.Graph, _ int) int { return PathGramLowerBound(q, g) }},
+	{"pars", func(q, g *graph.Graph, _ int) int { return ParsLowerBound(q, g) }},
+	{"segos", SegosLowerBound},
 }
 
 // TestStructuralBoundsSound checks the core soundness contract on random
-// uncertain pairs: whenever a structural bound prunes at τ, no possible world
-// of g may be within edit distance τ of q (SimPτ must be exactly 0).
+// uncertain pairs: whenever the CSS stage, or a baseline bound on the
+// relaxation, prunes at τ, no possible world of g may be within edit
+// distance τ of q (SimPτ must be exactly 0).
 func TestStructuralBoundsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(71))
-	var structural []Bound
-	for _, name := range BoundNames() {
-		b, _ := BoundByName(name)
-		if b.Kind() == Structural {
-			structural = append(structural, b)
-		}
-	}
-	if len(structural) < 7 {
-		t.Fatalf("expected at least 7 structural bounds, have %d", len(structural))
-	}
 	pruned := make(map[string]int)
 	for trial := 0; trial < 120; trial++ {
 		q := randomCertain(rng, 2+rng.Intn(4), rng.Intn(5))
@@ -81,15 +38,19 @@ func TestStructuralBoundsSound(t *testing.T) {
 		for _, tau := range []int{0, 1, 2} {
 			var sc Scratch
 			pc := PairContext{QS: qs, GS: gs, Tau: tau, Alpha: 0.5, GroupCount: 4, Scratch: &sc}
-			for _, b := range structural {
-				if !b.Apply(&pc).Pruned {
+			prunes := map[string]bool{CSS.Name(): CSS.Apply(&pc).Pruned}
+			for _, b := range baselines {
+				prunes[b.name] = b.lb(q, gs.Relaxed(), tau) > tau
+			}
+			for name, hit := range prunes {
+				if !hit {
 					continue
 				}
-				pruned[b.Name()]++
+				pruned[name]++
 				g.Worlds(func(w *graph.Graph, p float64) bool {
 					if d, ok := ged.WithinThreshold(q, w, tau); ok {
 						t.Fatalf("bound %s pruned at tau=%d but world at distance %d exists (trial %d)",
-							b.Name(), tau, d, trial)
+							name, tau, d, trial)
 					}
 					return true
 				})
@@ -106,10 +67,19 @@ func TestStructuralBoundsSound(t *testing.T) {
 }
 
 // TestProbabilisticBoundsSound checks that a probabilistic prune at α implies
-// the exact similarity probability is below α.
+// the exact similarity probability is below α: for the Prob and Group
+// stages, and for the tight bound evaluated as the ablation A6 would, with a
+// worker's scratch and the pair's CSS bound.
 func TestProbabilisticBoundsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
-	probs := []Bound{MustBound("prob"), MustBound("prob-tight"), MustBound("group")}
+	probs := map[string]func(pc *PairContext) bool{
+		"prob":  func(pc *PairContext) bool { return Prob.Apply(pc).Pruned },
+		"group": func(pc *PairContext) bool { return Group.Apply(pc).Pruned },
+		"tight": func(pc *PairContext) bool {
+			lb := CSSLowerBoundUncertainSigScratch(&pc.Scratch.BP, pc.QS, pc.GS)
+			return pc.belowAlpha(TotalProbabilityUpperBoundSigScratch(&pc.Scratch.BP, pc.QS, pc.GS, pc.Tau, lb))
+		},
+	}
 	fired := make(map[string]int)
 	for trial := 0; trial < 80; trial++ {
 		q := randomCertain(rng, 2+rng.Intn(4), rng.Intn(5))
@@ -117,24 +87,24 @@ func TestProbabilisticBoundsSound(t *testing.T) {
 		qs, gs := NewQSig(q), NewGSig(g)
 		for _, tau := range []int{0, 1} {
 			for _, alpha := range []float64{0.4, 0.8} {
-				for _, b := range probs {
+				for name, prunes := range probs {
 					var sc Scratch
 					pc := PairContext{QS: qs, GS: gs, Tau: tau, Alpha: alpha, GroupCount: 4, Scratch: &sc}
-					if !b.Apply(&pc).Pruned {
+					if !prunes(&pc) {
 						continue
 					}
-					fired[b.Name()]++
+					fired[name]++
 					if simP := exactSimP(q, g, tau); simP >= alpha {
 						t.Fatalf("bound %s pruned at tau=%d alpha=%v but SimP=%v (trial %d)",
-							b.Name(), tau, alpha, simP, trial)
+							name, tau, alpha, simP, trial)
 					}
 				}
 			}
 		}
 	}
-	for _, b := range probs {
-		if fired[b.Name()] == 0 {
-			t.Errorf("bound %s never pruned across all trials", b.Name())
+	for name := range probs {
+		if fired[name] == 0 {
+			t.Errorf("bound %s never pruned across all trials", name)
 		}
 	}
 }
@@ -175,24 +145,12 @@ func TestGSigRelaxed(t *testing.T) {
 // value on (q, w) — wildcards only ever add matches.
 func TestRelaxedLowerBoundsWorlds(t *testing.T) {
 	rng := rand.New(rand.NewSource(211))
-	type lbFunc struct {
-		name string
-		lb   func(q, g *graph.Graph, tau int) int
-	}
-	lbs := []lbFunc{
-		{"lm", func(q, g *graph.Graph, _ int) int { return LMLowerBound(q, g) }},
-		{"count", func(q, g *graph.Graph, _ int) int { return CountLowerBound(q, g) }},
-		{"cstar", func(q, g *graph.Graph, _ int) int { return CStarLowerBound(q, g) }},
-		{"path-gram", func(q, g *graph.Graph, _ int) int { return PathGramLowerBound(q, g) }},
-		{"pars", func(q, g *graph.Graph, _ int) int { return ParsLowerBound(q, g) }},
-		{"segos", SegosLowerBound},
-	}
 	for trial := 0; trial < 40; trial++ {
 		q := randomCertain(rng, 2+rng.Intn(3), rng.Intn(4))
 		g := randomUncertain(rng, 2+rng.Intn(3), rng.Intn(3), 2)
 		r := NewGSig(g).Relaxed()
 		tau := rng.Intn(3)
-		for _, f := range lbs {
+		for _, f := range baselines {
 			relaxed := f.lb(q, r, tau)
 			g.Worlds(func(w *graph.Graph, p float64) bool {
 				if d, ok := ged.WithinThreshold(q, w, relaxed+2); ok && d < relaxed {

@@ -536,10 +536,10 @@ func TestWorldLowerBoundMatchesStringReference(t *testing.T) {
 	}
 }
 
-// TestRelaxedBaselineChainMatchesReference drives the registered baseline
-// bounds exactly as the engine does — against the memoized relaxation — and
-// checks each prune decision against the string reference on the same
-// relaxed graph.
+// TestRelaxedBaselineChainMatchesReference evaluates each baseline bound
+// against the memoized relaxation (GSig.Relaxed), the certain graph a
+// baseline bounds an uncertain pair on, and checks its value against the
+// string reference on the same relaxed graph.
 func TestRelaxedBaselineChainMatchesReference(t *testing.T) {
 	rng := rand.New(rand.NewSource(74))
 	refs := map[string]func(q, g *graph.Graph, tau int) int{
@@ -550,18 +550,14 @@ func TestRelaxedBaselineChainMatchesReference(t *testing.T) {
 		"pars":      func(q, g *graph.Graph, _ int) int { return refParsLowerBound(q, g) },
 		"segos":     refSegosLowerBound,
 	}
-	var sc Scratch
 	for it := 0; it < 60; it++ {
 		q := equivCertain(rng, 2+rng.Intn(5), rng.Intn(8))
 		g := equivUncertain(rng, 2+rng.Intn(5), rng.Intn(8), 3)
 		tau := rng.Intn(3)
-		qs, gs := NewQSig(q), NewGSig(g)
-		for name, ref := range refs {
-			pc := PairContext{QS: qs, GS: gs, Tau: tau, Alpha: 0.5, GroupCount: 4, Scratch: &sc}
-			got := MustBound(name).Apply(&pc).Pruned
-			want := ref(q, gs.Relaxed(), tau) > tau
-			if got != want {
-				t.Fatalf("iteration %d: bound %q pruned = %v, string reference = %v", it, name, got, want)
+		r := NewGSig(g).Relaxed()
+		for _, b := range baselines {
+			if got, want := b.lb(q, r, tau), refs[b.name](q, r, tau); got != want {
+				t.Fatalf("iteration %d: bound %q = %d on the relaxation, string reference = %d", it, b.name, got, want)
 			}
 		}
 	}

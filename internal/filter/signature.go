@@ -372,12 +372,15 @@ func GroupUpperBoundSig(qs *QSig, gs *GSig, mass float64, tau int) float64 {
 // gs, so repeated evaluations of the same graph build them once.
 func TotalProbabilityUpperBoundSig(qs *QSig, gs *GSig, tau int) float64 {
 	var bp matching.Bipartite
-	return totalProbabilityUB(&bp, qs, gs, tau, CSSLowerBoundUncertainSigScratch(&bp, qs, gs))
+	return TotalProbabilityUpperBoundSigScratch(&bp, qs, gs, tau, CSSLowerBoundUncertainSigScratch(&bp, qs, gs))
 }
 
-// totalProbabilityUB is the scratch-reusing core of the tight probabilistic
-// bound: cssLB must be the pair's CSS lower bound (Theorem 3).
-func totalProbabilityUB(bp *matching.Bipartite, qs *QSig, gs *GSig, tau, cssLB int) float64 {
+// TotalProbabilityUpperBoundSigScratch is TotalProbabilityUpperBoundSig
+// reusing a caller-provided matching scratch and the pair's CSS lower bound
+// cssLB (CSSLowerBoundUncertainSigScratch of the same pair), which a caller
+// that has run the CSS bound already holds. With the conditioned
+// sub-signatures memoized on gs, a repeat evaluation allocates nothing.
+func TotalProbabilityUpperBoundSigScratch(bp *matching.Bipartite, qs *QSig, gs *GSig, tau, cssLB int) float64 {
 	if cssLB > tau {
 		return 0
 	}

@@ -13,7 +13,6 @@ import (
 	"fmt"
 	"unicode/utf8"
 
-	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/sparql"
 )
@@ -64,10 +63,6 @@ type JoinRequest struct {
 	// Alpha optionally overrides the similarity-probability threshold,
 	// required in (0, 1].
 	Alpha *float64 `json:"alpha,omitempty"`
-	// Filters optionally overrides the service's filter chain for this
-	// request: a comma-separated bound list validated against the bound
-	// registry (e.g. "count,css,prob").
-	Filters string `json:"filters,omitempty"`
 	// Limit caps the matches returned (0 = all, bounded by Limits.MaxLimit).
 	Limit int `json:"limit,omitempty"`
 }
@@ -118,11 +113,6 @@ func DecodeJoinRequest(body []byte, lim Limits) (*JoinRequest, *graph.Graph, err
 	}
 	if req.Limit < 0 || req.Limit > lim.MaxLimit {
 		return nil, nil, badRequestf("limit %d outside [0, %d]", req.Limit, lim.MaxLimit)
-	}
-	if req.Filters != "" {
-		if _, err := filter.ParseChain(req.Filters); err != nil {
-			return nil, nil, badRequestf("%v", err)
-		}
 	}
 	switch {
 	case req.Query != "" && req.Graph != nil:

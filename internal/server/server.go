@@ -14,7 +14,6 @@ import (
 
 	"simjoin/internal/core"
 	"simjoin/internal/fault"
-	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/obs"
 	"simjoin/internal/qa"
@@ -343,14 +342,6 @@ func (s *Server) handleJoin(w http.ResponseWriter, r *http.Request) {
 	}
 	if req.Alpha != nil {
 		opts.Alpha = *req.Alpha
-	}
-	if req.Filters != "" {
-		chain, err := filter.ParseChain(req.Filters)
-		if err != nil { // unreachable: DecodeJoinRequest validated it
-			writeError(w, http.StatusBadRequest, err.Error())
-			return
-		}
-		opts.FilterChain = chain
 	}
 	opts.Obs = s.cfg.Obs
 	opts.Tracer = s.cfg.Tracer

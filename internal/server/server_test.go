@@ -580,53 +580,3 @@ func TestTraceRingKeepsRequestSpans(t *testing.T) {
 			counts, tr.Dropped())
 	}
 }
-
-// TestJoinRequestFilters pins the per-request "filters" field: a valid chain
-// answers with exactly the default chain's matches (every bound is sound, so
-// the chain choice cannot move results), and an unknown bound name —
-// including "auto", which names no bound — is rejected at decode time with
-// 400.
-func TestJoinRequestFilters(t *testing.T) {
-	s, d := newTestServer(t, nil)
-	h := s.Handler()
-	spec := graphSpecOf(d[0])
-
-	base := postJSON(t, h, "/join", JoinRequest{Graph: spec})
-	if base.Code != http.StatusOK {
-		t.Fatalf("baseline: status %d: %s", base.Code, base.Body.String())
-	}
-	var want JoinResponse
-	if err := json.Unmarshal(base.Body.Bytes(), &want); err != nil {
-		t.Fatal(err)
-	}
-
-	for _, filters := range []string{"count,css,prob", "prob,css"} {
-		w := postJSON(t, h, "/join", JoinRequest{Graph: spec, Filters: filters})
-		if w.Code != http.StatusOK {
-			t.Fatalf("filters=%q: status %d: %s", filters, w.Code, w.Body.String())
-		}
-		var resp JoinResponse
-		if err := json.Unmarshal(w.Body.Bytes(), &resp); err != nil {
-			t.Fatal(err)
-		}
-		if resp.Total != want.Total {
-			t.Fatalf("filters=%q: %d matches, want %d", filters, resp.Total, want.Total)
-		}
-		got := map[int]float64{}
-		for _, m := range resp.Matches {
-			got[m.Graph] = m.SimP
-		}
-		for _, m := range want.Matches {
-			if simP, ok := got[m.Graph]; !ok || simP != m.SimP {
-				t.Fatalf("filters=%q: graph %d simP %v, want %v (present=%v)", filters, m.Graph, simP, m.SimP, ok)
-			}
-		}
-	}
-
-	for _, filters := range []string{"css,nonsense", "auto"} {
-		w := postJSON(t, h, "/join", JoinRequest{Graph: spec, Filters: filters})
-		if w.Code != http.StatusBadRequest {
-			t.Fatalf("filters=%q: status %d, want 400 (%s)", filters, w.Code, w.Body.String())
-		}
-	}
-}

@@ -1,8 +1,7 @@
 package workload
 
-// The adversarial chain-order workload: a join where a chain fronted by the
-// cheap baseline bounds pays for bounds that are all useless, and only the
-// css bound decides pairs.
+// The adversarial workload: a join where every certain-graph baseline bound
+// is blind and only the css bound decides pairs.
 //
 // Every graph on both sides shares one fixed topology (a ring plus
 // deterministic chords, every edge labeled "e"), and every uncertain vertex
@@ -15,11 +14,10 @@ package workload
 // cross-family pairs have an empty label matching (λV = 0) and css prunes
 // them outright, while same-family pairs survive.
 //
-// A static chain fronted by the baselines therefore pays every useless bound
-// on every pair before reaching the one bound that decides. A profiled run
-// (simjoin -explain) shows this: its effective-cost order puts css first, and
-// re-running in that order skips the blind bounds on every pruned pair
-// (TestExplainOrderHoistsSelectiveBound in internal/core).
+// It is the worst case for the baselines: where labels are ambiguous, only
+// a bound that reads the candidate labels prunes. Its same-family pairs,
+// whose worlds share labels and topology, also exercise the relaxed mapping
+// lists (TestRelaxedListsMatchPerWorld in internal/core).
 //
 // Graph i on either side belongs to family i % Families — a contract the
 // workload test relies on.
@@ -32,7 +30,7 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-// AdversarialConfig sizes the adversarial chain-order workload.
+// AdversarialConfig sizes the adversarial workload.
 type AdversarialConfig struct {
 	Seed int64
 	// Queries and Uncertain size the two join sides.

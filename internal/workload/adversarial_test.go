@@ -7,11 +7,11 @@ import (
 	"simjoin/internal/graph"
 )
 
-// TestAdversarialBlindsBaselines pins the property the chain-order tests
-// depend on: on the adversarial workload every certain-graph baseline bound
-// computes zero (prunes nothing — identical topology, all-wildcard
-// relaxation) while the css bound prunes every cross-family pair and passes
-// every same-family pair at a small threshold.
+// TestAdversarialBlindsBaselines pins the workload's defining property:
+// every certain-graph baseline bound computes zero (prunes nothing —
+// identical topology, all-wildcard relaxation) while the css bound prunes
+// every cross-family pair and passes every same-family pair at a small
+// threshold.
 func TestAdversarialBlindsBaselines(t *testing.T) {
 	cfg := AdversarialConfig{
 		Seed:            5,

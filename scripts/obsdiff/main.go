@@ -1,11 +1,11 @@
 // Command obsdiff compares two `simjoin -stats-json` snapshots and reports
 // drift in the quantities a pipeline change is most likely to disturb
 // silently: per-bound prune rates (the filter chain's measured selectivity,
-// folded by bound name so a reordered -filters chain doesn't misalign the
-// comparison) and per-stage latency quantiles. It exits non-zero when the
-// prune-rate drift exceeds its budget, so CI can pin the filter chain's
-// pruning behaviour on a deterministic workload across changes; latency drift
-// is reported but only gated when a budget is set (wall time is noisy in CI).
+// folded by bound name) and per-stage latency quantiles. It exits non-zero
+// when the prune-rate drift exceeds its budget, so CI can pin the filter
+// chain's pruning behaviour on a deterministic workload across changes;
+// latency drift is reported but only gated when a budget is set (wall time
+// is noisy in CI).
 //
 //	go run ./scripts/obsdiff -max-prune-drift 5 before.json after.json
 package main
