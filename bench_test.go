@@ -403,6 +403,29 @@ func BenchmarkJoinIndexedScaledMilestone(b *testing.B) {
 	runScaledBench(b, d, u)
 }
 
+// BenchmarkJoinWebQ is the verification-bound template join: core.Join with
+// the experiments' default options (SimJ, τ = 1, α = 0.9, KeepMappings) over
+// the WebQ workload at scale 0.7, the join build-webq runs at scale 3, sized
+// so one op takes about 100 ms on 2 vCPUs. Most of its time is the verdict
+// ladder: each question graph's candidates verified over its few possible
+// worlds. The workload is generated and interpreted outside the timer.
+func BenchmarkJoinWebQ(b *testing.B) {
+	w, err := workload.GenerateQA(workload.WebQConfig(0.7))
+	if err != nil {
+		b.Fatal(err)
+	}
+	p := experiments.Prepare(w)
+	opts := experiments.DefaultJoinOptions()
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.Join(p.D, p.U, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+	b.ReportMetric(float64(len(p.D)*len(p.U)), "pairs")
+}
+
 func BenchmarkJoinTopK(b *testing.B) {
 	cfg := workload.DefaultSyntheticConfig()
 	cfg.Count = 12

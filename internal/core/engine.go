@@ -39,7 +39,9 @@ var testPairHook func(worker int)
 // the worker pool, and finalises the Stats. Each worker takes the next
 // uncertain graph from a shared counter, sweeps it against the index with its
 // own scratch, books the pairs the prescreens skip, and runs joinPair on the
-// survivors; the unit of parallel work is one uncertain graph. All
+// survivors; the unit of parallel work is one uncertain graph, whose
+// candidates are verified as one batch over the worker's shared worlds of
+// that graph (worlds.go). All
 // containment (per-pair recover, pair deadlines, watchdog) lives in joinPair
 // and the observability handles created here. Each run records one core.join
 // span, cancelled runs included.
@@ -99,7 +101,7 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 					break
 				}
 				local.Pairs++
-				pi := pairIn{q: idx.d[qi], g: g, qs: idx.qsigs[qi], gs: gs, qi: qi, gi: gi}
+				pi := pairIn{q: idx.d[qi], g: g, qs: idx.qsigs[qi], gs: gs, qp: idx.qsides[qi], qi: qi, gi: gi}
 				jo.beatStart(id)
 				p, ok := joinPair(ctx, &pi, &opts, chain, &local)
 				jo.beatEnd(id)

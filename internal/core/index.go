@@ -6,6 +6,7 @@ import (
 	"sort"
 
 	"simjoin/internal/filter"
+	"simjoin/internal/ged"
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
 )
@@ -21,8 +22,8 @@ import (
 //     bitsets; the pair is skipped when max(|V(q)|,|V(g)|) minus that bound
 //     exceeds τ.
 //  3. Counted CSS bound — Theorem 3 with the Def. 10 matching replaced by a
-//     label count (filter.CSSLowerBoundCounted), which needs g's GSig but no
-//     O(|V|³) matching.
+//     label count (filter.CSSLowerBoundCounted), which needs g's counts
+//     (filter.GCounts) but no O(|V|³) matching and no GSig.
 //
 // Screen 2 is a relaxation of screen 3, and screen 3 never exceeds the CSS
 // bound of Theorem 3, so a join over the index returns exactly the Def. 7
@@ -35,11 +36,12 @@ import (
 // structure of arrays: contiguous size runs make the ±τ window one position
 // range, and the queries' concrete-label bitsets are stored word-major, so the
 // sweep over a window streams one contiguous row per nonzero word of g's label
-// set. The index also stores every query's filter signature (filter.QSig),
-// shared by all joins over the index.
+// set. The index also stores every query's filter signature (filter.QSig)
+// and its GED side (ged.Prepared), shared by all joins over the index.
 type Index struct {
-	d     []*graph.Graph
-	qsigs []*filter.QSig
+	d      []*graph.Graph
+	qsigs  []*filter.QSig
+	qsides []*ged.Prepared
 
 	ids   []int32  // query indices sorted by (size, index): position → query
 	numV  []int32  // |V(q)| per position
@@ -56,11 +58,15 @@ func BuildIndex(d []*graph.Graph) *Index {
 	qsigs := filter.NewQSigs(d)
 	n := len(d)
 	idx := &Index{
-		d:     d,
-		qsigs: qsigs,
-		ids:   make([]int32, n),
-		numV:  make([]int32, n),
-		dq:    make([]int32, n),
+		d:      d,
+		qsigs:  qsigs,
+		qsides: make([]*ged.Prepared, n),
+		ids:    make([]int32, n),
+		numV:   make([]int32, n),
+		dq:     make([]int32, n),
+	}
+	for i, q := range d {
+		idx.qsides[i] = ged.Prepare(q)
 	}
 	size := func(id int32) int32 { return int32(qsigs[id].NumV + qsigs[id].NumE) }
 	for i := range idx.ids {
@@ -91,14 +97,15 @@ func BuildIndex(d []*graph.Graph) *Index {
 func (idx *Index) Len() int { return len(idx.d) }
 
 // indexScratch is the reusable state of one candidate sweep: g's union label
-// set, its nonzero word positions, the per-position overlap accumulator and
-// the candidate buffer. Each join worker reuses one across every uncertain
-// graph it sweeps.
+// set, its nonzero word positions, the per-position overlap accumulator, g's
+// counts for the counted CSS bound and the candidate buffer. Each join worker
+// reuses one across every uncertain graph it sweeps.
 type indexScratch struct {
-	set   graph.LabelSet
-	nz    []int
-	acc   []int32
-	cands []int
+	set    graph.LabelSet
+	nz     []int
+	acc    []int32
+	counts filter.GCounts
+	cands  []int
 }
 
 // testNoPrescreen, when set, turns the sweep's prescreens off: every sweep
@@ -110,11 +117,12 @@ var testNoPrescreen bool
 // uncertain graph gi at threshold tau, in sweep order (ascending size, then
 // index): the join does not need another order, and skipping the sort keeps
 // the sweep linear. The returned slice is the scratch's candidate buffer,
-// valid until the next sweep with sc. It also returns gi's signature, which
-// the counted CSS bound reads: s.gsig is called at the first position that
-// reaches that bound, so a graph whose positions all fail the cheaper
-// screens builds none and gets nil. A sweep with candidates always returns
-// the signature, which the chain then reuses.
+// valid until the next sweep with sc. It also returns gi's signature when
+// some query survives, for the chain, and nil otherwise. The counted CSS
+// bound reads only gi's counts (filter.GCounts): the first position that
+// reaches it fills them into sc, or takes a prebuilt signature's, so a graph
+// that no query survives against builds no signature, and one that some
+// query survives builds it on those counts.
 func (s *Source) sweep(gi, tau int, sc *indexScratch) ([]int, *filter.GSig) {
 	idx, g := s.idx, s.u[gi]
 	out := sc.cands[:0]
@@ -125,7 +133,8 @@ func (s *Source) sweep(gi, tau int, sc *indexScratch) ([]int, *filter.GSig) {
 		}
 		sc.cands = out
 		if len(out) > 0 {
-			gs = s.gsig(gi)
+			s.counts(gi, &sc.counts)
+			gs = s.gsig(gi, &sc.counts)
 		}
 		return out, gs
 	}
@@ -140,6 +149,7 @@ func (s *Source) sweep(gi, tau int, sc *indexScratch) ([]int, *filter.GSig) {
 		}
 	}
 
+	var counts *filter.GCounts
 	lo, hi := g.Size()-tau, g.Size()+tau
 	r := sort.Search(len(idx.runVal), func(r int) bool { return int(idx.runVal[r]) >= lo })
 	for ; r < len(idx.runVal) && int(idx.runVal[r]) <= hi; r++ {
@@ -166,15 +176,18 @@ func (s *Source) sweep(gi, tau int, sc *indexScratch) ([]int, *filter.GSig) {
 			if int(max(idx.numV[p], gNumV)-ub) > tau {
 				continue
 			}
-			if gs == nil {
-				gs = s.gsig(gi)
+			if counts == nil {
+				counts = s.counts(gi, &sc.counts)
 			}
-			if id := idx.ids[p]; filter.CSSLowerBoundCounted(idx.qsigs[id], gs) <= tau {
+			if id := idx.ids[p]; filter.CSSLowerBoundCounted(idx.qsigs[id], counts) <= tau {
 				out = append(out, int(id))
 			}
 		}
 	}
 	sc.cands = out
+	if len(out) > 0 {
+		gs = s.gsig(gi, &sc.counts)
+	}
 	return out, gs
 }
 
@@ -197,11 +210,23 @@ func (idx *Index) Source(u []*ugraph.Graph) *Source {
 }
 
 // gsig returns uncertain graph gi's filter signature: the prebuilt one when
-// the source carries them, else a fresh one. Only sweep asks, at most once
-// per graph.
-func (s *Source) gsig(gi int) *filter.GSig {
+// the source carries them, else a fresh one built on gi's counts, which
+// sweep has filled into scratch and the signature takes over. Only sweep
+// asks, at most once per graph.
+func (s *Source) gsig(gi int, scratch *filter.GCounts) *filter.GSig {
 	if s.gsigs != nil {
 		return s.gsigs[gi]
 	}
-	return filter.NewGSig(s.u[gi])
+	return filter.NewGSigCounts(s.u[gi], scratch)
+}
+
+// counts returns uncertain graph gi's counts for the counted CSS bound: the
+// prebuilt signature's when the source carries them, else gi's filled into
+// scratch.
+func (s *Source) counts(gi int, scratch *filter.GCounts) *filter.GCounts {
+	if s.gsigs != nil {
+		return &s.gsigs[gi].GCounts
+	}
+	scratch.Fill(s.u[gi])
+	return scratch
 }

@@ -3,9 +3,11 @@ package core
 import (
 	"context"
 	"math/rand"
+	"reflect"
 	"slices"
 	"testing"
 
+	"simjoin/internal/filter"
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
 )
@@ -203,5 +205,80 @@ func TestIndexSizeScreen(t *testing.T) {
 	}
 	if c := sweepSorted(idx, big, 10); len(c) != 1 {
 		t.Fatalf("generous tau should pass: %v", c)
+	}
+}
+
+// TestSweepBuildsNoSignatureWithoutCandidates pins the sweep's lazy
+// signature. Both queries of the index pass the size window and the
+// label-overlap screen against g, so the sweep reaches the counted CSS test
+// at every position; both die there (g's edge label matches neither), and
+// the sweep returns no candidates, no GSig, and allocates nothing — it reads
+// g's counts from its scratch. A graph with a survivor gets its signature,
+// built on those counts.
+func TestSweepBuildsNoSignatureWithoutCandidates(t *testing.T) {
+	const tau = 0
+	path := func(labels ...string) *graph.Graph {
+		q := graph.New(len(labels))
+		for _, l := range labels {
+			q.AddVertex(l)
+		}
+		for v := 1; v < len(labels); v++ {
+			q.MustAddEdge(v-1, v, "p")
+		}
+		return q
+	}
+	d := []*graph.Graph{path("A", "B"), path("B", "A")}
+	g := ugraph.New(2) // the queries' shape, but its edge is labelled r, not p
+	g.AddVertex(ugraph.Label{Name: "A", P: 1})
+	g.AddVertex(ugraph.Label{Name: "B", P: 1})
+	g.MustAddEdge(0, 1, "r")
+	gs := filter.NewGSig(g)
+	for qi, q := range d {
+		qs := filter.NewQSig(q)
+		if diff := q.Size() - g.Size(); diff > tau || -diff > tau {
+			t.Fatalf("query %d: outside the size window", qi)
+		}
+		// The overlap screen keeps the pair when max(|V(q)|, |V(g)|) minus
+		// the q-vertices whose label g carries is within τ (index.go).
+		overlap := 0
+		for _, id := range qs.VIDs {
+			for v := 0; v < g.NumVertices(); v++ {
+				if g.LabelIDs(v)[0] == id {
+					overlap++
+					break
+				}
+			}
+		}
+		if max(q.NumVertices(), g.NumVertices())-overlap > tau {
+			t.Fatalf("query %d: ruled out by the label-overlap screen, never reaching the counted test", qi)
+		}
+		if lb := filter.CSSLowerBoundCounted(qs, &gs.GCounts); lb <= tau {
+			t.Fatalf("query %d: counted CSS bound %d within tau %d", qi, lb, tau)
+		}
+	}
+	src := BuildIndex(d).Source([]*ugraph.Graph{g})
+	var sc indexScratch
+	if cands, sig := src.sweep(0, tau, &sc); len(cands) != 0 || sig != nil {
+		t.Fatalf("sweep returned %v and signature %v, want neither", cands, sig)
+	}
+	if a := testing.AllocsPerRun(50, func() { src.sweep(0, tau, &sc) }); a != 0 {
+		t.Fatalf("a sweep without candidates allocated %v allocs/op, want 0", a)
+	}
+
+	g2 := ugraph.New(2) // a p edge: path("A", "B") itself
+	g2.AddVertex(ugraph.Label{Name: "A", P: 1})
+	g2.AddVertex(ugraph.Label{Name: "B", P: 1})
+	g2.MustAddEdge(0, 1, "p")
+	cands, sig := BuildIndex(d).Source([]*ugraph.Graph{g2}).sweep(0, tau, &sc)
+	if len(cands) == 0 || sig == nil || sig.G != g2 {
+		t.Fatalf("sweep of a matching graph returned %v and signature %v", cands, sig)
+	}
+	// The signature takes over the counts the sweep filled into its scratch,
+	// and keeps them when the scratch fills another graph's.
+	src.sweep(0, tau, &sc)
+	var want filter.GCounts
+	want.Fill(g2)
+	if !reflect.DeepEqual(sig.GCounts, want) {
+		t.Fatalf("sweep's signature counts %+v, want %+v", sig.GCounts, want)
 	}
 }

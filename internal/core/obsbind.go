@@ -37,7 +37,8 @@ type joinObs struct {
 	// Verdict (VerdictNone unused).
 	verifyRung [5]*obs.Histogram
 	// gedSeconds and gedStates observe every exact GED call of the verdict
-	// ladder (rec.gedCompute): its wall time and its A* states expanded.
+	// ladder (rec.gedCompute, buildRelaxed): its wall time and its A* states
+	// expanded.
 	gedSeconds *obs.Histogram
 	gedStates  *obs.Histogram
 
@@ -169,11 +170,14 @@ type rec struct {
 	// per-pair group cache of the grouped bound); pv caches the
 	// world-invariant CSS constants of the pair under verification; ws holds
 	// the possible-world enumeration buffers; rl the pair's relaxed mapping
-	// lists.
-	fsc filter.Scratch
-	pv  filter.PairVerifier
-	ws  ugraph.WorldScratch
-	rl  relaxedLists
+	// lists; worlds the shared worlds of the graph in hand (worlds.go);
+	// wside a world's GED side, prepared afresh for every GED (gedCompute).
+	fsc    filter.Scratch
+	pv     filter.PairVerifier
+	ws     ugraph.WorldScratch
+	rl     relaxedLists
+	worlds worldCache
+	wside  ged.Prepared
 
 	// pctx is the per-worker PairContext, reused across pairs: building it
 	// fresh inside prunephase would heap-allocate one per pair (it escapes
@@ -194,12 +198,13 @@ type rec struct {
 	evVerdict Verdict
 }
 
-// gedCompute runs one threshold-bounded exact GED of q against the world w
-// for a verification rung and books it (bookGED); the rungs treat any error
-// as an exhausted budget.
-func (st *rec) gedCompute(q, w *graph.Graph, opts *Options) (ged.Result, error) {
+// gedCompute runs one threshold-bounded exact GED of the pair's query (its
+// prepared side) against the world w for a verification rung and books it
+// (bookGED); the rungs treat any error as an exhausted budget.
+func (st *rec) gedCompute(pi *pairIn, w *graph.Graph, opts *Options) (ged.Result, error) {
 	t0 := st.gedStart()
-	res, err := ged.Compute(q, w, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates})
+	st.wside.Reset(w)
+	res, err := ged.ComputePrepared(pi.qp, &st.wside, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates})
 	st.bookGED(t0, res.States, err != nil)
 	return res, err
 }

@@ -82,10 +82,10 @@ func (st *rec) buildRelaxed(pi *pairIn, opts *Options) bool {
 	rl.ms, rl.reqs, rl.maps = rl.ms[:0], rl.reqs[:0], rl.maps[:0]
 	rl.nq = pi.qs.NumV
 	qids := pi.qs.VIDs
-	relaxed := pi.gs.Relaxed()
-	rids := relaxed.VertexLabelIDs()
+	relaxed := st.worlds.relaxedSide(pi.gs)
+	rids := relaxed.Graph().VertexLabelIDs()
 	t0 := st.gedStart()
-	states, err := ged.ComputeAll(pi.q, relaxed, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates},
+	states, err := ged.ComputeAllPrepared(pi.qp, relaxed, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates},
 		func(m ged.Mapping, cost int) {
 			lo := len(rl.reqs)
 			for u, v := range m {

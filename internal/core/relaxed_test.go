@@ -196,6 +196,7 @@ func TestRelaxedListsMatchPerWorld(t *testing.T) {
 	var relaxed, fallbacks int64
 	for _, c := range corpora {
 		qsigs, gsigs := filter.NewQSigs(c.d), filter.NewGSigs(c.u)
+		qsides := BuildIndex(c.d).qsides
 		for _, cfg := range configs {
 			opts := cfg.opts
 			if err := opts.normalise(); err != nil {
@@ -203,7 +204,7 @@ func TestRelaxedListsMatchPerWorld(t *testing.T) {
 			}
 			for qi, q := range c.d {
 				for gi, g := range c.u {
-					pi := &pairIn{q: q, g: g, qs: qsigs[qi], gs: gsigs[gi], qi: qi, gi: gi}
+					pi := &pairIn{q: q, g: g, qs: qsigs[qi], gs: gsigs[gi], qp: qsides[qi], qi: qi, gi: gi}
 					var groups []ugraph.Group
 					if cfg.groups {
 						st := newRec(newJoinObs(&opts), &opts, groupBound)
@@ -246,7 +247,7 @@ func TestRelaxedCapFallsBack(t *testing.T) {
 	if err := opts.normalise(); err != nil {
 		t.Fatal(err)
 	}
-	pi := &pairIn{q: q, g: g, qs: filter.NewQSig(q), gs: filter.NewGSig(g)}
+	pi := &pairIn{q: q, g: g, qs: filter.NewQSig(q), gs: filter.NewGSig(g), qp: ged.Prepare(q)}
 	n := 0
 	if _, err := ged.ComputeAll(q, pi.gs.Relaxed(), ged.Options{Threshold: opts.Tau}, func(ged.Mapping, int) { n++ }); err != ged.ErrTooManyMappings {
 		t.Fatalf("relaxed search: err %v after %d mappings, want ErrTooManyMappings", err, n)
@@ -334,7 +335,7 @@ func TestRelaxedKeepsTheGEDsMapping(t *testing.T) {
 	if err := opts.normalise(); err != nil {
 		t.Fatal(err)
 	}
-	pi := &pairIn{q: q, g: g, qs: filter.NewQSig(q), gs: filter.NewGSig(g)}
+	pi := &pairIn{q: q, g: g, qs: filter.NewQSig(q), gs: filter.NewGSig(g), qp: ged.Prepare(q)}
 	a := runExact(pi, nil, &opts, false)
 	if !a.ok || a.relaxedPairs != 1 {
 		t.Fatalf("accepted %v with %d list builds; want an accepted list-scored pair", a.ok, a.relaxedPairs)

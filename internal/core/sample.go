@@ -41,7 +41,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 		}
 		return Pair{}, false, sampleDeadline
 	}
-	q, g, qi, gi := pi.q, pi.g, pi.qi, pi.gi
+	g, qi, gi := pi.g, pi.qi, pi.gi
 	n := opts.SampleWorlds
 	mass := pi.gs.Mass
 	rng := rand.New(rand.NewSource(int64(qi)*1_000_003 + int64(gi) + 42))
@@ -101,7 +101,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 		if st.pv.WorldLowerBound(w) > opts.Tau {
 			continue
 		}
-		res, err := st.gedCompute(q, w, opts)
+		res, err := st.gedCompute(pi, w, opts)
 		if err != nil {
 			errs++
 			continue
@@ -110,7 +110,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 			hits++
 			if res.Distance < best.Distance {
 				best.Distance = res.Distance
-				best.World = w.Clone()
+				best.World = st.worlds.keep(g, w)
 				best.Mapping = res.Mapping
 			}
 		}

@@ -14,10 +14,12 @@
 package core
 
 import (
+	"cmp"
 	"context"
 	"fmt"
 	"runtime"
 	"runtime/debug"
+	"slices"
 	"sort"
 	"time"
 
@@ -184,9 +186,13 @@ func (o *Options) chain() []filter.Bound {
 type Pair struct {
 	Q, G     int
 	SimP     float64
-	Distance int          // smallest ged(q, pw) among satisfying worlds
-	World    *graph.Graph // a satisfying world achieving Distance
-	Mapping  ged.Mapping  // q -> World vertex mapping (when KeepMappings)
+	Distance int // smallest ged(q, pw) among satisfying worlds
+	// World is a satisfying world achieving Distance. It is shared and
+	// read-only: every result of G that reports the same world points at
+	// the same graph, which the join materialised once for all of G's
+	// candidates. Clone it to modify it.
+	World   *graph.Graph
+	Mapping ged.Mapping // q -> World vertex mapping (when KeepMappings)
 	// Verdict labels the rung of the verification ladder that decided the
 	// pair, i.e. whether SimP is exact, a sampling estimate, or a certified
 	// lower bound.
@@ -232,7 +238,7 @@ type Stats struct {
 	RelaxedFallbacks int64
 	// PruneTime is the time spent pruning: every graph's index sweep (the
 	// size screen, the label-overlap bound and the counted CSS bound, with
-	// the signature build the last one may trigger) plus every pair's
+	// the signature build of a graph that has candidates) plus every pair's
 	// filter chain. VerifyTime is the verdict ladder's time.
 	PruneTime    time.Duration
 	VerifyTime   time.Duration
@@ -374,14 +380,16 @@ func finishStats(total *Stats, jo *joinObs) {
 	jo.syncAux()
 }
 
-// pairIn bundles one (q, g) pair with its precomputed filter signatures and
-// dataset indices. The join drivers assemble it once per pair so the pipeline
-// below never rebuilds signatures inside the pair loop.
+// pairIn bundles one (q, g) pair with its precomputed filter signatures,
+// q's prepared GED side and the dataset indices. The join drivers assemble
+// it once per pair so the pipeline below never rebuilds them inside the pair
+// loop.
 type pairIn struct {
 	q      *graph.Graph
 	g      *ugraph.Graph
 	qs     *filter.QSig
 	gs     *filter.GSig
+	qp     *ged.Prepared
 	qi, gi int
 }
 
@@ -643,7 +651,12 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 // scored against them; when the build fails, the loop goes on world by
 // world. The per-world CSS bound runs through the worker's
 // PairVerifier: every world of g (and of its conditioned groups) shares g's
-// structure, so only the λV matching is recomputed per world.
+// structure, so only the λV matching is recomputed per world. A group of a
+// single world skips it: that world's bound is the CSS bound the chain (or
+// the group bound, for a kept group) already passed.
+//
+// The best world is the graph's shared copy of it (worlds.go): a world that
+// several results of the graph report is cloned once, not once per pair.
 //
 // A world whose exact GED exhausts VerifyMaxStates is ruled in when the
 // beam-search upper bound is within τ; otherwise its mass stays unresolved.
@@ -652,13 +665,17 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 // assisted reports that at least one GED hit its budget: the verdict is then
 // no longer exact.
 func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group, opts *Options, st *rec) (Pair, bool, exactOutcome, bool) {
-	q, qi, gi := pi.q, pi.qi, pi.gi
-	if groups == nil {
-		groups = []ugraph.Group{{G: pi.g, Mass: pi.gs.Mass}}
-	}
+	qi, gi := pi.qi, pi.gi
 	// High-mass groups first: the early accept/reject thresholds are reached
-	// sooner when probable worlds are enumerated early.
-	sort.Slice(groups, func(i, j int) bool { return groups[i].Mass > groups[j].Mass })
+	// sooner when probable worlds are enumerated early. Without kept groups
+	// the whole graph is the one group, held in a local array.
+	var whole [1]ugraph.Group
+	if groups == nil {
+		whole[0] = ugraph.Group{G: pi.g, Mass: pi.gs.Mass}
+		groups = whole[:]
+	} else {
+		slices.SortFunc(groups, func(a, b ugraph.Group) int { return cmp.Compare(b.Mass, a.Mass) })
+	}
 	totalMass, totalWorlds := 0.0, 0.0
 	for _, gr := range groups {
 		totalMass += gr.Mass
@@ -685,10 +702,12 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 	pairWorlds := int64(0)
 	// lists marks the relaxed lists built, tried a build attempted; bestAt
 	// is the listed mapping attaining best when a list-scored world set it,
-	// -1 otherwise.
+	// -1 otherwise. preCheck marks a group of several worlds, whose worlds
+	// get the CSS pre-check; pvReady that st.pv holds the pair.
 	lists, tried := false, false
 	minWorlds := relaxedMinWorlds(opts.Tau)
 	bestAt := -1
+	preCheck, pvReady := false, false
 
 	// The context is polled every ctxCheckEvery worlds, so short enumerations
 	// would outrun an already-expired deadline without this entry check.
@@ -699,10 +718,14 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 		return Pair{}, false, exactDeadline, false
 	}
 
-	st.pv.Reset(pi.qs, pi.gs)
 	for _, gr := range groups {
 		if decided || outcome != exactDecided {
 			break
+		}
+		preCheck = gr.G.WorldCountFloat() > 1
+		if preCheck && !pvReady {
+			st.pv.Reset(pi.qs, pi.gs)
+			pvReady = true
 		}
 		gr.G.WorldsScratch(&st.ws, func(w *graph.Graph, p float64) bool {
 			st.WorldsChecked++
@@ -729,7 +752,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 				}
 			}
 			remaining -= p
-			ruledOut := !lists && st.pv.WorldLowerBound(w) > opts.Tau
+			ruledOut := !lists && preCheck && st.pv.WorldLowerBound(w) > opts.Tau
 			if !ruledOut && !lists && !tried && pairWorlds > 1 && totalWorlds >= minWorlds && !testPerWorld {
 				// The first GED after the first world: build the relaxed
 				// lists instead, once, and score this world and every
@@ -743,22 +766,22 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 					simP += p
 					if d < best.Distance {
 						best.Distance = d
-						best.World = w.Clone()
+						best.World = st.worlds.keep(pi.g, w)
 						best.Mapping, bestAt = nil, at
 					}
 				}
 			case !ruledOut:
-				res, err := st.gedCompute(q, w, opts)
+				res, err := st.gedCompute(pi, w, opts)
 				switch {
 				case err != nil:
 					assisted = true
 					// Rescue the world with the beam-search upper bound:
 					// d ≤ τ still proves it similar.
-					if d, m := ged.Approximate(q, w, approxBeam); d <= opts.Tau {
+					if d, m := ged.Approximate(pi.q, w, approxBeam); d <= opts.Tau {
 						simP += p
 						if d < best.Distance {
 							best.Distance = d
-							best.World = w.Clone()
+							best.World = st.worlds.keep(pi.g, w)
 							best.Mapping, bestAt = m, -1
 						}
 					} else {
@@ -768,7 +791,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 					simP += p
 					if res.Distance < best.Distance {
 						best.Distance = res.Distance
-						best.World = w.Clone()
+						best.World = st.worlds.keep(pi.g, w)
 						best.Mapping, bestAt = res.Mapping, -1
 					}
 				}
@@ -812,7 +835,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 		// the best world; a listed mapping attaining the same distance may
 		// be a different one. A failed GED here is treated like one in the
 		// loop: the verdict is assisted, and the listed mapping stands in.
-		if res, err := st.gedCompute(q, best.World, opts); err == nil && !res.Exceeded {
+		if res, err := st.gedCompute(pi, best.World, opts); err == nil && !res.Exceeded {
 			best.Mapping = res.Mapping
 		} else {
 			assisted = true

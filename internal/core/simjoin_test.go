@@ -178,7 +178,7 @@ func bruteCandidates(qsigs []*filter.QSig, d []*graph.Graph, gs *filter.GSig, ta
 		if diff := q.Size() - gs.G.Size(); diff > tau || -diff > tau {
 			continue
 		}
-		if filter.CSSLowerBoundCounted(qsigs[qi], gs) <= tau {
+		if filter.CSSLowerBoundCounted(qsigs[qi], &gs.GCounts) <= tau {
 			out = append(out, qi)
 		}
 	}

@@ -111,7 +111,7 @@ func approxVerify(pi *pairIn, opts *Options, st *rec) (Pair, bool, bool) {
 			lo += p
 			if d < best.Distance {
 				best.Distance = d
-				best.World = w.Clone()
+				best.World = st.worlds.keep(pi.g, w)
 				best.Mapping = m
 			}
 		}

@@ -50,12 +50,18 @@ func UnionConcreteLabels(g *ugraph.Graph, set *graph.LabelSet) (wilds int) {
 // counted more than once, which only loosens the bound.) A matching has at
 // most min(|V(q)|, |V(g)|) edges.
 //
-// It costs one map lookup per distinct concrete label of q and allocates
-// nothing.
-func LambdaVCounted(qs *QSig, gs *GSig) int {
-	n := qs.VWilds + len(gs.wildVerts)
+// It reads only g's counts (GCounts), merging q's and g's sorted label
+// vectors, and allocates nothing.
+func LambdaVCounted(qs *QSig, gs *GCounts) int {
+	n := qs.VWilds + gs.VWilds
+	i := 0
 	for _, lc := range qs.VLabels {
-		n += min(int(lc.N), len(gs.byLabel[lc.ID]))
+		for i < len(gs.VCounts) && gs.VCounts[i].ID < lc.ID {
+			i++
+		}
+		if i < len(gs.VCounts) && gs.VCounts[i].ID == lc.ID {
+			n += min(int(lc.N), int(gs.VCounts[i].N))
+		}
 	}
 	return min(n, min(qs.NumV, gs.NumV))
 }
@@ -75,7 +81,8 @@ func LambdaVCounted(qs *QSig, gs *GSig) int {
 // every term of λVcount's sum is at most overlap's, and C ≥ max(|V(q)|,
 // |V(g)|). A pair that this overlap bound, or any relaxation of it such as
 // core.Index's word-parallel bound, puts beyond τ is beyond τ here too, so
-// such a bound is a valid pre-filter in front of this one.
-func CSSLowerBoundCounted(qs *QSig, gs *GSig) int {
-	return CSSConstantSig(qs, gs) - LambdaVCounted(qs, gs)
+// such a bound is a valid pre-filter in front of this one. Like
+// LambdaVCounted it reads only g's counts: a GSig's are &gs.GCounts.
+func CSSLowerBoundCounted(qs *QSig, gs *GCounts) int {
+	return cssConstantCounts(qs, gs) - LambdaVCounted(qs, gs)
 }

@@ -2,6 +2,7 @@ package filter
 
 import (
 	"math/rand"
+	"slices"
 	"testing"
 
 	"simjoin/internal/graph"
@@ -42,7 +43,7 @@ func TestLambdaVCountedMatchesDefinition(t *testing.T) {
 	g.AddVertex(ugraph.Label{Name: "c", P: 0.5}, ugraph.Label{Name: "?y", P: 0.5})
 	g.AddVertex(ugraph.Label{Name: "b", P: 1})
 	qs, gs := NewQSig(q), NewGSig(g)
-	if got := LambdaVCounted(qs, gs); got != 4 {
+	if got := LambdaVCounted(qs, &gs.GCounts); got != 4 {
 		t.Fatalf("λVcount = %d, want 4", got)
 	}
 	// A matching reaches it: a → a|c, a → c|? (the wildcard candidate),
@@ -128,20 +129,78 @@ func TestCountedCSSBoundSound(t *testing.T) {
 	for _, c := range corpora {
 		for it := 0; it < 400; it++ {
 			qs, gs := NewQSig(c.q(rng)), NewGSig(c.g(rng))
-			count, lamV := LambdaVCounted(qs, gs), LambdaVUncertainSig(qs, gs)
+			count, lamV := LambdaVCounted(qs, &gs.GCounts), LambdaVUncertainSig(qs, gs)
 			if count < lamV {
 				t.Fatalf("%s #%d: λVcount = %d < λV = %d\nq: %v\ng: %v", c.name, it, count, lamV, qs.G, gs.G)
 			}
-			counted, exact := CSSLowerBoundCounted(qs, gs), CSSLowerBoundUncertainSig(qs, gs)
+			counted, exact := CSSLowerBoundCounted(qs, &gs.GCounts), CSSLowerBoundUncertainSig(qs, gs)
 			if counted < 0 || counted > exact {
 				t.Fatalf("%s #%d: counted bound %d outside [0, exact CSS bound %d]\nq: %v\ng: %v",
 					c.name, it, counted, exact, qs.G, gs.G)
 			}
 			if it == 0 {
-				if a := testing.AllocsPerRun(20, func() { CSSLowerBoundCounted(qs, gs) }); a != 0 {
+				if a := testing.AllocsPerRun(20, func() { CSSLowerBoundCounted(qs, &gs.GCounts) }); a != 0 {
 					t.Fatalf("%s: CSSLowerBoundCounted allocated %v allocs/op, want 0", c.name, a)
 				}
 			}
 		}
+	}
+}
+
+// TestGCountsFillMatchesDefinition fills one GCounts over a stream of random
+// and wildcard-heavy graphs, as the index sweep's scratch is, and requires
+// each fill to equal the definitions it replaces in the sweep: the degree
+// sequence, the edge label multiset, and, per concrete label, the number of
+// vertices carrying it among their candidates (the GSig's per-label vertex
+// lists) and the vertices with a wildcard candidate. A fill of a graph no
+// larger than an earlier one allocates nothing.
+func TestGCountsFillMatchesDefinition(t *testing.T) {
+	rng := rand.New(rand.NewSource(41))
+	var c GCounts
+	for it := 0; it < 300; it++ {
+		var g *ugraph.Graph
+		switch {
+		case it%50 == 0:
+			g = ugraph.New(0)
+		case it%2 == 0:
+			g = randomUncertain(rng, 1+rng.Intn(8), rng.Intn(12), 4)
+		default:
+			g = wildHeavyUncertain(rng, 1+rng.Intn(6), rng.Intn(8))
+		}
+		c.Fill(g)
+		gs := NewGSig(g)
+		eLabels, eWilds := g.EdgeLabelIDMultiset()
+		switch {
+		case c.NumV != g.NumVertices() || c.NumE != g.NumEdges():
+			t.Fatalf("#%d: sizes %d/%d, want %d/%d", it, c.NumV, c.NumE, g.NumVertices(), g.NumEdges())
+		case !slices.Equal(c.DegSeq, g.DegreeSequence()):
+			t.Fatalf("#%d: degree sequence %v, want %v", it, c.DegSeq, g.DegreeSequence())
+		case !slices.Equal(c.ELabels, eLabels) || c.EWilds != eWilds:
+			t.Fatalf("#%d: edge labels %v/%d, want %v/%d", it, c.ELabels, c.EWilds, eLabels, eWilds)
+		case c.VWilds != len(gs.wildVerts):
+			t.Fatalf("#%d: %d wildcard vertices, want %d", it, c.VWilds, len(gs.wildVerts))
+		}
+		n := 0
+		for i, lc := range c.VCounts {
+			if i > 0 && c.VCounts[i-1].ID >= lc.ID {
+				t.Fatalf("#%d: label counts not sorted by id: %v", it, c.VCounts)
+			}
+			if int(lc.N) != len(gs.byLabel[lc.ID]) {
+				t.Fatalf("#%d: label %d on %d vertices, want %d", it, lc.ID, lc.N, len(gs.byLabel[lc.ID]))
+			}
+			n += int(lc.N)
+		}
+		want := 0
+		for _, vs := range gs.byLabel {
+			want += len(vs)
+		}
+		if n != want {
+			t.Fatalf("#%d: %d (vertex, label) records, want %d", it, n, want)
+		}
+	}
+	big := randomUncertain(rng, 8, 12, 4)
+	c.Fill(big)
+	if a := testing.AllocsPerRun(20, func() { c.Fill(big) }); a != 0 {
+		t.Fatalf("GCounts.Fill allocated %v allocs/op on a reused buffer, want 0", a)
 	}
 }

@@ -18,6 +18,7 @@ package filter
 // strings. Wildcards are graph.WildcardID throughout.
 
 import (
+	"slices"
 	"sync"
 
 	"simjoin/internal/graph"
@@ -82,16 +83,95 @@ type condSig struct {
 	mass float64
 }
 
+// GCounts is the part of an uncertain graph's signature the counted CSS
+// bound (CSSLowerBoundCounted) reads: the sizes, the degree sequence, the
+// edge label multiset and, per concrete label, how many vertices carry it
+// among their candidates. core.Index's sweep fills one per graph into reused
+// scratch (Fill), so a graph that no query survives against builds no GSig.
+type GCounts struct {
+	NumV, NumE int
+	DegSeq     []int              // total degrees, non-increasing
+	ELabels    []graph.LabelCount // concrete edge label multiset, sorted by id
+	EWilds     int                // wildcard edge count
+	// VCounts counts the (vertex, candidate label) records of each concrete
+	// label, sorted by id; VWilds counts the vertices with a wildcard
+	// candidate.
+	VCounts []graph.LabelCount
+	VWilds  int
+}
+
+// Fill summarises g into c, reusing c's buffers: once they have grown to
+// g's size, filling allocates nothing.
+func (c *GCounts) Fill(g *ugraph.Graph) {
+	c.NumV, c.NumE = g.NumVertices(), g.NumEdges()
+	deg := slices.Grow(c.DegSeq[:0], c.NumV)[:c.NumV]
+	clear(deg)
+	for _, e := range g.Edges() {
+		deg[e.From]++
+		deg[e.To]++
+	}
+	slices.Sort(deg)
+	slices.Reverse(deg)
+	c.DegSeq = deg
+
+	c.ELabels, c.EWilds = slices.Grow(c.ELabels[:0], c.NumE), 0
+	for _, id := range g.EdgeLabelIDs() {
+		if id == graph.WildcardID {
+			c.EWilds++
+		} else {
+			c.ELabels = append(c.ELabels, graph.LabelCount{ID: id, N: 1})
+		}
+	}
+	c.ELabels = foldCounts(c.ELabels)
+
+	records := 0
+	for v := 0; v < c.NumV; v++ {
+		records += len(g.LabelIDs(v))
+	}
+	c.VCounts, c.VWilds = slices.Grow(c.VCounts[:0], records), 0
+	for v := 0; v < c.NumV; v++ {
+		wild := false
+		for _, id := range g.LabelIDs(v) {
+			if id == graph.WildcardID {
+				wild = true
+			} else {
+				c.VCounts = append(c.VCounts, graph.LabelCount{ID: id, N: 1})
+			}
+		}
+		if wild {
+			c.VWilds++
+		}
+	}
+	c.VCounts = foldCounts(c.VCounts)
+}
+
+// foldCounts sorts label counts by id and sums the counts of equal ids, in
+// place. It sorts by insertion, like graph.CountLabelIDs: a graph's label
+// lists are small.
+func foldCounts(lc []graph.LabelCount) []graph.LabelCount {
+	for i := 1; i < len(lc); i++ {
+		for j := i; j > 0 && lc[j].ID < lc[j-1].ID; j-- {
+			lc[j], lc[j-1] = lc[j-1], lc[j]
+		}
+	}
+	out := lc[:0]
+	for _, x := range lc {
+		if n := len(out); n > 0 && out[n-1].ID == x.ID {
+			out[n-1].N += x.N
+		} else {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
 // GSig is the precomputed signature of an uncertain graph: the structures
 // Theorems 3 and 4 read from the g side of a pair.
 type GSig struct {
-	G          *ugraph.Graph
-	NumV, NumE int
-	DegSeq     []int
-	ELabels    []graph.LabelCount // concrete edge label multiset, sorted by id
-	EWilds     int
-	Mass       float64 // TotalMass
-	WorldsF    float64 // WorldCountFloat
+	G *ugraph.Graph
+	GCounts
+	Mass    float64 // TotalMass
+	WorldsF float64 // WorldCountFloat
 
 	flat      []gsigLabel               // all (vertex, label) records in order
 	byLabel   map[graph.LabelID][]int32 // concrete label id -> vertices carrying it
@@ -199,16 +279,23 @@ func (s *GSig) conditioned() []condSig {
 
 // NewGSig precomputes the signature of one uncertain graph.
 func NewGSig(g *ugraph.Graph) *GSig {
+	var c GCounts
+	c.Fill(g)
+	return NewGSigCounts(g, &c)
+}
+
+// NewGSigCounts is NewGSig for a graph whose counts c already holds
+// (c.Fill(g)): the signature takes over c's buffers instead of counting
+// again, and c is left empty.
+func NewGSigCounts(g *ugraph.Graph, c *GCounts) *GSig {
 	s := &GSig{
 		G:       g,
-		NumV:    g.NumVertices(),
-		NumE:    g.NumEdges(),
-		DegSeq:  g.DegreeSequence(),
+		GCounts: *c,
 		Mass:    g.TotalMass(),
 		WorldsF: g.WorldCountFloat(),
 		byLabel: make(map[graph.LabelID][]int32),
 	}
-	s.ELabels, s.EWilds = g.EdgeLabelIDMultiset()
+	*c = GCounts{}
 	for v := 0; v < s.NumV; v++ {
 		ids := g.LabelIDs(v)
 		ls := g.Labels(v)
@@ -288,12 +375,21 @@ func CSSLowerBoundUncertainSigScratch(bp *matching.Bipartite, qs *QSig, gs *GSig
 // LambdaEUncertainSig is LambdaEUncertain over precomputed signatures: a
 // two-pointer merge of the sorted edge-label id vectors.
 func LambdaEUncertainSig(qs *QSig, gs *GSig) int {
+	return lambdaECounts(qs, &gs.GCounts)
+}
+
+func lambdaECounts(qs *QSig, gs *GCounts) int {
 	return multisetCommonIDs(qs.ELabels, qs.EWilds, qs.NumE, gs.ELabels, gs.EWilds, gs.NumE)
 }
 
 // CSSConstantSig is CSSConstant over precomputed signatures.
 func CSSConstantSig(qs *QSig, gs *GSig) int {
-	lamE := LambdaEUncertainSig(qs, gs)
+	return cssConstantCounts(qs, &gs.GCounts)
+}
+
+// cssConstantCounts is CSSConstantSig over the g side's counts alone.
+func cssConstantCounts(qs *QSig, gs *GCounts) int {
+	lamE := lambdaECounts(qs, gs)
 	oriented := func(small, big []int, bigV, bigE int) int {
 		return bigV + bigE - lamE + (degreeDistanceSeq(small, big)+1)/2
 	}

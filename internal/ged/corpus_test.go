@@ -24,8 +24,9 @@ const (
 // computeCorpus runs Compute over a seeded corpus of random graph pairs (both
 // argument orders, so the swapped direction is covered) at every threshold
 // from 0 to 4 and without one, and returns the digest of the outcomes and
-// the total states expanded.
-func computeCorpus(t *testing.T) (string, int) {
+// the total states expanded. With prepared set it runs ComputePrepared
+// instead, preparing each graph once for all twelve of its searches.
+func computeCorpus(t *testing.T, prepared bool) (string, int) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(20260401))
 	h := sha256.New()
@@ -33,9 +34,15 @@ func computeCorpus(t *testing.T) (string, int) {
 	for i := 0; i < 400; i++ {
 		a := randomGraph(rng, 1+rng.Intn(9), rng.Intn(14))
 		b := randomGraph(rng, 1+rng.Intn(9), rng.Intn(14))
+		pa, pb := Prepare(a), Prepare(b)
 		for _, tau := range []int{0, 1, 2, 3, 4, NoThreshold} {
 			for rev, pair := range [2][2]*graph.Graph{{a, b}, {b, a}} {
-				r, err := Compute(pair[0], pair[1], Options{Threshold: tau})
+				opts := Options{Threshold: tau}
+				r, err := Compute(pair[0], pair[1], opts)
+				if prepared {
+					sides := [2]*Prepared{pa, pb}
+					r, err = ComputePrepared(sides[rev], sides[1-rev], opts)
+				}
 				if err != nil {
 					t.Fatalf("case %d tau %d: %v", i, tau, err)
 				}
@@ -51,10 +58,14 @@ func computeCorpus(t *testing.T) (string, int) {
 }
 
 // TestComputeCorpusPinned pins Compute's search order: Distance, Mapping and
-// States over the seeded corpus must equal the recorded values.
+// States over the seeded corpus must equal the recorded values, through
+// Compute and through ComputePrepared alike.
 func TestComputeCorpusPinned(t *testing.T) {
-	digest, states := computeCorpus(t)
-	if digest != computeCorpusDigest || states != computeCorpusStates {
-		t.Fatalf("corpus digest %s, states %d; recorded %s, %d", digest, states, computeCorpusDigest, computeCorpusStates)
+	for _, prepared := range []bool{false, true} {
+		digest, states := computeCorpus(t, prepared)
+		if digest != computeCorpusDigest || states != computeCorpusStates {
+			t.Fatalf("prepared=%v: corpus digest %s, states %d; recorded %s, %d",
+				prepared, digest, states, computeCorpusDigest, computeCorpusStates)
+		}
 	}
 }

@@ -20,10 +20,18 @@
 // Compute runs once per world everywhere else: on a pair's first world, on
 // graphs with few worlds, and where the all-solutions search cannot finish.
 //
+// A search's set-up has a per-graph half — label ids, a dense adjacency
+// matrix, CSR incidence lists and a degree order — that Prepare builds once
+// per graph; ComputePrepared and ComputeAllPrepared search between two
+// prepared graphs and do only the per-pair half. Compute and ComputeAll
+// prepare both graphs into the searcher's own scratch and run the same
+// search.
+//
 // The search is allocation-lean: searchers are pooled (sync.Pool), states
 // come from a per-searcher chunk arena and carry one assignment plus a parent
 // pointer instead of a mapping copy, and the heuristic counts label
-// multisets in reusable slices over interned label ids instead of maps.
+// multisets in reusable slices over search-local label ids, assigned through
+// a dense array keyed by dictionary id instead of a map.
 package ged
 
 import (
@@ -116,42 +124,153 @@ func WithinThreshold(g1, g2 *graph.Graph, tau int) (int, bool) {
 // one per few hundred generated states.
 const stateChunkSize = 256
 
+// Prepared is one graph made ready for GED searches: the per-graph half of a
+// search's set-up, built once so that any number of searches against the
+// graph skip it (ComputePrepared, ComputeAllPrepared). Either graph of a
+// search may turn out the smaller one, so both roles' structures are built:
+// the degree order the smaller graph is mapped in, and the incidence lists
+// the larger one's heuristic walks. A Prepared is read-only once Reset
+// returns, so concurrent searches may share it; it refers to its graph's
+// label and edge slices, so the graph must not change while prepared.
+type Prepared struct {
+	g     *graph.Graph
+	n     int
+	vids  []graph.LabelID // per-vertex dictionary label ids
+	eids  []graph.LabelID // per-edge dictionary label ids, parallel to edges
+	edges []graph.Edge
+
+	// adj is the dense adjacency matrix (edge index + 1, 0 = absent),
+	// flattened row-major over the ≤64-vertex graphs. It replaces the
+	// EdgeIndex map lookups in the innermost search loop.
+	adj []int32
+
+	// CSR incidence lists of the edges per vertex (self-loops once); the
+	// successor heuristic walks only the edges touching the newly used
+	// vertex of the larger graph instead of rescanning the whole edge list.
+	incStart []int32
+	incEdge  []int32
+
+	// order is the processing order of the vertices when this is the smaller
+	// graph, high degree first; mask[k] is the bitmask of order[:k].
+	order []int
+	mask  []uint64
+}
+
+// Prepare returns g prepared for GED searches.
+func Prepare(g *graph.Graph) *Prepared {
+	p := new(Prepared)
+	p.Reset(g)
+	return p
+}
+
+// Graph returns the prepared graph.
+func (p *Prepared) Graph() *graph.Graph { return p.g }
+
+// Reset prepares p for g, reusing p's buffers: once they have grown to g's
+// size, preparing allocates nothing.
+func (p *Prepared) Reset(g *graph.Graph) {
+	p.g, p.n = g, g.NumVertices()
+	p.vids, p.eids, p.edges = g.VertexLabelIDs(), g.EdgeLabelIDs(), g.Edges()
+	n := p.n
+
+	p.adj = growInt32s(p.adj, n*n)
+	clear(p.adj)
+	for i, e := range p.edges {
+		p.adj[e.From*n+e.To] = int32(i + 1)
+	}
+
+	p.incStart = growInt32s(p.incStart, n+1)
+	clear(p.incStart)
+	for _, e := range p.edges {
+		p.incStart[e.From]++
+		if e.To != e.From {
+			p.incStart[e.To]++
+		}
+	}
+	total := int32(0)
+	for v := 0; v < n; v++ {
+		c := p.incStart[v]
+		p.incStart[v] = total
+		total += c
+	}
+	p.incStart[n] = total
+	p.incEdge = growInt32s(p.incEdge, int(total))
+	// Fill with the starts themselves as cursors: after filling, each start
+	// has advanced to the next vertex's start, so one backward shift restores
+	// the offsets.
+	for i, e := range p.edges {
+		p.incEdge[p.incStart[e.From]] = int32(i)
+		p.incStart[e.From]++
+		if e.To != e.From {
+			p.incEdge[p.incStart[e.To]] = int32(i)
+			p.incStart[e.To]++
+		}
+	}
+	for v := n; v > 0; v-- {
+		p.incStart[v] = p.incStart[v-1]
+	}
+	p.incStart[0] = 0
+
+	// High-degree vertices first: they constrain the most edges and tighten
+	// costs early. A graph has no self-loops, so a vertex's incidence list
+	// length is its total degree. The insertion sort is stable: ties keep
+	// vertex order.
+	deg := func(v int) int32 { return p.incStart[v+1] - p.incStart[v] }
+	p.order = growInts(p.order, n)
+	for i := range p.order {
+		p.order[i] = i
+	}
+	for i := 1; i < n; i++ {
+		for j := i; j > 0 && deg(p.order[j]) > deg(p.order[j-1]); j-- {
+			p.order[j], p.order[j-1] = p.order[j-1], p.order[j]
+		}
+	}
+	p.mask = growMasks(p.mask, n+1)
+	p.mask[0] = 0
+	for k := 1; k <= n; k++ {
+		p.mask[k] = p.mask[k-1] | 1<<uint(p.order[k-1])
+	}
+}
+
+// release drops p's references to its graph, keeping the buffers.
+func (p *Prepared) release() {
+	p.g, p.vids, p.eids, p.edges = nil, nil, nil, nil
+}
+
 // searcher holds the inputs and all reusable scratch of one A* run. The
 // smaller graph (by vertex count) is always mapped onto the larger one;
 // swapped indicates the caller's arguments were reversed. Searchers are
 // recycled through searcherPool; every slice below retains capacity across
 // runs.
 type searcher struct {
-	a, b    *graph.Graph // |V(a)| <= |V(b)|
-	order   []int        // processing order of a's vertices (degree-descending)
+	a, b    *Prepared // |V(a)| <= |V(b)|
 	swapped bool
 	opts    Options
 
-	// Locally interned labels: id 0 is reserved for wildcards. Vertex and
-	// edge labels share one dense id space so the heuristic's count slices
-	// stay small; the remap is keyed by the process-wide dictionary id
-	// (graph.LabelID), so building it hashes int32s, never strings.
-	ids              map[graph.LabelID]int
-	vLabelA, vLabelB []int
-	eLabA, eLabB     []int // per-edge label ids, parallel to Edges()
-	nLabels          int
+	// own holds the two graphs of a Compute or ComputeAll call, prepared
+	// into the searcher's scratch.
+	own [2]Prepared
 
-	// processedMask[k] is the bitmask of a-vertices in order[:k].
+	// The prepared sides' structures the search reads, copied out of a and
+	// b by setup: a's processing order and its processed-prefix bitmasks,
+	// both adjacency matrices and edge lists, and b's incidence lists.
+	order         []int
 	processedMask []uint64
+	nA, nB        int
+	adjA, adjB    []int32
+	aEdges        []graph.Edge
+	bEdges        []graph.Edge
+	bIncStart     []int32
+	bIncEdge      []int32
 
-	// Dense adjacency matrices (edge index + 1, 0 = absent), flattened
-	// row-major over the ≤64-vertex graphs. They replace the per-pair
-	// EdgeIndex map lookups in the innermost search loop.
-	nA, nB     int
-	adjA, adjB []int32
-	aEdges     []graph.Edge
-	bEdges     []graph.Edge
-
-	// CSR incidence lists of b-edges per b-vertex (self-loops once); the
-	// successor heuristic walks only the edges touching the newly used
-	// b-vertex instead of rescanning the whole edge list.
-	bIncStart []int32
-	bIncEdge  []int32
+	// Search-local label ids: id 0 is reserved for wildcards. Vertex and
+	// edge labels share one dense id space so the heuristic's count slices
+	// stay small. local maps a dictionary id (graph.LabelID) to its local
+	// id, 0 when unassigned; it is all zero between searches.
+	local            []int32
+	vLabelA, vLabelB []int
+	eLabA, eLabB     []int // per-edge label ids, parallel to the edge lists
+	nLabels          int
 
 	// Heuristic multiset scratch, indexed by label id. prepareExpand fills
 	// these once per expanded state; successorHeuristic applies O(deg)
@@ -180,7 +299,7 @@ type searcher struct {
 }
 
 var searcherPool = sync.Pool{
-	New: func() interface{} { return &searcher{ids: make(map[graph.LabelID]int)} },
+	New: func() interface{} { return new(searcher) },
 }
 
 // state is one partial mapping: the first k a-vertices in processing order
@@ -225,11 +344,35 @@ func Compute(g1, g2 *graph.Graph, opts Options) (Result, error) {
 	if err := fault.Hit("ged.compute", ""); err != nil {
 		return Result{}, err
 	}
-	s, err := newSearcher(g1, g2, opts)
-	if err != nil {
+	if err := checkSize(g1.NumVertices(), g2.NumVertices()); err != nil {
 		return Result{}, err
 	}
+	s := searcherPool.Get().(*searcher)
 	defer s.release()
+	s.own[0].Reset(g1)
+	s.own[1].Reset(g2)
+	return s.compute(&s.own[0], &s.own[1], opts)
+}
+
+// ComputePrepared is Compute between two prepared graphs: the same search,
+// the same result and the same failpoint, without the per-graph set-up. When
+// no goal lies within the threshold it allocates nothing; a goal costs the
+// returned Mapping only.
+func ComputePrepared(g1, g2 *Prepared, opts Options) (Result, error) {
+	if err := fault.Hit("ged.compute", ""); err != nil {
+		return Result{}, err
+	}
+	if err := checkSize(g1.n, g2.n); err != nil {
+		return Result{}, err
+	}
+	s := searcherPool.Get().(*searcher)
+	defer s.release()
+	return s.compute(g1, g2, opts)
+}
+
+// compute runs one thresholded search of g1 against g2 to its first goal.
+func (s *searcher) compute(g1, g2 *Prepared, opts Options) (Result, error) {
+	s.setup(g1, g2, opts)
 	goal, cost, err := s.next()
 	if err != nil {
 		return Result{States: s.expanded}, err
@@ -259,11 +402,32 @@ func ComputeAll(g1, g2 *graph.Graph, opts Options, fn func(m Mapping, cost int))
 	if err := fault.Hit("ged.compute", ""); err != nil {
 		return 0, err
 	}
-	s, err := newSearcher(g1, g2, opts)
-	if err != nil {
+	if err := checkSize(g1.NumVertices(), g2.NumVertices()); err != nil {
 		return 0, err
 	}
+	s := searcherPool.Get().(*searcher)
 	defer s.release()
+	s.own[0].Reset(g1)
+	s.own[1].Reset(g2)
+	return s.computeAll(&s.own[0], &s.own[1], opts, fn)
+}
+
+// ComputeAllPrepared is ComputeAll between two prepared graphs.
+func ComputeAllPrepared(g1, g2 *Prepared, opts Options, fn func(m Mapping, cost int)) (int, error) {
+	if err := fault.Hit("ged.compute", ""); err != nil {
+		return 0, err
+	}
+	if err := checkSize(g1.n, g2.n); err != nil {
+		return 0, err
+	}
+	s := searcherPool.Get().(*searcher)
+	defer s.release()
+	return s.computeAll(g1, g2, opts, fn)
+}
+
+// computeAll runs the all-solutions search of g1 against g2.
+func (s *searcher) computeAll(g1, g2 *Prepared, opts Options, fn func(m Mapping, cost int)) (int, error) {
+	s.setup(g1, g2, opts)
 	for found := 0; ; found++ {
 		goal, cost, err := s.next()
 		if err != nil || goal == nil {
@@ -276,32 +440,43 @@ func ComputeAll(g1, g2 *graph.Graph, opts Options, fn func(m Mapping, cost int))
 	}
 }
 
-// newSearcher takes a pooled searcher and prepares it for one search of g1
-// against g2; release returns it.
-func newSearcher(g1, g2 *graph.Graph, opts Options) (*searcher, error) {
-	if g2.NumVertices() > 64 || g1.NumVertices() > 64 {
-		return nil, fmt.Errorf("ged: graphs larger than 64 vertices unsupported (got %d, %d)",
-			g1.NumVertices(), g2.NumVertices())
+// checkSize rejects graphs beyond the search's 64-vertex bitmasks.
+func checkSize(n1, n2 int) error {
+	if n1 > 64 || n2 > 64 {
+		return fmt.Errorf("ged: graphs larger than 64 vertices unsupported (got %d, %d)", n1, n2)
 	}
-	s := searcherPool.Get().(*searcher)
+	return nil
+}
+
+// setup prepares the searcher for one search of g1 against g2 — the
+// per-pair half of the set-up: orienting the pair, interning both graphs'
+// labels into search-local ids, and seeding the queue with the root state.
+func (s *searcher) setup(g1, g2 *Prepared, opts Options) {
 	s.a, s.b, s.swapped, s.opts = g1, g2, false, opts
-	if g1.NumVertices() > g2.NumVertices() {
+	if g1.n > g2.n {
 		s.a, s.b = g2, g1
 		s.swapped = true
 	}
+	a, b := s.a, s.b
+	s.nA, s.nB = a.n, b.n
+	s.order, s.processedMask = a.order, a.mask
+	s.adjA, s.adjB = a.adj, b.adj
+	s.aEdges, s.bEdges = a.edges, b.edges
+	s.bIncStart, s.bIncEdge = b.incStart, b.incEdge
 	s.stIdx, s.stUsed = 0, 0
 	s.intern()
-	s.computeOrder()
 	s.curMap = growInts(s.curMap, s.nA)
 	start := s.newState()
 	*start = state{v: Deleted, f: s.heuristic(0, 0)}
 	s.pq = append(s.pq[:0], start)
 	s.expanded = 0
-	return s, nil
 }
 
 func (s *searcher) release() {
 	s.a, s.b = nil, nil
+	s.own[0].release()
+	s.own[1].release()
+	s.aEdges, s.bEdges = nil, nil
 	s.opts = Options{}
 	searcherPool.Put(s)
 }
@@ -353,114 +528,53 @@ func growMasks(s []uint64, n int) []uint64 {
 	return make([]uint64, n)
 }
 
-// intern assigns dense local ids to every vertex and edge label of both
-// graphs (wildcards collapse to id 0) and sizes the heuristic count slices.
-// The graphs' precomputed dictionary ids are the keys, so no string is
-// hashed or compared here.
+// intern assigns dense search-local ids to every vertex and edge label of
+// both graphs (wildcards collapse to id 0) and sizes the heuristic count
+// slices. The graphs' dictionary ids index the local array, so no string or
+// map is touched; the array is zeroed again before returning.
 func (s *searcher) intern() {
-	ids := s.ids
-	clear(ids)
-	get := func(gid graph.LabelID) int {
-		if gid == graph.WildcardID {
-			return 0
+	a, b := s.a, s.b
+	s.nLabels = 1
+	s.vLabelA = s.localIDs(s.vLabelA, a.vids)
+	s.vLabelB = s.localIDs(s.vLabelB, b.vids)
+	s.eLabA = s.localIDs(s.eLabA, a.eids)
+	s.eLabB = s.localIDs(s.eLabB, b.eids)
+	for _, ids := range [4][]graph.LabelID{a.vids, b.vids, a.eids, b.eids} {
+		for _, gid := range ids {
+			if gid != graph.WildcardID {
+				s.local[gid] = 0
+			}
 		}
-		id, ok := ids[gid]
-		if !ok {
-			id = len(ids) + 1
-			ids[gid] = id
-		}
-		return id
 	}
-	aV, bV := s.a.VertexLabelIDs(), s.b.VertexLabelIDs()
-	s.vLabelA = growInts(s.vLabelA, s.a.NumVertices())
-	for v := range s.vLabelA {
-		s.vLabelA[v] = get(aV[v])
-	}
-	s.vLabelB = growInts(s.vLabelB, s.b.NumVertices())
-	for v := range s.vLabelB {
-		s.vLabelB[v] = get(bV[v])
-	}
-	aE, bE := s.a.EdgeLabelIDs(), s.b.EdgeLabelIDs()
-	s.eLabA = growInts(s.eLabA, s.a.NumEdges())
-	for i := range s.eLabA {
-		s.eLabA[i] = get(aE[i])
-	}
-	s.eLabB = growInts(s.eLabB, s.b.NumEdges())
-	for i := range s.eLabB {
-		s.eLabB[i] = get(bE[i])
-	}
-	s.nLabels = len(ids) + 1
 	s.vCntA = growInt32s(s.vCntA, s.nLabels)
 	s.vCntB = growInt32s(s.vCntB, s.nLabels)
 	s.eCntA = growInt32s(s.eCntA, s.nLabels)
 	s.eCntB = growInt32s(s.eCntB, s.nLabels)
-
-	s.nA, s.nB = s.a.NumVertices(), s.b.NumVertices()
-	s.aEdges, s.bEdges = s.a.Edges(), s.b.Edges()
-	s.adjA = growInt32s(s.adjA, s.nA*s.nA)
-	clear(s.adjA)
-	for i, e := range s.aEdges {
-		s.adjA[e.From*s.nA+e.To] = int32(i + 1)
-	}
-	s.adjB = growInt32s(s.adjB, s.nB*s.nB)
-	clear(s.adjB)
-	for i, e := range s.bEdges {
-		s.adjB[e.From*s.nB+e.To] = int32(i + 1)
-	}
-
-	s.bIncStart = growInt32s(s.bIncStart, s.nB+1)
-	clear(s.bIncStart)
-	for _, e := range s.bEdges {
-		s.bIncStart[e.From]++
-		if e.To != e.From {
-			s.bIncStart[e.To]++
-		}
-	}
-	total := int32(0)
-	for v := 0; v < s.nB; v++ {
-		c := s.bIncStart[v]
-		s.bIncStart[v] = total
-		total += c
-	}
-	s.bIncStart[s.nB] = total
-	s.bIncEdge = growInt32s(s.bIncEdge, int(total))
-	// Fill with the starts themselves as cursors: after filling, each start
-	// has advanced to the next vertex's start, so one backward shift restores
-	// the offsets.
-	for i, e := range s.bEdges {
-		s.bIncEdge[s.bIncStart[e.From]] = int32(i)
-		s.bIncStart[e.From]++
-		if e.To != e.From {
-			s.bIncEdge[s.bIncStart[e.To]] = int32(i)
-			s.bIncStart[e.To]++
-		}
-	}
-	for v := s.nB; v > 0; v-- {
-		s.bIncStart[v] = s.bIncStart[v-1]
-	}
-	s.bIncStart[0] = 0
 }
 
-// computeOrder processes high-degree vertices first: they constrain the most
-// edges and tighten costs early. It also precomputes the processed-prefix
-// bitmasks the heuristic's edge term reads.
-func (s *searcher) computeOrder() {
-	deg := s.a.Degrees()
-	n := s.a.NumVertices()
-	s.order = growInts(s.order, n)
-	for i := range s.order {
-		s.order[i] = i
-	}
-	for i := 1; i < n; i++ {
-		for j := i; j > 0 && deg[s.order[j]] > deg[s.order[j-1]]; j-- {
-			s.order[j], s.order[j-1] = s.order[j-1], s.order[j]
+// localIDs fills dst with the local ids of the dictionary ids gids,
+// assigning the next free id to each label on first sight.
+func (s *searcher) localIDs(dst []int, gids []graph.LabelID) []int {
+	dst = growInts(dst, len(gids))
+	for i, gid := range gids {
+		if gid == graph.WildcardID {
+			dst[i] = 0
+			continue
 		}
+		if int(gid) >= len(s.local) {
+			grown := make([]int32, max(int(gid)+1, 2*len(s.local)))
+			copy(grown, s.local)
+			s.local = grown
+		}
+		id := s.local[gid]
+		if id == 0 {
+			id = int32(s.nLabels)
+			s.nLabels++
+			s.local[gid] = id
+		}
+		dst[i] = int(id)
 	}
-	s.processedMask = growMasks(s.processedMask, n+1)
-	s.processedMask[0] = 0
-	for k := 1; k <= n; k++ {
-		s.processedMask[k] = s.processedMask[k-1] | 1<<uint(s.order[k-1])
-	}
+	return dst
 }
 
 // newState hands out a state from the state arena; callers overwrite it.
@@ -592,12 +706,12 @@ func (s *searcher) edgePairCost(x, y, ix, iy int) int {
 // inside the image of the mapping.
 func (s *searcher) completionCost(cur *state) int {
 	cost := 0
-	for v := 0; v < s.b.NumVertices(); v++ {
+	for v := 0; v < s.nB; v++ {
 		if cur.used&(1<<uint(v)) == 0 {
 			cost++
 		}
 	}
-	for _, e := range s.b.Edges() {
+	for _, e := range s.bEdges {
 		if cur.used&(1<<uint(e.From)) == 0 || cur.used&(1<<uint(e.To)) == 0 {
 			cost++
 		}
@@ -627,7 +741,7 @@ func (s *searcher) heuristic(k int, used uint64) int {
 	}
 
 	// Remaining a-vertices and their label counts.
-	remA := s.a.NumVertices() - k
+	remA := s.nA - k
 	wildA := 0
 	for i := k; i < len(s.order); i++ {
 		if id := s.vLabelA[s.order[i]]; id == 0 {
@@ -638,7 +752,7 @@ func (s *searcher) heuristic(k int, used uint64) int {
 	}
 	// Unused b-vertices and their label counts.
 	remB, wildB := 0, 0
-	for v := 0; v < s.b.NumVertices(); v++ {
+	for v := 0; v < s.nB; v++ {
 		if used&(1<<uint(v)) != 0 {
 			continue
 		}
@@ -672,7 +786,7 @@ func (s *searcher) heuristic(k int, used uint64) int {
 	// Edge term: edges with at least one unprocessed/unused endpoint.
 	pm := s.processedMask[k]
 	eA, eAWild := 0, 0
-	for i, e := range s.a.Edges() {
+	for i, e := range s.aEdges {
 		if pm&(1<<uint(e.From)) != 0 && pm&(1<<uint(e.To)) != 0 {
 			continue
 		}
@@ -684,7 +798,7 @@ func (s *searcher) heuristic(k int, used uint64) int {
 		}
 	}
 	eB, eBWild := 0, 0
-	for i, e := range s.b.Edges() {
+	for i, e := range s.bEdges {
 		if used&(1<<uint(e.From)) != 0 && used&(1<<uint(e.To)) != 0 {
 			continue
 		}

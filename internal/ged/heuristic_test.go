@@ -17,14 +17,9 @@ func TestSuccessorHeuristicMatchesFull(t *testing.T) {
 		a := randomGraph(rng, 1+rng.Intn(6), rng.Intn(8))
 		b := randomGraph(rng, 1+rng.Intn(6), rng.Intn(8))
 		s := searcherPool.Get().(*searcher)
-		s.a, s.b, s.opts = a, b, Options{Threshold: NoThreshold}
-		if a.NumVertices() > b.NumVertices() {
-			s.a, s.b = b, a
-		}
-		s.intern()
-		s.computeOrder()
+		s.setup(Prepare(a), Prepare(b), Options{Threshold: NoThreshold})
 
-		nA, nB := s.a.NumVertices(), s.b.NumVertices()
+		nA, nB := s.nA, s.nB
 		for trial := 0; trial < 8; trial++ {
 			k := rng.Intn(nA) // expandable state: k < nA
 			// A plausible used mask: k random b-vertices consumed.
@@ -42,7 +37,7 @@ func TestSuccessorHeuristicMatchesFull(t *testing.T) {
 				want := s.heuristic(k+1, used|1<<uint(v))
 				if got != want {
 					t.Fatalf("iter %d trial %d: successorHeuristic(v=%d) = %d, full = %d\na=%v\nb=%v k=%d used=%b",
-						iter, trial, v, got, want, s.a, s.b, k, used)
+						iter, trial, v, got, want, s.a.Graph(), s.b.Graph(), k, used)
 				}
 				// heuristic clobbered the shared count scratch; rebuild the
 				// base before evaluating the next sibling.
@@ -54,9 +49,7 @@ func TestSuccessorHeuristicMatchesFull(t *testing.T) {
 				t.Fatalf("iter %d trial %d: successorHeuristic(Deleted) = %d, full = %d", iter, trial, got, want)
 			}
 		}
-		s.a, s.b = nil, nil
-		s.opts = Options{}
-		searcherPool.Put(s)
+		s.release()
 	}
 }
 
@@ -69,23 +62,16 @@ func TestSuccessorHeuristicRestoresScratch(t *testing.T) {
 		a := randomGraph(rng, 2+rng.Intn(5), 1+rng.Intn(6))
 		b := randomGraph(rng, 2+rng.Intn(5), 1+rng.Intn(6))
 		s := searcherPool.Get().(*searcher)
-		s.a, s.b, s.opts = a, b, Options{Threshold: NoThreshold}
-		if a.NumVertices() > b.NumVertices() {
-			s.a, s.b = b, a
-		}
-		s.intern()
-		s.computeOrder()
+		s.setup(Prepare(a), Prepare(b), Options{Threshold: NoThreshold})
 		cur := &state{k: 0, used: 0}
 		s.prepareExpand(cur)
-		for v := 0; v < s.b.NumVertices(); v++ {
+		for v := 0; v < s.nB; v++ {
 			first := s.successorHeuristic(0, v)
 			second := s.successorHeuristic(0, v)
 			if first != second {
 				t.Fatalf("iter %d: successorHeuristic(v=%d) not idempotent: %d then %d", iter, v, first, second)
 			}
 		}
-		s.a, s.b = nil, nil
-		s.opts = Options{}
-		searcherPool.Put(s)
+		s.release()
 	}
 }

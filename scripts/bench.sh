@@ -2,7 +2,8 @@
 # Benchmark the join hot paths and emit a machine-readable summary.
 #
 # Runs the join suite (BenchmarkJoinER, BenchmarkJoinTopK, the
-# screening-bound BenchmarkJoinERScreen, and the template-workload
+# screening-bound BenchmarkJoinERScreen, the verification-bound WebQ
+# template join BenchmarkJoinWebQ, and the template-workload
 # BenchmarkJoinIndexedScaled plus its milestone twin), the per-pair kernel
 # micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound) and
 # the Q/A path's template matching (BenchmarkBestMatch, one /ask's
@@ -26,7 +27,7 @@
 set -eu
 
 COUNT="${COUNT:-5}"
-PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound|BestMatch)\$}"
+PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|WebQ|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound|BestMatch)\$}"
 OUT="${OUT:-BENCH_join.json}"
 
 raw=$(SHARD_MILESTONE="${SHARD_MILESTONE:-}" go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 2h .)

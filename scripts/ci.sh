@@ -172,7 +172,8 @@ go test -run '^$' -fuzz '^FuzzJoinOracle$' -fuzztime 20s ./internal/core
 
 echo "== benchmark regression gate (vs BENCH_join.json, +25% ns/op, +10% allocs/op, ±5pp prune rate)"
 # bench.sh covers the join drivers (BenchmarkJoinER/TopK, the
-# screening-bound JoinERScreen and the smoke-size template workload
+# screening-bound JoinERScreen, the verification-bound WebQ template join
+# JoinWebQ and the smoke-size template workload
 # BenchmarkJoinIndexedScaled) and the per-pair kernel micro-benchmarks
 # (BenchmarkFilterChainSig, BenchmarkWorldLowerBound); the allocs gate keeps
 # the zero-alloc kernels at exactly zero. The baseline also carries the
