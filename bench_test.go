@@ -300,6 +300,29 @@ func BenchmarkJoinER(b *testing.B) {
 	}
 }
 
+// BenchmarkJoinERRelaxed is the many-world verification join, on the bench
+// workload join-er's inputs: core.DefaultOptions() with τ = 3 and α = 0.5
+// over workload.ER with 400 × 400 graphs of 7 uncertain vertices (2,187
+// worlds each), seed 1. Its candidates are verified over thousands of
+// worlds, scored against the relaxed graph's mapping lists (ged.ComputeAll
+// against the candidate-restricted relaxation). The graphs are generated
+// outside the timer.
+func BenchmarkJoinERRelaxed(b *testing.B) {
+	cfg := workload.DefaultSyntheticConfig()
+	cfg.Seed, cfg.Count, cfg.UncertainVertices = 1, 400, 7
+	d, u := workload.ER(cfg)
+	opts := core.DefaultOptions()
+	opts.Tau = 3
+	opts.Alpha = 0.5
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, _, err := core.Join(d, u, opts); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkNLQInterpret(b *testing.B) {
 	w, err := workload.GenerateQA(workload.QALD3Config())
 	if err != nil {

@@ -172,12 +172,16 @@ type rec struct {
 	// the possible-world enumeration buffers; rl the pair's relaxed mapping
 	// lists; worlds the shared worlds of the graph in hand (worlds.go);
 	// wside a world's GED side, prepared afresh for every GED (gedCompute).
+	// mbuf is the buffer the next GED writes its mapping into, and mbest
+	// holds the pair's best mapping so far (takeMapping swaps the two).
 	fsc    filter.Scratch
 	pv     filter.PairVerifier
 	ws     ugraph.WorldScratch
 	rl     relaxedLists
 	worlds worldCache
 	wside  ged.Prepared
+	mbuf   ged.Mapping
+	mbest  ged.Mapping
 
 	// pctx is the per-worker PairContext, reused across pairs: building it
 	// fresh inside prunephase would heap-allocate one per pair (it escapes
@@ -200,13 +204,26 @@ type rec struct {
 
 // gedCompute runs one threshold-bounded exact GED of the pair's query (its
 // prepared side) against the world w for a verification rung and books it
-// (bookGED); the rungs treat any error as an exhausted budget.
+// (bookGED); the rungs treat any error as an exhausted budget. The result's
+// Mapping is the worker's scratch (mbuf), overwritten by the next call
+// unless the rung keeps it with takeMapping.
 func (st *rec) gedCompute(pi *pairIn, w *graph.Graph, opts *Options) (ged.Result, error) {
 	t0 := st.gedStart()
 	st.wside.Reset(w)
-	res, err := ged.ComputePrepared(pi.qp, &st.wside, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates})
+	res, err := ged.ComputePrepared(pi.qp, &st.wside, ged.Options{Threshold: opts.Tau, MaxStates: opts.VerifyMaxStates}, st.mbuf)
+	if res.Mapping != nil {
+		st.mbuf = res.Mapping // keep a grown buffer
+	}
 	st.bookGED(t0, res.States, err != nil)
 	return res, err
+}
+
+// takeMapping keeps m, the mapping of the rung's last gedCompute, as the
+// pair's best: the next GED writes into the previous best's buffer instead.
+// A rung clones its best mapping once, when it accepts the pair.
+func (st *rec) takeMapping(m ged.Mapping) ged.Mapping {
+	st.mbuf, st.mbest = st.mbest, m
+	return m
 }
 
 // statsCounterSpec is the single source of truth tying every Stats counter

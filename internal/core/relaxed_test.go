@@ -108,6 +108,69 @@ func wildcardWorkload(seed int64, nd, nu int) ([]*graph.Graph, []*ugraph.Graph) 
 	return d, u
 }
 
+// candidateWorkload exercises the search against candidate-restricted
+// relaxed vertices. Each uncertain graph has 4 or 5 vertices; its first four
+// carry two or three labels drawn from A–D and the wildcard ?y (16 to 243
+// worlds). Each graph gets perG queries built from it: its edges, each vertex
+// labelled with one of its candidates, with E (no graph's candidate) or with
+// the wildcard ?x, plus up to two extra vertices with one edge each, so that
+// most queries have more vertices than their graph and the search swaps
+// sides. D occurs in no query.
+func candidateWorkload(seed int64, nu, perG int) ([]*graph.Graph, []*ugraph.Graph) {
+	rng := rand.New(rand.NewSource(seed))
+	names := []string{"A", "B", "C", "D", "?y"}
+	var d []*graph.Graph
+	u := make([]*ugraph.Graph, nu)
+	for i := range u {
+		n := 4 + rng.Intn(2)
+		g := ugraph.New(n)
+		for v := 0; v < n; v++ {
+			k := 1 + rng.Intn(2)
+			if v < 4 {
+				k = 2 + rng.Intn(2)
+			}
+			var ls []ugraph.Label
+			for j, pi := range rng.Perm(len(names))[:k] {
+				ls = append(ls, ugraph.Label{Name: names[pi], P: float64(j+1) / float64(k*(k+1)/2)})
+			}
+			g.AddVertex(ls...)
+		}
+		for t := 0; t < 3*n && g.NumEdges() < n; t++ {
+			if a, b := rng.Intn(n), rng.Intn(n); a != b {
+				_ = g.AddEdge(a, b, []string{"p", "q"}[rng.Intn(2)])
+			}
+		}
+		u[i] = g
+		for j := 0; j < perG; j++ {
+			m := n + rng.Intn(3)
+			q := graph.New(m)
+			for v := 0; v < m; v++ {
+				switch r := rng.Intn(6); {
+				case v >= n || r == 0:
+					q.AddVertex([]string{"A", "B", "E"}[rng.Intn(3)])
+				case r == 1:
+					q.AddVertex("?x")
+				default:
+					ls := g.Labels(v)
+					name := ls[rng.Intn(len(ls))].Name
+					if name == "?y" {
+						name = "C"
+					}
+					q.AddVertex(name)
+				}
+			}
+			for _, e := range g.Edges() {
+				q.MustAddEdge(e.From, e.To, e.Label)
+			}
+			for v := n; v < m; v++ {
+				q.MustAddEdge(rng.Intn(n), v, "p")
+			}
+			d = append(d, q)
+		}
+	}
+	return d, u
+}
+
 // capPair is a pair whose relaxed search finds more than ged.MaxMappings
 // mappings within τ: seven isolated query vertices, four of them wildcards,
 // against seven isolated two-label vertices. No world decides it alone at
@@ -141,14 +204,16 @@ func wildcardCandidatePair() (*graph.Graph, *ugraph.Graph) {
 	return q, g
 }
 
-// TestRelaxedListsMatchPerWorld runs every pair of seeded ER, adversarial
-// and wildcard workloads through the exact rung twice — worlds after the
-// first scored against the relaxed lists, and one GED per world — and
-// requires identical outcomes. The configurations cover q-side wildcards,
-// wildcard candidate labels, conditioned groups, DisableEarlyExit, a small
-// VerifyMaxStates, the mapping cap and MaxWorlds = 1; vacuity guards require
-// the list path and its fallback both to have run, and pairs with fewer than
-// relaxedMinWorlds(τ) worlds must not build lists.
+// TestRelaxedListsMatchPerWorld runs every pair of seeded ER, adversarial,
+// wildcard and candidate workloads through the exact rung twice — worlds
+// after the first scored against the relaxed lists, and one GED per world —
+// and requires identical outcomes. The configurations cover q-side
+// wildcards, wildcard candidate labels, query labels outside a vertex's
+// candidates, queries larger than their graph (the search swaps sides),
+// conditioned groups, DisableEarlyExit, a small VerifyMaxStates, the mapping
+// cap and MaxWorlds = 1; vacuity guards require the list path and its
+// fallback both to have run, and pairs with fewer than relaxedMinWorlds(τ)
+// worlds must not build lists.
 func TestRelaxedListsMatchPerWorld(t *testing.T) {
 	type corpus struct {
 		name string
@@ -164,12 +229,14 @@ func TestRelaxedListsMatchPerWorld(t *testing.T) {
 	wD, wU := wildcardWorkload(43, 10, 10)
 	capQ, capG := capPair()
 	wcQ, wcG := wildcardCandidatePair()
+	cD, cU := candidateWorkload(61, 6, 2)
 	corpora := []corpus{
 		{"er", erD, erU},
 		{"adversarial", advD, advU},
 		{"wildcard", wD, wU},
 		{"cap", append(wD[:2:2], capQ), []*ugraph.Graph{capG, wU[0]}},
 		{"wildcard-candidates", []*graph.Graph{wcQ}, []*ugraph.Graph{wcG}},
+		{"candidates", cD, cU},
 	}
 	type config struct {
 		name   string

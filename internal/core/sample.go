@@ -4,6 +4,7 @@ import (
 	"context"
 	"math"
 	"math/rand"
+	"slices"
 
 	"simjoin/internal/graph"
 	"simjoin/internal/ugraph"
@@ -111,7 +112,7 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 			if res.Distance < best.Distance {
 				best.Distance = res.Distance
 				best.World = st.worlds.keep(g, w)
-				best.Mapping = res.Mapping
+				best.Mapping = st.takeMapping(res.Mapping)
 			}
 		}
 	}
@@ -122,7 +123,9 @@ func sampleVerify(pairCtx, joinCtx context.Context, pi *pairIn, opts *Options, s
 	case estimate-eps >= opts.Alpha:
 		best.SimP = estimate
 		best.CI = eps
-		if !opts.KeepMappings {
+		if opts.KeepMappings {
+			best.Mapping = slices.Clone(best.Mapping)
+		} else {
 			best.Mapping = nil
 		}
 		return best, true, sampleDecided

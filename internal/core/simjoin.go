@@ -792,7 +792,7 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 					if res.Distance < best.Distance {
 						best.Distance = res.Distance
 						best.World = st.worlds.keep(pi.g, w)
-						best.Mapping, bestAt = res.Mapping, -1
+						best.Mapping, bestAt = st.takeMapping(res.Mapping), -1
 					}
 				}
 			}
@@ -827,10 +827,11 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 		return Pair{}, false, exactDecided, assisted
 	}
 	best.SimP = simP
-	switch {
-	case !opts.KeepMappings:
+	if !opts.KeepMappings {
 		best.Mapping = nil
-	case bestAt >= 0:
+		return best, true, exactDecided, assisted
+	}
+	if bestAt >= 0 {
 		// The mapping the per-world loop records is the one A* finds on
 		// the best world; a listed mapping attaining the same distance may
 		// be a different one. A failed GED here is treated like one in the
@@ -842,5 +843,6 @@ func verifyExact(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.G
 			best.Mapping = st.rl.mapping(bestAt)
 		}
 	}
+	best.Mapping = slices.Clone(best.Mapping)
 	return best, true, exactDecided, assisted
 }

@@ -25,13 +25,14 @@ import (
 
 // worldCache is a worker's shared worlds of one uncertain graph, plus the
 // GED side of the graph's relaxation (the relaxed lists'), prepared once per
-// graph. The zero value is ready to use; it must not be shared between
-// goroutines.
+// graph with its uncertain vertices restricted to their labels (cands). The
+// zero value is ready to use; it must not be shared between goroutines.
 type worldCache struct {
 	g       *ugraph.Graph
 	worlds  map[string]*graph.Graph // the kept copies by key
 	key     []byte                  // scratch for a world's key
 	relaxed ged.Prepared
+	cands   [][]graph.LabelID
 }
 
 // keep returns the kept copy of the world of g whose labels are w's,
@@ -72,10 +73,17 @@ func (c *worldCache) keep(g *ugraph.Graph, w *graph.Graph) *graph.Graph {
 }
 
 // relaxedSide returns the GED side of the relaxation of gs's graph
-// (GSig.Relaxed, built once per signature), prepared once per graph.
+// (GSig.Relaxed, built once per signature), prepared once per graph, each
+// wildcard restricted to the vertex's labels in the graph: ĝ_L of
+// relaxed.go.
 func (c *worldCache) relaxedSide(gs *filter.GSig) *ged.Prepared {
 	if r := gs.Relaxed(); c.relaxed.Graph() != r {
 		c.relaxed.Reset(r)
+		c.cands = c.cands[:0]
+		for v := 0; v < gs.NumV; v++ {
+			c.cands = append(c.cands, gs.G.LabelIDs(v))
+		}
+		c.relaxed.Restrict(c.cands)
 	}
 	return &c.relaxed
 }

@@ -152,8 +152,9 @@ func TestCountedCSSBoundSound(t *testing.T) {
 // each fill to equal the definitions it replaces in the sweep: the degree
 // sequence, the edge label multiset, and, per concrete label, the number of
 // vertices carrying it among their candidates (the GSig's per-label vertex
-// lists) and the vertices with a wildcard candidate. A fill of a graph no
-// larger than an earlier one allocates nothing.
+// lists, which must hold those vertices in vertex order) and the vertices
+// with a wildcard candidate. A fill of a graph no larger than an earlier
+// one allocates nothing.
 func TestGCountsFillMatchesDefinition(t *testing.T) {
 	rng := rand.New(rand.NewSource(41))
 	var c GCounts
@@ -185,14 +186,26 @@ func TestGCountsFillMatchesDefinition(t *testing.T) {
 			if i > 0 && c.VCounts[i-1].ID >= lc.ID {
 				t.Fatalf("#%d: label counts not sorted by id: %v", it, c.VCounts)
 			}
-			if int(lc.N) != len(gs.byLabel[lc.ID]) {
-				t.Fatalf("#%d: label %d on %d vertices, want %d", it, lc.ID, lc.N, len(gs.byLabel[lc.ID]))
+			var carriers []int32
+			for v := 0; v < g.NumVertices(); v++ {
+				for _, id := range g.LabelIDs(v) {
+					if id == lc.ID {
+						carriers = append(carriers, int32(v))
+					}
+				}
+			}
+			if vs := gs.labelVertices(lc.ID); int(lc.N) != len(vs) || !slices.Equal(vs, carriers) {
+				t.Fatalf("#%d: label %d on %d vertices, listed %v, want %v", it, lc.ID, lc.N, vs, carriers)
 			}
 			n += int(lc.N)
 		}
 		want := 0
-		for _, vs := range gs.byLabel {
-			want += len(vs)
+		for v := 0; v < g.NumVertices(); v++ {
+			for _, id := range g.LabelIDs(v) {
+				if id != graph.WildcardID {
+					want++
+				}
+			}
 		}
 		if n != want {
 			t.Fatalf("#%d: %d (vertex, label) records, want %d", it, n, want)

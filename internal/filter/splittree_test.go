@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"reflect"
 	"sync"
 	"testing"
 
@@ -138,4 +139,61 @@ func TestGroupBoundSharedSplitTree(t *testing.T) {
 		}(w)
 	}
 	wg.Wait()
+}
+
+// sigView is everything a GSig's bounds read, with the floats as bits, for
+// an exact field-by-field comparison.
+type sigView struct {
+	G                                 *ugraph.Graph
+	Counts                            GCounts
+	Mass, WorldsF                     uint64
+	Flat                              []gsigLabel
+	LabelStart, LabelVerts, WildVerts []int32
+}
+
+func viewSig(s *GSig) sigView {
+	return sigView{s.G, s.GCounts, math.Float64bits(s.Mass), math.Float64bits(s.WorldsF),
+		s.flat, s.labelStart, s.labelVerts, s.wildVerts}
+}
+
+// TestSplitTreeSignaturesMatchNewGSig expands the whole split tree of random
+// and wildcard-heavy graphs, and the tight bound's conditioned signatures,
+// and requires every signature built on a parent's shared counts to equal
+// NewGSig of its own graph field by field.
+func TestSplitTreeSignaturesMatchNewGSig(t *testing.T) {
+	rng := rand.New(rand.NewSource(29))
+	children := 0
+	for it := 0; it < 80; it++ {
+		var g *ugraph.Graph
+		if it%2 == 0 {
+			g = randomUncertain(rng, 1+rng.Intn(7), rng.Intn(10), 3)
+		} else {
+			g = wildHeavyUncertain(rng, 1+rng.Intn(6), rng.Intn(8))
+		}
+		root := NewGSig(g)
+		nodes := []*splitNode{root.splitRoot()}
+		for len(nodes) > 0 {
+			n := nodes[0]
+			nodes = nodes[1:]
+			if n.splitV < 0 {
+				continue
+			}
+			l, r := n.children()
+			for _, c := range []*splitNode{l, r} {
+				if got, want := viewSig(c.gs), viewSig(NewGSig(c.group.G)); !reflect.DeepEqual(got, want) {
+					t.Fatalf("#%d: child signature %+v\nNewGSig %+v", it, got, want)
+				}
+				children++
+			}
+			nodes = append(nodes, l, r)
+		}
+		for _, c := range root.conditioned() {
+			if got, want := viewSig(c.gs), viewSig(NewGSig(c.gs.G)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("#%d: conditioned signature %+v\nNewGSig %+v", it, got, want)
+			}
+		}
+	}
+	if children == 0 {
+		t.Fatal("vacuous: no graph split")
+	}
 }

@@ -41,7 +41,7 @@ func computeCorpus(t *testing.T, prepared bool) (string, int) {
 				r, err := Compute(pair[0], pair[1], opts)
 				if prepared {
 					sides := [2]*Prepared{pa, pb}
-					r, err = ComputePrepared(sides[rev], sides[1-rev], opts)
+					r, err = ComputePrepared(sides[rev], sides[1-rev], opts, nil)
 				}
 				if err != nil {
 					t.Fatalf("case %d tau %d: %v", i, tau, err)

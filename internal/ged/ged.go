@@ -20,6 +20,14 @@
 // Compute runs once per world everywhere else: on a pair's first world, on
 // graphs with few worlds, and where the all-solutions search cannot finish.
 //
+// A wildcard vertex of a prepared graph may be restricted to candidate
+// labels (Prepared.Restrict): the labels the vertex stands for, such as an
+// uncertain vertex's labels in the relaxation. A concrete label then meets
+// it at no cost only when it is one of the candidates, and costs one
+// substitution otherwise; a wildcard meets it at no cost. The heuristic
+// still counts every wildcard as matching anything, which only lowers it,
+// so it stays admissible.
+//
 // A search's set-up has a per-graph half — label ids, a dense adjacency
 // matrix, CSR incidence lists and a degree order — that Prepare builds once
 // per graph; ComputePrepared and ComputeAllPrepared search between two
@@ -38,6 +46,7 @@ import (
 	"container/heap"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 
 	"simjoin/internal/fault"
@@ -154,6 +163,10 @@ type Prepared struct {
 	// graph, high degree first; mask[k] is the bitmask of order[:k].
 	order []int
 	mask  []uint64
+
+	// cands restricts wildcard vertices to candidate labels (Restrict); nil
+	// leaves every wildcard matching anything.
+	cands [][]graph.LabelID
 }
 
 // Prepare returns g prepared for GED searches.
@@ -167,9 +180,9 @@ func Prepare(g *graph.Graph) *Prepared {
 func (p *Prepared) Graph() *graph.Graph { return p.g }
 
 // Reset prepares p for g, reusing p's buffers: once they have grown to g's
-// size, preparing allocates nothing.
+// size, preparing allocates nothing. It drops any candidate restriction.
 func (p *Prepared) Reset(g *graph.Graph) {
-	p.g, p.n = g, g.NumVertices()
+	p.g, p.n, p.cands = g, g.NumVertices(), nil
 	p.vids, p.eids, p.edges = g.VertexLabelIDs(), g.EdgeLabelIDs(), g.Edges()
 	n := p.n
 
@@ -232,9 +245,18 @@ func (p *Prepared) Reset(g *graph.Graph) {
 	}
 }
 
+// Restrict attaches candidate labels to p's wildcard vertices: cands has
+// one list per vertex, and cands[v] holds the dictionary ids of the labels
+// vertex v stands for, so that a concrete label meets v at no cost only
+// when it is one of them. A nil list, or one holding graph.WildcardID,
+// leaves v matching anything, and a vertex with a concrete label ignores
+// its list. cands is kept, not copied: like the graph, it must not change
+// while p is prepared. Reset drops it.
+func (p *Prepared) Restrict(cands [][]graph.LabelID) { p.cands = cands }
+
 // release drops p's references to its graph, keeping the buffers.
 func (p *Prepared) release() {
-	p.g, p.vids, p.eids, p.edges = nil, nil, nil, nil
+	p.g, p.vids, p.eids, p.edges, p.cands = nil, nil, nil, nil, nil
 }
 
 // searcher holds the inputs and all reusable scratch of one A* run. The
@@ -272,6 +294,13 @@ type searcher struct {
 	eLabA, eLabB     []int // per-edge label ids, parallel to the edge lists
 	nLabels          int
 
+	// matchA[u] is the bitmask of b-vertices that a-vertex u meets without
+	// a candidate miss, and matchB[v] that of a-vertices b-vertex v meets:
+	// every vertex, unless the vertex is a wildcard restricted to candidate
+	// labels (Prepared.Restrict). extensionCost charges a substitution when
+	// either mask lacks the other vertex.
+	matchA, matchB []uint64
+
 	// Heuristic multiset scratch, indexed by label id. prepareExpand fills
 	// these once per expanded state; successorHeuristic applies O(deg)
 	// deltas against them (temporarily mutating and restoring eCntB).
@@ -286,7 +315,7 @@ type searcher struct {
 
 	// curMap is the mapping of the state being expanded, rebuilt from its
 	// parent chain once per expansion (only the processed prefix is valid);
-	// outMap is a goal's mapping in the caller's direction.
+	// outMap is the mapping ComputeAll reports a goal with.
 	curMap, outMap []int
 
 	// Chunk arena for states.
@@ -351,14 +380,16 @@ func Compute(g1, g2 *graph.Graph, opts Options) (Result, error) {
 	defer s.release()
 	s.own[0].Reset(g1)
 	s.own[1].Reset(g2)
-	return s.compute(&s.own[0], &s.own[1], opts)
+	return s.compute(&s.own[0], &s.own[1], opts, nil)
 }
 
 // ComputePrepared is Compute between two prepared graphs: the same search,
-// the same result and the same failpoint, without the per-graph set-up. When
-// no goal lies within the threshold it allocates nothing; a goal costs the
-// returned Mapping only.
-func ComputePrepared(g1, g2 *Prepared, opts Options) (Result, error) {
+// the same result and the same failpoint, without the per-graph set-up. A
+// goal's mapping is written into m, which is grown when it is too short,
+// and returned as Result.Mapping: a caller that passes the same buffer
+// again overwrites the last mapping. A search whose buffer is long enough
+// allocates nothing.
+func ComputePrepared(g1, g2 *Prepared, opts Options, m Mapping) (Result, error) {
 	if err := fault.Hit("ged.compute", ""); err != nil {
 		return Result{}, err
 	}
@@ -367,11 +398,12 @@ func ComputePrepared(g1, g2 *Prepared, opts Options) (Result, error) {
 	}
 	s := searcherPool.Get().(*searcher)
 	defer s.release()
-	return s.compute(g1, g2, opts)
+	return s.compute(g1, g2, opts, m)
 }
 
-// compute runs one thresholded search of g1 against g2 to its first goal.
-func (s *searcher) compute(g1, g2 *Prepared, opts Options) (Result, error) {
+// compute runs one thresholded search of g1 against g2 to its first goal,
+// writing the goal's mapping into m (a new mapping when m is nil).
+func (s *searcher) compute(g1, g2 *Prepared, opts Options, m Mapping) (Result, error) {
 	s.setup(g1, g2, opts)
 	goal, cost, err := s.next()
 	if err != nil {
@@ -383,9 +415,12 @@ func (s *searcher) compute(g1, g2 *Prepared, opts Options) (Result, error) {
 		}
 		return Result{Distance: opts.Threshold + 1, Exceeded: true, States: s.expanded}, nil
 	}
-	gm := s.goalMapping(goal)
-	m := make(Mapping, len(gm))
-	copy(m, gm)
+	if n := g1.n; m == nil || cap(m) < n {
+		m = make(Mapping, n)
+	} else {
+		m = m[:n]
+	}
+	s.goalMapping(goal, m)
 	return Result{Distance: cost, Mapping: m, States: s.expanded}, nil
 }
 
@@ -436,7 +471,9 @@ func (s *searcher) computeAll(g1, g2 *Prepared, opts Options, fn func(m Mapping,
 		if found == MaxMappings {
 			return s.expanded, ErrTooManyMappings
 		}
-		fn(s.goalMapping(goal), cost)
+		s.outMap = growInts(s.outMap, g1.n)
+		s.goalMapping(goal, s.outMap)
+		fn(s.outMap, cost)
 	}
 }
 
@@ -481,16 +518,10 @@ func (s *searcher) release() {
 	searcherPool.Put(s)
 }
 
-// goalMapping translates a goal state's assignments into the searcher's
-// outMap in the caller's direction (g1 -> g2), inverting when the graphs were
-// swapped.
-func (s *searcher) goalMapping(goal *state) Mapping {
-	n := s.nA
-	if s.swapped {
-		n = s.nB
-	}
-	m := growInts(s.outMap, n)
-	s.outMap = m
+// goalMapping writes a goal state's assignments into m, one image per
+// vertex of g1, in the caller's direction (g1 -> g2), inverting when the
+// graphs were swapped.
+func (s *searcher) goalMapping(goal *state, m []int) {
 	for i := range m {
 		m[i] = Deleted
 	}
@@ -502,7 +533,6 @@ func (s *searcher) goalMapping(goal *state) Mapping {
 			m[v] = u
 		}
 	}
-	return m
 }
 
 // growInts returns s resized to n, reusing capacity when possible. Contents
@@ -529,7 +559,8 @@ func growMasks(s []uint64, n int) []uint64 {
 }
 
 // intern assigns dense search-local ids to every vertex and edge label of
-// both graphs (wildcards collapse to id 0) and sizes the heuristic count
+// both graphs (wildcards collapse to id 0), maps the restricted vertices'
+// candidates to local ids (matchA, matchB), and sizes the heuristic count
 // slices. The graphs' dictionary ids index the local array, so no string or
 // map is touched; the array is zeroed again before returning.
 func (s *searcher) intern() {
@@ -539,6 +570,8 @@ func (s *searcher) intern() {
 	s.vLabelB = s.localIDs(s.vLabelB, b.vids)
 	s.eLabA = s.localIDs(s.eLabA, a.eids)
 	s.eLabB = s.localIDs(s.eLabB, b.eids)
+	s.matchA = s.candidateMasks(s.matchA, a, s.vLabelA, s.vLabelB)
+	s.matchB = s.candidateMasks(s.matchB, b, s.vLabelB, s.vLabelA)
 	for _, ids := range [4][]graph.LabelID{a.vids, b.vids, a.eids, b.eids} {
 		for _, gid := range ids {
 			if gid != graph.WildcardID {
@@ -575,6 +608,42 @@ func (s *searcher) localIDs(dst []int, gids []graph.LabelID) []int {
 		dst[i] = int(id)
 	}
 	return dst
+}
+
+// candidateMasks fills dst with one mask per vertex of p: the vertices of
+// the other graph, whose local label ids are other, that the vertex meets
+// without a candidate miss. That is every vertex, unless the vertex is a
+// wildcard (own label id 0) restricted to candidates; then it is the other
+// graph's wildcards and the vertices whose label is a candidate. A
+// candidate that occurs in neither graph has no local id and matches no
+// vertex. It runs while the local array still holds both graphs' ids.
+func (s *searcher) candidateMasks(dst []uint64, p *Prepared, own, other []int) []uint64 {
+	dst = growMasks(dst, p.n)
+	for v := range dst {
+		dst[v] = ^uint64(0)
+		if p.cands == nil || own[v] != 0 || p.cands[v] == nil || slices.Contains(p.cands[v], graph.WildcardID) {
+			continue
+		}
+		var m uint64
+		for w, l := range other {
+			if l == 0 || s.isCandidate(l, p.cands[v]) {
+				m |= 1 << uint(w)
+			}
+		}
+		dst[v] = m
+	}
+	return dst
+}
+
+// isCandidate reports whether the local label id l is one of the concrete
+// dictionary ids cands.
+func (s *searcher) isCandidate(l int, cands []graph.LabelID) bool {
+	for _, c := range cands {
+		if int(c) < len(s.local) && int(s.local[c]) == l {
+			return true
+		}
+	}
+	return false
 }
 
 // newState hands out a state from the state arena; callers overwrite it.
@@ -667,6 +736,8 @@ func (s *searcher) extensionCost(cur *state, u, v int) int {
 		cost++ // delete u
 	} else if la, lb := s.vLabelA[u], s.vLabelB[v]; la != lb && la != 0 && lb != 0 {
 		cost++ // substitute label (0 is the wildcard id: matches anything)
+	} else if s.matchA[u]>>uint(v)&(s.matchB[v]>>uint(u))&1 == 0 {
+		cost++ // a concrete label outside a restricted wildcard's candidates
 	}
 	for k := 0; k < cur.k; k++ {
 		p := s.order[k]

@@ -40,9 +40,9 @@ func TestComputeAllPreparedMatchesComputeAll(t *testing.T) {
 }
 
 // TestComputePreparedAllocs pins the prepared search's allocations: a
-// threshold search between two prepared graphs allocates nothing when no
-// goal lies within τ, and only the returned Mapping when one does; and
-// re-preparing a buffer for a graph of the same size allocates nothing.
+// threshold search between two prepared graphs allocates nothing, with or
+// without a goal within τ, when the caller's mapping buffer is long enough;
+// and re-preparing a buffer for a graph of the same size allocates nothing.
 func TestComputePreparedAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("the race detector makes sync.Pool drop searchers at random")
@@ -63,21 +63,25 @@ func TestComputePreparedAllocs(t *testing.T) {
 	w.MustAddEdge(3, 4, "p")
 	w.MustAddEdge(4, 2, "r")
 	pq, pw := Prepare(q), Prepare(w)
+	buf := make(Mapping, q.NumVertices())
 
 	for _, c := range []struct {
-		tau, allocs int
-		exceeded    bool
+		tau      int
+		exceeded bool
 	}{
-		{1, 0, true},  // ged(q, w) = 4: no goal within τ
-		{5, 1, false}, // a goal: the returned Mapping only
+		{1, true},  // ged(q, w) = 4: no goal within τ
+		{5, false}, // a goal, written into buf
 	} {
 		opts := Options{Threshold: c.tau}
-		r, err := ComputePrepared(pq, pw, opts)
+		r, err := ComputePrepared(pq, pw, opts, buf)
 		if err != nil || r.Exceeded != c.exceeded {
 			t.Fatalf("tau %d: result %+v, err %v; want exceeded=%v", c.tau, r, err, c.exceeded)
 		}
-		if got := testing.AllocsPerRun(100, func() { ComputePrepared(pq, pw, opts) }); got != float64(c.allocs) {
-			t.Fatalf("tau %d: ComputePrepared allocated %v allocs/op, want %d", c.tau, got, c.allocs)
+		if !c.exceeded && &r.Mapping[0] != &buf[0] {
+			t.Fatalf("tau %d: the goal's mapping is not the caller's buffer", c.tau)
+		}
+		if got := testing.AllocsPerRun(100, func() { ComputePrepared(pq, pw, opts, buf) }); got != 0 {
+			t.Fatalf("tau %d: ComputePrepared allocated %v allocs/op, want 0", c.tau, got)
 		}
 	}
 	w2 := w.Clone()
@@ -95,7 +99,7 @@ func TestComputeWildcardOnlyGraphs(t *testing.T) {
 	a.AddVertex("?y")
 	a.MustAddEdge(0, 1, "?p")
 	s := new(searcher)
-	if r, err := s.compute(Prepare(a), Prepare(a), Options{Threshold: 0}); err != nil || r.Exceeded || r.Distance != 0 {
+	if r, err := s.compute(Prepare(a), Prepare(a), Options{Threshold: 0}, nil); err != nil || r.Exceeded || r.Distance != 0 {
 		t.Fatalf("wildcard graph against itself: %+v, %v", r, err)
 	}
 }

@@ -300,24 +300,34 @@ func (g *Graph) addEdgeID(u, v int, label string, id graph.LabelID) error {
 
 // Worlds enumerates every possible world in deterministic order, invoking fn
 // with the materialised certain graph and its appearance probability. The
-// same *graph.Graph is reused across invocations; clone it to retain it.
-// Enumeration stops early when fn returns false.
+// same *graph.Graph is reused across invocations; clone it to retain it. fn
+// must not modify the world: each step rewrites only the vertices whose
+// label changed. Enumeration stops early when fn returns false.
 func (g *Graph) Worlds(fn func(world *graph.Graph, p float64) bool) {
 	var s WorldScratch
 	g.WorldsScratch(&s, fn)
 }
 
 // WorldScratch holds the reusable buffers of a Worlds enumeration: the
-// materialised world graph and the mixed-radix choice counter. The zero
-// value is ready to use; reusing one scratch across many WorldsScratch
-// calls (e.g. per join worker) makes steady-state enumeration allocation-
-// free. A WorldScratch must not be shared between goroutines.
+// materialised world graph, the mixed-radix choice counter and the prefix
+// products of the chosen labels' probabilities. The zero value is ready to
+// use; reusing one scratch across many WorldsScratch calls (e.g. per join
+// worker) makes steady-state enumeration allocation-free. A WorldScratch
+// must not be shared between goroutines.
 type WorldScratch struct {
 	w      *graph.Graph
 	choice []int
+	prefix []float64
 }
 
 // WorldsScratch is Worlds reusing caller-provided scratch buffers.
+//
+// The enumeration is a mixed-radix counter over the vertices' label
+// choices, the last vertex fastest. A step rewrites only the vertices the
+// counter changed, and a world's probability is the left-to-right product
+// of its labels' probabilities, kept as prefix products so that a step
+// recomputes only the changed suffix: bit for bit the product over every
+// vertex.
 //
 // The "ugraph.worlds" failpoint fires once per enumeration; since this
 // API has no error return, injected errors escalate to panics (contained by
@@ -336,36 +346,44 @@ func (g *Graph) WorldsScratch(s *WorldScratch, fn func(world *graph.Graph, p flo
 	for i, e := range g.edges {
 		w.MustAddEdgeID(e.From, e.To, e.Label, g.edgeIDs[i])
 	}
-	if cap(s.choice) < n {
+	if cap(s.prefix) < n+1 {
 		s.choice = make([]int, n)
+		s.prefix = make([]float64, n+1)
 	}
-	choice := s.choice[:n]
-	for i := range choice {
-		choice[i] = 0
-	}
-	for {
-		p := 1.0
-		for v := 0; v < n; v++ {
-			c := choice[v]
-			l := g.vertices[v][c]
-			w.SetVertexLabelID(v, l.Name, g.ids[v][c])
-			p *= l.P
+	choice, prefix := s.choice[:n], s.prefix[:n+1]
+	clear(choice)
+	prefix[0] = 1
+	// changed is the first vertex whose choice the last step changed: the
+	// prefix products from it on are stale.
+	for changed := 0; ; {
+		for v := changed; v < n; v++ {
+			prefix[v+1] = prefix[v] * g.vertices[v][choice[v]].P
 		}
-		if !fn(w, p) {
+		if !fn(w, prefix[n]) {
 			return
 		}
-		// Advance the mixed-radix counter.
+		// Advance the mixed-radix counter, relabelling each vertex it moves;
+		// a vertex with one label never moves.
 		v := n - 1
 		for ; v >= 0; v-- {
-			choice[v]++
-			if choice[v] < len(g.vertices[v]) {
+			ls := g.vertices[v]
+			if len(ls) == 1 {
+				continue
+			}
+			c := choice[v] + 1
+			if c == len(ls) {
+				c = 0
+			}
+			choice[v] = c
+			w.SetVertexLabelID(v, ls[c].Name, g.ids[v][c])
+			if c != 0 {
 				break
 			}
-			choice[v] = 0
 		}
 		if v < 0 {
 			return
 		}
+		changed = v
 	}
 }
 

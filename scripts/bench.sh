@@ -3,12 +3,13 @@
 #
 # Runs the join suite (BenchmarkJoinER, BenchmarkJoinTopK, the
 # screening-bound BenchmarkJoinERScreen, the verification-bound WebQ
-# template join BenchmarkJoinWebQ, and the template-workload
-# BenchmarkJoinIndexedScaled plus its milestone twin), the per-pair kernel
-# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound) and
-# the Q/A path's template matching (BenchmarkBestMatch, one /ask's
-# template.Store.BestMatch) with -benchmem, averages the repetitions, and writes
-# BENCH_join.json in the v2 schema: {"benchmarks": {name: {ns_per_op,
+# template join BenchmarkJoinWebQ, the many-world ER join
+# BenchmarkJoinERRelaxed on the bench workload join-er's inputs, and the
+# template-workload BenchmarkJoinIndexedScaled plus its milestone twin),
+# the per-pair kernel micro-benchmarks (BenchmarkFilterChainSig,
+# BenchmarkWorldLowerBound) and the Q/A path's template matching
+# (BenchmarkBestMatch, one /ask's template.Store.BestMatch) with -benchmem,
+# averages the repetitions, and writes BENCH_join.json in the v2 schema: {"benchmarks": {name: {ns_per_op,
 # allocs_per_op, bytes_per_op, samples}}}. The raw `go test` output is echoed
 # so regressions are visible in logs too.
 #
@@ -27,7 +28,7 @@
 set -eu
 
 COUNT="${COUNT:-5}"
-PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|WebQ|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound|BestMatch)\$}"
+PATTERN="${PATTERN:-^Benchmark(Join(ER|TopK|ERScreen|WebQ|ERRelaxed|IndexedScaled|IndexedScaledMilestone)|FilterChainSig|WorldLowerBound|BestMatch)\$}"
 OUT="${OUT:-BENCH_join.json}"
 
 raw=$(SHARD_MILESTONE="${SHARD_MILESTONE:-}" go test -run '^$' -bench "$PATTERN" -benchmem -count "$COUNT" -timeout 2h .)

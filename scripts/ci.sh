@@ -173,13 +173,14 @@ go test -run '^$' -fuzz '^FuzzJoinOracle$' -fuzztime 20s ./internal/core
 echo "== benchmark regression gate (vs BENCH_join.json, +25% ns/op, +10% allocs/op, ±5pp prune rate)"
 # bench.sh covers the join drivers (BenchmarkJoinER/TopK, the
 # screening-bound JoinERScreen, the verification-bound WebQ template join
-# JoinWebQ and the smoke-size template workload
-# BenchmarkJoinIndexedScaled) and the per-pair kernel micro-benchmarks
-# (BenchmarkFilterChainSig, BenchmarkWorldLowerBound); the allocs gate keeps
-# the zero-alloc kernels at exactly zero. The baseline also carries the
-# env-gated milestone entry (measured with SHARD_MILESTONE set); routine CI
-# skips it, so it passes through -optional. -stats replays the metrics
-# snapshot archived above to pin the filter chain's per-bound prune rates
+# JoinWebQ, the many-world ER join JoinERRelaxed and the smoke-size
+# template workload BenchmarkJoinIndexedScaled) and the per-pair kernel
+# micro-benchmarks (BenchmarkFilterChainSig, BenchmarkWorldLowerBound);
+# the allocs gate keeps the zero-alloc kernels at exactly zero. The
+# baseline also carries the env-gated milestone entry (measured with
+# SHARD_MILESTONE set); routine CI skips it, so it passes through
+# -optional. -stats replays the metrics snapshot archived above to pin the
+# filter chain's per-bound prune rates
 # against the baseline's prune_rates. The CLI joins through the index, so
 # those rates cover only the pairs its prescreens (size window, label-overlap
 # bound, counted CSS bound) let through to the chain; the prescreened pairs
