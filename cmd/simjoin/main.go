@@ -290,9 +290,9 @@ func run(ctx context.Context, wl string, tau int, alpha float64, modeName string
 	fmt.Printf("verdicts: exact=%d sampled=%d approx=%d undecided=%d (budget-fallbacks=%d deadline-hits=%d)\n",
 		st.ExactPairs, st.SampledPairs, st.ApproxPairs, st.SkippedPairs, st.BudgetFallbacks, st.DeadlineHits)
 	if len(st.BoundProfile) > 0 {
-		// Chain order: the profile lists every bound at its chain position,
-		// including bounds that pruned nothing, so a chain that ran but
-		// pruned nothing still reports its zeros (PrunedBy is nil then).
+		// Stage order: the profile lists every stage at its position,
+		// including stages that pruned nothing, so stages that ran but
+		// pruned nothing still report their zeros (PrunedBy is nil then).
 		fmt.Printf("pruned-by:")
 		for _, bc := range st.BoundProfile {
 			fmt.Printf(" %s=%d", bc.Bound, bc.Prunes)

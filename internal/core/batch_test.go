@@ -46,18 +46,17 @@ func webqInput(t *testing.T, scale float64) ([]*graph.Graph, []*ugraph.Graph) {
 // beyond τ. ok is false when the pair is not a result.
 func referencePair(t *testing.T, q *graph.Graph, g *ugraph.Graph, qs *filter.QSig, gs *filter.GSig, opts Options) (Pair, bool) {
 	t.Helper()
-	if filter.CSSLowerBoundUncertainSig(qs, gs) > opts.Tau {
+	lb := filter.CSSLowerBoundUncertainSig(qs, gs)
+	if lb > opts.Tau {
 		return Pair{}, false
 	}
 	groups := []ugraph.Group{{G: g, Mass: gs.Mass}}
 	if opts.Mode == ModeSimJOpt {
-		pc := filter.PairContext{QS: qs, GS: gs, Tau: opts.Tau, Alpha: opts.Alpha,
-			GroupCount: opts.GroupCount, Scratch: new(filter.Scratch)}
-		out := filter.Group.Apply(&pc)
-		if out.Pruned {
+		pruned, kept, _, _ := filter.GroupBound(new(filter.Scratch), qs, gs, lb, opts.Tau, opts.Alpha, opts.GroupCount)
+		if pruned {
 			return Pair{}, false
 		}
-		groups = out.Groups
+		groups = kept
 		sort.SliceStable(groups, func(i, j int) bool { return groups[i].Mass > groups[j].Mass })
 	}
 	alphaLo := opts.Alpha - filter.MassSlack

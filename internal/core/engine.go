@@ -4,7 +4,7 @@ package core
 //
 // Every join is the same three-stage pipeline:
 //
-//	index sweep → filter chain → verdict ladder
+//	index sweep → pruning stages → verdict ladder
 //
 // The engine below owns everything the stages share — the worker pool, the
 // per-pair panic quarantine, soft deadlines, the watchdog heartbeats, and the
@@ -35,13 +35,12 @@ func JoinWith(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, er
 // cancel the join deterministically mid-run.
 var testPairHook func(worker int)
 
-// joinEngine is the one shared driver: it resolves the filter chain, spins up
-// the worker pool, and finalises the Stats. Each worker takes the next
-// uncertain graph from a shared counter, sweeps it against the index with its
-// own scratch, books the pairs the prescreens skip, and runs joinPair on the
-// survivors; the unit of parallel work is one uncertain graph, whose
-// candidates are verified as one batch over the worker's shared worlds of
-// that graph (worlds.go). All
+// joinEngine is the one shared driver: it spins up the worker pool and
+// finalises the Stats. Each worker takes the next uncertain graph from a
+// shared counter, sweeps it against the index with its own scratch, books
+// the pairs the prescreens skip, and runs joinPair on the survivors; the unit
+// of parallel work is one uncertain graph, whose candidates are verified as
+// one batch over the worker's shared worlds of that graph (worlds.go). All
 // containment (per-pair recover, pair deadlines, watchdog) lives in joinPair
 // and the observability handles created here. Each run records one core.join
 // span, cancelled runs included.
@@ -49,7 +48,6 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 	if err := opts.normalise(); err != nil {
 		return nil, Stats{}, err
 	}
-	chain := opts.chain()
 	start := time.Now()
 	jo := newJoinObs(&opts)
 	idx := src.idx
@@ -68,7 +66,7 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 
 	worker := func(id int) {
 		defer wg.Done()
-		local := newRec(jo, &opts, chain)
+		local := newRec(jo, &opts)
 		var (
 			pairs []Pair
 			sc    indexScratch // sweep scratch, reused across graphs
@@ -82,16 +80,15 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 			g := src.u[gi]
 			sweepStart := time.Now()
 			cands, gs := src.sweep(gi, opts.Tau, &sc)
-			// The prescreens are implied by the CSS bound, so their skips
-			// count as CSS prunes that never reached the chain.
+			// The prescreens are implied by the CSS bound, so rec.finish
+			// counts their skips as CSS prunes that never reached a stage.
 			skipped := int64(idx.Len() - len(cands))
 			local.Pairs += skipped
-			local.CSSPruned += skipped
 			local.IndexSkipped += skipped
 			if jo.progress {
 				jo.pairsDone.Add(skipped)
 			}
-			// The sweep is pruning that ran before the chain (the counted
+			// The sweep is pruning that ran before the stages (the counted
 			// CSS bound among it), so its time counts in PruneTime too.
 			sweepDur := time.Since(sweepStart)
 			jo.sourceSeconds.ObserveDuration(sweepDur)
@@ -103,7 +100,7 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 				local.Pairs++
 				pi := pairIn{q: idx.d[qi], g: g, qs: idx.qsigs[qi], gs: gs, qp: idx.qsides[qi], qi: qi, gi: gi}
 				jo.beatStart(id)
-				p, ok := joinPair(ctx, &pi, &opts, chain, &local)
+				p, ok := joinPair(ctx, &pi, &opts, &local)
 				jo.beatEnd(id)
 				if ok {
 					pairs = append(pairs, p)
@@ -117,7 +114,7 @@ func joinEngine(ctx context.Context, src *Source, opts Options) ([]Pair, Stats, 
 				}
 			}
 		}
-		local.finish(chain)
+		local.finish()
 		mu.Lock()
 		results = append(results, pairs...)
 		total.add(&local.Stats)

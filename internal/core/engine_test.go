@@ -9,7 +9,6 @@ import (
 	"testing"
 
 	"simjoin/internal/fault"
-	"simjoin/internal/filter"
 	"simjoin/internal/obs"
 )
 
@@ -80,8 +79,9 @@ func TestPrunedByAccounting(t *testing.T) {
 // TestChainValidation pins each Mode's one chain, the order Algorithms 1
 // and 2 fix: the stages land in BoundProfile in chain order and under their
 // names, every stage is booked even when it prunes nothing, and an unknown
-// Mode runs structural pruning only. Each stage's Kind decides whether its
-// prunes count as CSSPruned or ProbPruned.
+// Mode runs structural pruning only. A stage's position decides whether its
+// prunes count as CSSPruned (position 0, with the prescreen skips) or
+// ProbPruned (position 1).
 func TestChainValidation(t *testing.T) {
 	d, u := smallWorkload(1, 4, 4)
 	for _, c := range []struct {
@@ -107,10 +107,7 @@ func TestChainValidation(t *testing.T) {
 		if !slices.Equal(got, c.want) {
 			t.Errorf("mode %v: chain %v, want %v", c.mode, got, c.want)
 		}
-	}
-	if filter.CSS.Kind() != filter.Structural || filter.Prob.Kind() != filter.Probabilistic ||
-		filter.Group.Kind() != filter.Probabilistic {
-		t.Error("a chain stage has the wrong Kind")
+		checkProfileIdentities(t, fmt.Sprintf("mode %v", c.mode), &st)
 	}
 }
 

@@ -166,7 +166,7 @@ type rec struct {
 	Stats
 	jo *joinObs
 
-	// fsc is the filter chain's scratch (the λV matching buffers and the
+	// fsc is the pruning stages' scratch (the λV matching buffers and the
 	// per-pair group cache of the grouped bound); pv caches the
 	// world-invariant CSS constants of the pair under verification; ws holds
 	// the possible-world enumeration buffers; rl the pair's relaxed mapping
@@ -182,15 +182,6 @@ type rec struct {
 	wside  ged.Prepared
 	mbuf   ged.Mapping
 	mbest  ged.Mapping
-
-	// pctx is the per-worker PairContext, reused across pairs: building it
-	// fresh inside prunephase would heap-allocate one per pair (it escapes
-	// through the Bound interface call).
-	pctx filter.PairContext
-
-	// prof is the worker's per-chain-position profile shard (see profile.go),
-	// folded into Stats.BoundProfile by finish(); indexed like the chain.
-	prof []boundShard
 
 	// eb is the worker's event buffer (nil when no event log is configured);
 	// ev is the reusable sampled-pair record, evSampled marks the pair in

@@ -1,15 +1,14 @@
 package core
 
-// Join-time profiling: per-bound cost/selectivity accounting and the
+// Join-time profiling: per-stage cost/selectivity accounting and the
 // explain/report surface.
 //
-// Each worker accumulates per-position shards of what every chain stage cost
-// and pruned (plain int64 fields, no atomics, no allocation in steady state);
-// selectivity is positional, since a stage late in the chain only sees the
-// pairs its predecessors passed. At join end the shards fold into
-// Stats.BoundProfile, in chain order, and publish to the registry as
-// labelled counters. WriteExplain renders the resulting cost model (simjoin
-// -explain).
+// Each worker books what every pruning stage cost and pruned straight into
+// its own Stats.BoundProfile (plain int64 fields, no atomics, no allocation
+// in steady state); selectivity is positional, since the stage at position 1
+// only sees the pairs css passed. At join end the workers' profiles merge,
+// in stage order, and publish to the registry as labelled counters.
+// WriteExplain renders the resulting cost model (simjoin -explain).
 
 import (
 	"fmt"
@@ -18,14 +17,13 @@ import (
 	"sort"
 	"strconv"
 
-	"simjoin/internal/filter"
 	"simjoin/internal/obs"
 )
 
-// BoundCost is one filter-chain stage's accumulated profile: how many pairs
-// it evaluated at its chain position, how many it pruned, and (when
-// profiling timing is enabled — Options.Obs or Options.Events set) the total
-// evaluation wall time in nanoseconds.
+// BoundCost is one pruning stage's accumulated profile: how many pairs it
+// evaluated at its position, how many it pruned, and (when profiling timing
+// is enabled — Options.Obs or Options.Events set) the total evaluation wall
+// time in nanoseconds.
 type BoundCost struct {
 	Pos    int    `json:"pos"`
 	Bound  string `json:"bound"`
@@ -70,47 +68,33 @@ func (c *BoundCost) EffectiveCost() float64 {
 	return c.NsPerEval() / sel
 }
 
-// boundShard is one worker's accumulator for one chain position. Plain
-// fields: each worker owns its shard slice exclusively, so recording is two
-// or three integer adds with no synchronisation and no allocation.
-type boundShard struct {
-	evals, prunes, nanos int64
-}
-
-// newRec builds one worker's recording context: the per-position profile
-// shards (always on — counting costs two adds per bound) and, when an event
-// log is configured, the worker's private event buffer.
-func newRec(jo *joinObs, opts *Options, chain []filter.Bound) rec {
-	r := rec{jo: jo, prof: make([]boundShard, len(chain))}
+// newRec builds one worker's recording context: its BoundProfile, one entry
+// per stage of the Mode (always on — counting costs two adds per stage) and,
+// when an event log is configured, the worker's private event buffer.
+func newRec(jo *joinObs, opts *Options) rec {
+	stages := opts.Mode.stages()
+	r := rec{jo: jo}
+	r.BoundProfile = make([]BoundCost, len(stages))
+	for i, name := range stages {
+		r.BoundProfile[i] = BoundCost{Pos: i, Bound: name}
+	}
 	if opts.Events != nil {
 		r.eb = opts.Events.NewBuffer()
-		r.ev.Bounds = make([]obs.BoundObs, 0, len(chain))
+		r.ev.Bounds = make([]obs.BoundObs, 0, len(stages))
 	}
 	return r
 }
 
-// finish folds the worker's shards into its Stats and flushes any pending
-// events; called once per worker after its task loop drains, before the
-// Stats merge. The shards become the chain-ordered BoundProfile and, since
-// the walk stops at the first prune, a position's prunes are exactly the
-// pairs it removed: they sum into PrunedBy by bound name and into CSSPruned
-// or ProbPruned by bound kind.
-func (st *rec) finish(chain []filter.Bound) {
-	st.BoundProfile = make([]BoundCost, len(st.prof))
-	for i := range st.prof {
-		sh, b := &st.prof[i], chain[i]
-		st.BoundProfile[i] = BoundCost{
-			Pos:    i,
-			Bound:  b.Name(),
-			Evals:  sh.evals,
-			Prunes: sh.prunes,
-			Nanos:  sh.nanos,
-		}
-		if b.Kind() == filter.Structural {
-			st.CSSPruned += sh.prunes
-		} else {
-			st.ProbPruned += sh.prunes
-		}
+// finish derives the worker's prune tallies from its BoundProfile and
+// flushes any pending events; called once per worker after its task loop
+// drains, before the Stats merge. Since prunephase stops at the first
+// prune, a position's prunes are exactly the pairs it removed: position 0's
+// (css) and the prescreens' skips are CSSPruned, the later position's are
+// ProbPruned, and PrunedBy folds them by stage name.
+func (st *rec) finish() {
+	st.CSSPruned = st.IndexSkipped + st.BoundProfile[0].Prunes
+	for _, bc := range st.BoundProfile[1:] {
+		st.ProbPruned += bc.Prunes
 	}
 	st.PrunedBy = prunedBy(st.BoundProfile)
 	st.eb.Flush()
@@ -134,7 +118,8 @@ func prunedBy(prof []BoundCost) map[string]int64 {
 
 // mergeBoundProfile folds src into dst by (position, bound), appending
 // entries dst has not seen; the result stays sorted by position. Workers of
-// one join share a chain, so in practice this is element-wise addition.
+// one join share a Mode, so within a join this is element-wise addition;
+// merged joins of different Modes keep (1, prob) and (1, group) apart.
 func mergeBoundProfile(dst, src []BoundCost) []BoundCost {
 	for _, s := range src {
 		merged := false
@@ -197,7 +182,7 @@ func verifyRungMetric(v Verdict) string {
 
 // WriteExplain renders the join's cost model: the index prescreen's skips,
 // the per-bound table (evals, prunes, selectivity, ns/eval and effective
-// cost) in chain order, the verification effort (worlds, GED searches and
+// cost) in stage order, the verification effort (worlds, GED searches and
 // states, relaxed mapping lists), and P50/P95/P99 latency summaries for
 // every pipeline stage. st supplies the profile and the counters, snap the
 // stage histograms.
@@ -242,38 +227,6 @@ func WriteBoundTable(w io.Writer, prof []BoundCost) {
 			bc.Pos, bc.Bound, bc.Evals, bc.Prunes, bc.Selectivity(), bc.PassRate(),
 			bc.NsPerEval(), formatEffCost(bc.EffectiveCost()))
 	}
-}
-
-// ProfileByBound folds a profile by bound name, summing evals, prunes and
-// nanos across chain positions; each entry keeps the smallest position the
-// bound appeared at, and the result is sorted by name. This is the positional
-// profile's position-independent view: the name-folded profiles of two runs
-// compare bound by bound even when the runs' chains differ (a merged Stats
-// of css,prob and css,group joins holds both), which is why the prune-drift
-// tooling keys on it.
-func ProfileByBound(prof []BoundCost) []BoundCost {
-	byName := make(map[string]*BoundCost, len(prof))
-	for i := range prof {
-		bc := &prof[i]
-		f := byName[bc.Bound]
-		if f == nil {
-			c := *bc
-			byName[bc.Bound] = &c
-			continue
-		}
-		f.Evals += bc.Evals
-		f.Prunes += bc.Prunes
-		f.Nanos += bc.Nanos
-		if bc.Pos < f.Pos {
-			f.Pos = bc.Pos
-		}
-	}
-	out := make([]BoundCost, 0, len(byName))
-	for _, bc := range byName {
-		out = append(out, *bc)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i].Bound < out[j].Bound })
-	return out
 }
 
 // formatEffCost prints an effective cost, rendering the never-pruned +Inf

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"math"
+	"slices"
 	"strings"
 	"testing"
 
@@ -13,58 +14,106 @@ import (
 	"simjoin/internal/obs"
 )
 
-// TestBoundProfileMatchesStats runs real joins (parallel workers, so under
-// -race this also exercises the shard fold) and checks the folded
-// BoundProfile is exactly consistent with the aggregate Stats: chain order
-// preserved, first bound evaluates every non-skipped pair, per-bound prunes
-// equal PrunedBy, total prunes equal CSSPruned + ProbPruned, and each
-// position's evaluations equal the pairs its predecessors passed.
+// TestBoundProfileMatchesStats runs real joins in every Mode (parallel
+// workers, so under -race this also exercises the per-worker merge) and
+// checks the BoundProfile is exactly consistent with the aggregate Stats:
+// the Mode's stages at their positions, and the identities of
+// checkProfileIdentities. Merging a SimJ and a SimJ+opt join keeps (1, prob)
+// and (1, group) apart, and the identities hold on the merge too.
 func TestBoundProfileMatchesStats(t *testing.T) {
 	d, u := smallWorkload(7, 10, 10)
-	for _, mode := range []Mode{ModeSimJ, ModeSimJOpt} {
+	var merged Stats
+	for _, c := range []struct {
+		mode   Mode
+		stages []string
+	}{
+		{ModeCSSOnly, []string{"css"}},
+		{ModeSimJ, []string{"css", "prob"}},
+		{ModeSimJOpt, []string{"css", "group"}},
+	} {
 		opts := DefaultOptions()
-		opts.Mode = mode
+		opts.Mode = c.mode
 		opts.Alpha = 0.5
 		opts.Workers = 4
 		opts.Obs = obs.New()
 		_, st, err := Join(d, u, opts)
 		if err != nil {
-			t.Fatalf("mode %v: %v", mode, err)
+			t.Fatalf("mode %v: %v", c.mode, err)
 		}
-		chain := []string{"css", "prob"}
-		if mode == ModeSimJOpt {
-			chain = []string{"css", "group"}
+		name := fmt.Sprintf("mode %v", c.mode)
+		if len(st.BoundProfile) != len(c.stages) {
+			t.Fatalf("%s: profile has %d entries, want %d: %+v", name, len(st.BoundProfile), len(c.stages), st.BoundProfile)
 		}
-		if len(st.BoundProfile) != len(chain) {
-			t.Fatalf("mode %v: profile has %d entries, want %d: %+v", mode, len(st.BoundProfile), len(chain), st.BoundProfile)
-		}
-		var prunes int64
-		passed := st.Pairs - st.IndexSkipped
 		for i, bc := range st.BoundProfile {
-			if bc.Pos != i || bc.Bound != chain[i] {
-				t.Errorf("mode %v: profile[%d] = (%d, %s), want (%d, %s)", mode, i, bc.Pos, bc.Bound, i, chain[i])
+			if bc.Pos != i || bc.Bound != c.stages[i] {
+				t.Errorf("%s: profile[%d] = (%d, %s), want (%d, %s)", name, i, bc.Pos, bc.Bound, i, c.stages[i])
 			}
-			if bc.Evals != passed {
-				t.Errorf("mode %v: %s evals = %d, want %d (pairs passing the previous bounds)", mode, bc.Bound, bc.Evals, passed)
-			}
-			if got := st.PrunedBy[bc.Bound]; bc.Prunes != got {
-				t.Errorf("mode %v: %s prunes = %d, PrunedBy = %d", mode, bc.Bound, bc.Prunes, got)
-			}
-			if bc.Nanos < 0 {
-				t.Errorf("mode %v: %s nanos = %d", mode, bc.Bound, bc.Nanos)
-			}
-			prunes += bc.Prunes
-			passed -= bc.Prunes
 		}
-		if want := st.CSSPruned + st.ProbPruned - st.IndexSkipped; prunes != want {
-			t.Errorf("mode %v: profile prunes sum to %d, want %d", mode, prunes, want)
+		checkProfileIdentities(t, name, &st)
+		if c.mode != ModeCSSOnly && st.ProbPruned == 0 {
+			t.Errorf("%s: the second stage pruned nothing; the split is vacuous", name)
 		}
-		if passed != st.Candidates {
-			t.Errorf("mode %v: %d pairs pass the whole chain, Stats.Candidates = %d", mode, passed, st.Candidates)
+		if c.mode != ModeCSSOnly {
+			merged.Merge(&st)
 		}
 
 		// The registry carries the same profile as labelled counters.
-		checkPublished(t, fmt.Sprintf("mode %v", mode), opts.Obs.Snapshot(), &st)
+		checkPublished(t, name, opts.Obs.Snapshot(), &st)
+	}
+
+	var got []string
+	for _, bc := range merged.BoundProfile {
+		got = append(got, fmt.Sprintf("(%d, %s)", bc.Pos, bc.Bound))
+	}
+	if want := []string{"(0, css)", "(1, group)", "(1, prob)"}; !slices.Equal(got, want) {
+		t.Fatalf("merged profile %v, want %v", got, want)
+	}
+	checkProfileIdentities(t, "merged SimJ and SimJ+opt", &merged)
+}
+
+// checkProfileIdentities checks a Stats' prune tallies against its
+// BoundProfile, entry by position: css alone at position 0 evaluates every
+// pair the prescreens passed and its prunes are CSSPruned less IndexSkipped;
+// the entries at position 1 evaluate what css passed and their prunes sum to
+// ProbPruned; what passes both is Candidates; and each entry's prunes are
+// PrunedBy under its name.
+func checkProfileIdentities(t *testing.T, name string, st *Stats) {
+	t.Helper()
+	prof := st.BoundProfile
+	if len(prof) == 0 || prof[0].Pos != 0 || prof[0].Bound != "css" {
+		t.Fatalf("%s: profile does not open with (0, css): %+v", name, prof)
+	}
+	if got, want := prof[0].Evals, st.Pairs-st.IndexSkipped; got != want {
+		t.Errorf("%s: css evals = %d, want %d (pairs the prescreens passed)", name, got, want)
+	}
+	if got := st.CSSPruned - st.IndexSkipped; got != prof[0].Prunes {
+		t.Errorf("%s: CSSPruned - IndexSkipped = %d, position 0 prunes = %d", name, got, prof[0].Prunes)
+	}
+	passed := prof[0].Evals - prof[0].Prunes
+	var evals, prunes int64
+	for _, bc := range prof[1:] {
+		if bc.Pos != 1 {
+			t.Errorf("%s: %s at position %d, want 1", name, bc.Bound, bc.Pos)
+		}
+		evals += bc.Evals
+		prunes += bc.Prunes
+	}
+	if len(prof) > 1 && evals != passed {
+		t.Errorf("%s: position 1 evals = %d, want %d (pairs css passed)", name, evals, passed)
+	}
+	if st.ProbPruned != prunes {
+		t.Errorf("%s: ProbPruned = %d, position 1 prunes = %d", name, st.ProbPruned, prunes)
+	}
+	if passed-prunes != st.Candidates {
+		t.Errorf("%s: %d pairs pass every stage, Stats.Candidates = %d", name, passed-prunes, st.Candidates)
+	}
+	for _, bc := range prof {
+		if got := st.PrunedBy[bc.Bound]; bc.Prunes != got {
+			t.Errorf("%s: %s prunes = %d, PrunedBy = %d", name, bc.Bound, bc.Prunes, got)
+		}
+		if bc.Nanos < 0 {
+			t.Errorf("%s: %s nanos = %d", name, bc.Bound, bc.Nanos)
+		}
 	}
 }
 
@@ -92,9 +141,9 @@ func TestBoundProfileWithoutObs(t *testing.T) {
 	}
 }
 
-// TestPrunephaseProfiledZeroAlloc pins the tentpole's overhead contract: the
-// filter chain with per-bound profiling (timing, shard accounting, registry
-// counters) must stay allocation-free per pair in steady state.
+// TestPrunephaseProfiledZeroAlloc pins the profiling overhead contract: the
+// pruning stages with per-stage profiling (timing, BoundProfile accounting,
+// registry counters) must stay allocation-free per pair in steady state.
 func TestPrunephaseProfiledZeroAlloc(t *testing.T) {
 	d, u := smallWorkload(5, 6, 6)
 	qsigs := filter.NewQSigs(d)
@@ -108,9 +157,8 @@ func TestPrunephaseProfiledZeroAlloc(t *testing.T) {
 		t.Fatal(err)
 	}
 	opts.Obs = obs.New()
-	chain := opts.chain()
 	jo := newJoinObs(&opts)
-	st := newRec(jo, &opts, chain)
+	st := newRec(jo, &opts)
 	if !jo.profile {
 		t.Fatal("profiling off with Obs set")
 	}
@@ -119,7 +167,7 @@ func TestPrunephaseProfiledZeroAlloc(t *testing.T) {
 		for qi := range d {
 			for gi := range u {
 				pi := pairIn{q: d[qi], g: u[gi], qs: qsigs[qi], gs: gsigs[gi], qi: qi, gi: gi}
-				prunephase(&pi, &opts, chain, &st)
+				prunephase(&pi, &opts, &st)
 			}
 		}
 	}
@@ -278,51 +326,5 @@ func TestWriteExplain(t *testing.T) {
 	WriteExplain(&out2, &Stats{}, opts.Obs.Snapshot())
 	if !strings.Contains(out2.String(), "no per-bound profile recorded") {
 		t.Errorf("profile-less explain lacks the no-profile line:\n%s", out2.String())
-	}
-}
-
-// TestStatsMergeFoldsCrossOrderProfiles asserts Stats.Merge and
-// ProfileByBound keep eval/prune totals exact when the merged profiles hold
-// the same bounds at *different* chain positions: Merge keys entries by
-// (position, bound), ProfileByBound folds them by name.
-func TestStatsMergeFoldsCrossOrderProfiles(t *testing.T) {
-	a := Stats{BoundProfile: []BoundCost{
-		{Pos: 0, Bound: "css", Evals: 100, Prunes: 90, Nanos: 1000},
-		{Pos: 1, Bound: "prob", Evals: 10, Prunes: 4, Nanos: 500},
-	}}
-	b := Stats{BoundProfile: []BoundCost{
-		{Pos: 0, Bound: "prob", Evals: 80, Prunes: 20, Nanos: 4000},
-		{Pos: 1, Bound: "css", Evals: 60, Prunes: 50, Nanos: 600},
-	}}
-	var m Stats
-	m.Merge(&a)
-	m.Merge(&b)
-	// Positional entries stay distinct (4 keys), name-folding collapses to 2.
-	if len(m.BoundProfile) != 4 {
-		t.Fatalf("merged profile has %d entries, want 4: %+v", len(m.BoundProfile), m.BoundProfile)
-	}
-	folded := ProfileByBound(m.BoundProfile)
-	if len(folded) != 2 {
-		t.Fatalf("folded profile has %d entries, want 2: %+v", len(folded), folded)
-	}
-	wantTotals := map[string][3]int64{
-		"css":  {160, 140, 1600},
-		"prob": {90, 24, 4500},
-	}
-	for _, bc := range folded {
-		w := wantTotals[bc.Bound]
-		if bc.Evals != w[0] || bc.Prunes != w[1] || bc.Nanos != w[2] {
-			t.Fatalf("folded %s = {evals %d, prunes %d, nanos %d}, want %v", bc.Bound, bc.Evals, bc.Prunes, bc.Nanos, w)
-		}
-		if bc.Pos != 0 {
-			t.Fatalf("folded %s keeps pos %d, want smallest (0)", bc.Bound, bc.Pos)
-		}
-	}
-	// Selectivity of the fold is the exact pooled rate, not an average of rates.
-	for _, bc := range folded {
-		w := wantTotals[bc.Bound]
-		if got, want := bc.Selectivity(), float64(w[1])/float64(w[0]); got != want {
-			t.Fatalf("folded %s selectivity %v, want %v", bc.Bound, got, want)
-		}
 	}
 }

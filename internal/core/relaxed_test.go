@@ -32,7 +32,7 @@ type exactRun struct {
 func runExact(pi *pairIn, groups []ugraph.Group, opts *Options, perWorld bool) exactRun {
 	testPerWorld = perWorld
 	defer func() { testPerWorld = false }()
-	st := newRec(newJoinObs(opts), opts, nil)
+	st := newRec(newJoinObs(opts), opts)
 	if groups != nil {
 		groups = append([]ugraph.Group(nil), groups...)
 	}
@@ -259,7 +259,6 @@ func TestRelaxedListsMatchPerWorld(t *testing.T) {
 		one := Options{Tau: tau, Alpha: 0.5, KeepMappings: true, MaxWorlds: 1}
 		configs = append(configs, config{fmt.Sprintf("tau=%d MaxWorlds=1", tau), one, false})
 	}
-	groupBound := []filter.Bound{filter.Group}
 	var relaxed, fallbacks int64
 	for _, c := range corpora {
 		qsigs, gsigs := filter.NewQSigs(c.d), filter.NewGSigs(c.u)
@@ -274,8 +273,8 @@ func TestRelaxedListsMatchPerWorld(t *testing.T) {
 					pi := &pairIn{q: q, g: g, qs: qsigs[qi], gs: gsigs[gi], qp: qsides[qi], qi: qi, gi: gi}
 					var groups []ugraph.Group
 					if cfg.groups {
-						st := newRec(newJoinObs(&opts), &opts, groupBound)
-						groups, _ = prunephase(pi, &opts, groupBound, &st)
+						lb := filter.CSSLowerBoundUncertainSig(pi.qs, pi.gs)
+						_, groups, _, _ = filter.GroupBound(new(filter.Scratch), pi.qs, pi.gs, lb, opts.Tau, opts.Alpha, opts.GroupCount)
 					}
 					a := runExact(pi, groups, &opts, false)
 					b := runExact(pi, groups, &opts, true)
@@ -417,7 +416,7 @@ func TestRelaxedKeepsTheGEDsMapping(t *testing.T) {
 // result's distance on its witness world is not the result's Mapping (the
 // one A* finds on that world).
 func listedMappingDiffers(pi *pairIn, opts *Options, p Pair) bool {
-	st := newRec(newJoinObs(opts), opts, nil)
+	st := newRec(newJoinObs(opts), opts)
 	if !st.buildRelaxed(pi, opts) {
 		return false
 	}

@@ -167,17 +167,18 @@ func (o *Options) normalise() error {
 	return nil
 }
 
-// chain is the Mode's pruning pipeline: Algorithm 1 is [css, prob],
-// Algorithm 2 is [css, group], and ModeCSSOnly (and any unknown mode) is
-// [css].
-func (o *Options) chain() []filter.Bound {
-	switch o.Mode {
+// stages names the Mode's pruning stages in the order prunephase runs them:
+// Algorithm 1 is css then prob, Algorithm 2 css then group, and ModeCSSOnly
+// (like any unknown Mode) css alone. A stage's index is its position in
+// Stats.BoundProfile.
+func (m Mode) stages() []string {
+	switch m {
 	case ModeSimJ:
-		return []filter.Bound{filter.CSS, filter.Prob}
+		return []string{"css", "prob"}
 	case ModeSimJOpt:
-		return []filter.Bound{filter.CSS, filter.Group}
+		return []string{"css", "group"}
 	default:
-		return []filter.Bound{filter.CSS}
+		return []string{"css"}
 	}
 }
 
@@ -239,23 +240,24 @@ type Stats struct {
 	// PruneTime is the time spent pruning: every graph's index sweep (the
 	// size screen, the label-overlap bound and the counted CSS bound, with
 	// the signature build of a graph that has candidates) plus every pair's
-	// filter chain. VerifyTime is the verdict ladder's time.
+	// pruning stages. VerifyTime is the verdict ladder's time.
 	PruneTime    time.Duration
 	VerifyTime   time.Duration
 	GroupsBuilt  int64 // possible-world groups constructed (SimJ+opt)
 	GroupsPruned int64 // groups removed by their CSS bound
-	// PrunedBy breaks the pruned pairs down by the filter-chain bound that
-	// eliminated each one, under the bounds' names (Bound.Name):
-	// BoundProfile's prunes folded by name. Summed over the bounds it equals
+	// PrunedBy breaks the pruned pairs down by the pruning stage that
+	// eliminated each one, under the stage's name (css, prob or group):
+	// BoundProfile's prunes by name. Summed over the stages it equals
 	// CSSPruned + ProbPruned minus IndexSkipped: pairs the index prescreens
 	// removed, those the counted CSS bound ruled out included, never reach a
-	// bound, so the chain's css entry counts only what the exact matching
-	// adds.
-	// Nil when the chain pruned nothing; BoundProfile still lists every
+	// stage, so the css entry counts only what the exact matching adds.
+	// CSSPruned and ProbPruned split the same prunes by position: position
+	// 0 (css) and the prescreen skips, and position 1 (prob or group).
+	// Nil when no stage pruned anything; BoundProfile still lists every
 	// stage then, so a per-bound report reads BoundProfile.
 	PrunedBy map[string]int64 `json:",omitempty"`
-	// BoundProfile is the per-bound cost/selectivity profile in chain order:
-	// one entry per chain position, evaluated or not, with the bound's
+	// BoundProfile is the per-stage cost/selectivity profile in stage order:
+	// one entry per stage of the Mode, evaluated or not, with the stage's
 	// evaluation count, prune count and (when profiling timing was on)
 	// accumulated evaluation nanoseconds. See BoundCost and WriteExplain
 	// (profile.go).
@@ -263,7 +265,7 @@ type Stats struct {
 	EarlyAccepts int64       // verifications stopped early at ≥ α
 	EarlyRejects int64       // verifications stopped early at < α
 	// IndexSkipped counts pairs eliminated by the index's prescreens before
-	// the filter chain: the size screen, the label-overlap bound and the
+	// the pruning stages: the size screen, the label-overlap bound and the
 	// counted CSS bound (filter.CSSLowerBoundCounted). Every join sweeps an
 	// index (Join, Index.Source, NewStreamSource), so every join books them.
 	// They are also counted in CSSPruned: the prescreens are implied by the
@@ -364,8 +366,8 @@ func Join(d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, err
 // thin wrapper over the pipeline engine (see engine.go) with a one-shot Index
 // over D as the candidate feed: the index's prescreens (size, label overlap,
 // counted CSS bound) are implied by the CSS bound, so the answer set is the
-// full cross product's, while the pairs they rule out never reach the filter
-// chain (Stats.IndexSkipped).
+// full cross product's, while the pairs they rule out never reach the
+// pruning stages (Stats.IndexSkipped).
 func JoinContext(ctx context.Context, d []*graph.Graph, u []*ugraph.Graph, opts Options) ([]Pair, Stats, error) {
 	return joinEngine(ctx, BuildIndex(d).Source(u), opts)
 }
@@ -394,7 +396,7 @@ type pairIn struct {
 }
 
 // joinPair runs the filter-and-refine pipeline of Algorithm 1 on one pair:
-// the configured bound chain, then — for survivors — the verdict ladder.
+// the Mode's pruning stages, then — for survivors — the verdict ladder.
 //
 // Panics are contained here: a panic anywhere in the pair's pruning or
 // verification quarantines the pair (recorded with its stack in
@@ -402,7 +404,7 @@ type pairIn struct {
 // buffers are reset at the start of every pair, so reuse after a contained
 // panic is safe. When Options.PairDeadline is set, verification runs under a
 // pair-scoped context deadline.
-func joinPair(ctx context.Context, pi *pairIn, opts *Options, chain []filter.Bound, st *rec) (p Pair, ok bool) {
+func joinPair(ctx context.Context, pi *pairIn, opts *Options, st *rec) (p Pair, ok bool) {
 	defer func() {
 		if r := recover(); r != nil {
 			st.QuarantinedPairs++
@@ -434,7 +436,7 @@ func joinPair(ctx context.Context, pi *pairIn, opts *Options, chain []filter.Bou
 	}
 
 	pruneStart := time.Now()
-	groups, prunedBy := prunephase(pi, opts, chain, st)
+	groups, prunedBy := prunephase(pi, opts, st)
 	pruneDur := time.Since(pruneStart)
 	st.PruneTime += pruneDur
 	st.jo.pruneSeconds.ObserveDuration(pruneDur)
@@ -491,66 +493,69 @@ func (st *rec) emitEvent(pi *pairIn, p Pair, ok bool, verdict, prunedBy string,
 	st.eb.Emit(ev)
 }
 
-// prunephase walks the pair through the bound chain left to right and stops
-// at the first bound that prunes it. It returns the possible-world groups to
-// verify (nil means verify the whole graph as one group; a kept group bound
-// replaces them) and the name of the bound that pruned the pair ("" when the
-// pair survived). Every evaluation lands in the worker's profile shard, from
-// which rec.finish derives PrunedBy, CSSPruned and ProbPruned.
-func prunephase(pi *pairIn, opts *Options, chain []filter.Bound, st *rec) ([]ugraph.Group, string) {
-	st.pctx = filter.PairContext{
-		QS:         pi.qs,
-		GS:         pi.gs,
-		Tau:        opts.Tau,
-		Alpha:      opts.Alpha,
-		GroupCount: opts.GroupCount,
-		Scratch:    &st.fsc,
+// prunephase runs the Mode's pruning stages on the pair in the order of
+// Algorithms 1 and 2 and stops at the first that prunes it: Theorem 3's CSS
+// lower bound at position 0 (pruned when lb > τ), then Theorem 4's upper
+// bound (SimJ) or the grouped bound of §6.2 (SimJ+opt) at position 1 (pruned
+// when the bound on SimPτ falls below α). It returns the possible-world
+// groups to verify (nil means verify the whole graph as one group; the
+// grouped bound's kept groups replace it) and the name of the stage that
+// pruned the pair ("" when the pair survived). Every evaluation lands in the
+// worker's BoundProfile, from which rec.finish derives PrunedBy, CSSPruned
+// and ProbPruned.
+func prunephase(pi *pairIn, opts *Options, st *rec) ([]ugraph.Group, string) {
+	t0 := st.stageStart()
+	lb := filter.CSSLowerBoundUncertainSigScratch(&st.fsc.BP, pi.qs, pi.gs)
+	if st.book(0, lb > opts.Tau, t0) {
+		return nil, "css"
 	}
-	var groups []ugraph.Group
-	for i, b := range chain {
-		out := st.applyBound(b, i)
-		if out.Groups != nil {
-			groups = out.Groups
+	switch opts.Mode {
+	case ModeSimJ:
+		t0 = st.stageStart()
+		ub := filter.SimilarityUpperBoundSig(pi.qs, pi.gs, opts.Tau)
+		if st.book(1, ub < opts.Alpha-filter.MassSlack, t0) {
+			return nil, "prob"
 		}
-		if out.Pruned {
-			return nil, b.Name()
+	case ModeSimJOpt:
+		t0 = st.stageStart()
+		pruned, groups, built, cssPruned := filter.GroupBound(&st.fsc, pi.qs, pi.gs, lb, opts.Tau, opts.Alpha, opts.GroupCount)
+		st.GroupsBuilt += built
+		st.GroupsPruned += cssPruned
+		if st.book(1, pruned, t0) {
+			return nil, "group"
 		}
+		return groups, ""
 	}
-	return groups, ""
+	return nil, ""
 }
 
-// applyBound runs one bound on the pair in st.pctx and books the evaluation
-// into the worker's profile shard (at chain position i) and — when the pair
-// is event-sampled — the event record. Evaluations are timed only when
-// profiling is on; untimed ones book zero nanoseconds.
-func (st *rec) applyBound(b filter.Bound, i int) filter.Outcome {
-	if !st.jo.profile {
-		out := b.Apply(&st.pctx)
-		st.bookOutcome(out, i, 0)
-		return out
+// stageStart returns the start time of a pruning stage when profiling is on,
+// the zero time otherwise.
+func (st *rec) stageStart() time.Time {
+	if st.jo.profile {
+		return time.Now()
 	}
-	t0 := time.Now()
-	out := b.Apply(&st.pctx)
-	d := time.Since(t0)
-	if st.evSampled {
-		st.ev.Bounds = append(st.ev.Bounds, obs.BoundObs{Bound: b.Name(), Ns: int64(d), Pruned: out.Pruned})
-	}
-	st.bookOutcome(out, i, int64(d))
-	return out
+	return time.Time{}
 }
 
-// bookOutcome lands one evaluation in the worker's profile shard and the
-// group tallies.
-func (st *rec) bookOutcome(out filter.Outcome, i int, nanos int64) {
-	if i < len(st.prof) {
-		st.prof[i].evals++
-		st.prof[i].nanos += nanos
-		if out.Pruned {
-			st.prof[i].prunes++
+// book lands one evaluation of the stage at position i, begun at t0, in the
+// worker's BoundProfile and — when the pair is event-sampled — the event
+// record, and returns pruned. Evaluations are timed only when profiling is
+// on; untimed ones book zero nanoseconds.
+func (st *rec) book(i int, pruned bool, t0 time.Time) bool {
+	bc := &st.BoundProfile[i]
+	bc.Evals++
+	if pruned {
+		bc.Prunes++
+	}
+	if st.jo.profile {
+		d := int64(time.Since(t0))
+		bc.Nanos += d
+		if st.evSampled {
+			st.ev.Bounds = append(st.ev.Bounds, obs.BoundObs{Bound: bc.Bound, Ns: d, Pruned: pruned})
 		}
 	}
-	st.GroupsBuilt += out.GroupsBuilt
-	st.GroupsPruned += out.GroupsCSSPruned
+	return pruned
 }
 
 // exactOutcome reports how the exact enumeration rung ended.
@@ -652,8 +657,8 @@ func verify(pairCtx, joinCtx context.Context, pi *pairIn, groups []ugraph.Group,
 // world. The per-world CSS bound runs through the worker's
 // PairVerifier: every world of g (and of its conditioned groups) shares g's
 // structure, so only the λV matching is recomputed per world. A group of a
-// single world skips it: that world's bound is the CSS bound the chain (or
-// the group bound, for a kept group) already passed.
+// single world skips it: that world's bound is the CSS bound the css stage
+// (or the group bound, for a kept group) already passed.
 //
 // The best world is the graph's shared copy of it (worlds.go): a world that
 // several results of the graph report is cloned once, not once per pair.

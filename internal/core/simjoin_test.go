@@ -453,18 +453,20 @@ func checkAnswerSet(t *testing.T, name string, got []Pair, want map[[2]int]float
 
 // checkStatsPartition checks the identities every join's Stats must satisfy:
 // pairs split into pruned and candidates, candidates into verdicts, prunes
-// into per-bound attributions plus prescreen skips, and the attribution is
-// the chain profile's prunes folded by bound name.
+// into per-bound attributions plus prescreen skips, the attribution is the
+// chain profile's prunes folded by bound name, and CSSPruned and ProbPruned
+// split the profile's prunes by position (checkProfileIdentities).
 func checkStatsPartition(t *testing.T, name string, st *Stats, pairs, results, skipped int64) {
 	t.Helper()
+	checkProfileIdentities(t, name, st)
 	var attributed int64
 	for _, n := range st.PrunedBy {
 		attributed += n
 	}
 	profiled := map[string]int64{}
-	for _, bc := range ProfileByBound(st.BoundProfile) {
+	for _, bc := range st.BoundProfile {
 		if bc.Prunes != 0 {
-			profiled[bc.Bound] = bc.Prunes
+			profiled[bc.Bound] += bc.Prunes
 		}
 	}
 	switch {

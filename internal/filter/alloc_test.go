@@ -9,9 +9,9 @@ import (
 // TestFilterChainSigZeroAlloc pins the steady-state allocation behaviour of
 // the signature-based bounds: once the pair signatures exist and the
 // memoized per-condition sub-signatures have been built (first evaluation),
-// re-evaluating the CSS and Prob stages and the tight bound (with the
-// worker's scratch and the pair's CSS bound) on a pair must not allocate at
-// all. The Group stage is excluded — partitioning possible worlds
+// re-evaluating the CSS bound, Theorem 4's bound and the tight bound (with
+// the worker's scratch and the pair's CSS bound) on a pair must not allocate
+// at all. The grouped bound is excluded — partitioning possible worlds
 // legitimately builds conditioned graphs.
 func TestFilterChainSigZeroAlloc(t *testing.T) {
 	cfg := workload.DefaultSyntheticConfig()
@@ -20,18 +20,14 @@ func TestFilterChainSigZeroAlloc(t *testing.T) {
 	qsigs := NewQSigs(d)
 	gsigs := NewGSigs(u)
 	var sc Scratch
+	const tau = 2
 
-	// The context is hoisted and reused like the engine's per-worker rec.pctx:
-	// a loop-local PairContext escapes through the Bound interface call and
-	// costs one heap allocation per pair.
-	var pc PairContext
 	evalAll := func() {
 		for _, qs := range qsigs {
 			for _, gs := range gsigs {
-				pc = PairContext{QS: qs, GS: gs, Tau: 2, Alpha: 0.5, GroupCount: 10, Scratch: &sc}
-				CSS.Apply(&pc)
-				Prob.Apply(&pc)
-				TotalProbabilityUpperBoundSigScratch(&sc.BP, qs, gs, pc.Tau, pc.CSSLB)
+				lb := CSSLowerBoundUncertainSigScratch(&sc.BP, qs, gs)
+				SimilarityUpperBoundSig(qs, gs, tau)
+				TotalProbabilityUpperBoundSigScratch(&sc.BP, qs, gs, tau, lb)
 			}
 		}
 	}

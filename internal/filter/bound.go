@@ -1,13 +1,13 @@
 package filter
 
-// The filter chain's stages.
+// The pruning stages.
 //
 // The paper fixes the pruning order. Algorithm 1 runs the CSS bound of
-// Theorem 3 and then Theorem 4's probabilistic bound; Algorithm 2 runs CSS
-// and then the grouped bound. Those are the three Bounds below, CSS, Prob and
-// Group, and each join mode walks one fixed chain of them: [CSS], [CSS, Prob]
-// or [CSS, Group] (core.Options.Mode). Every stage is sound, so a pruned pair
-// is never a result.
+// Theorem 3 (CSSLowerBoundUncertainSigScratch) and then Theorem 4's
+// probabilistic bound (SimilarityUpperBoundSig); Algorithm 2 runs CSS and
+// then the grouped bound (GroupBound, below). The join calls them in that
+// order (core's prunephase). Every stage is sound, so a pruned pair is never
+// a result.
 //
 // The certain-graph baselines of baselines.go (LM, count, c-star,
 // path-grams, Pars, SEGOS) and the law-of-total-probability refinement of
@@ -21,20 +21,7 @@ import (
 	"simjoin/internal/ugraph"
 )
 
-// BoundKind classifies what a bound's prune decision proves, which is how the
-// join engine attributes the prune to its aggregate Stats counters.
-type BoundKind int
-
-const (
-	// Structural bounds lower-bound ged(q, w) for every possible world w and
-	// prune when the bound exceeds τ (SimPτ = 0).
-	Structural BoundKind = iota
-	// Probabilistic bounds upper-bound SimPτ(q, g) and prune when the bound
-	// falls below α.
-	Probabilistic
-)
-
-// Scratch holds the reusable per-worker buffers a filter chain writes
+// Scratch holds the reusable per-worker buffers the pruning stages write
 // through: the bipartite matching backing the λV computations, and the
 // per-pair group bounds and split frontier of Algorithm 2's partition
 // policy. The zero value is ready to use; a Scratch must not be shared
@@ -47,29 +34,6 @@ type Scratch struct {
 	frontier   []*splitNode
 }
 
-// PairContext is the per-pair state a chain of bounds shares: the two
-// precomputed signatures, the join thresholds, and the cross-bound carry
-// slots (the CSS lower bound, reused by the group bound's cache seed).
-type PairContext struct {
-	QS *QSig
-	GS *GSig
-
-	// Tau and Alpha are the join thresholds τ and α of Def. 7; GroupCount is
-	// the possible-world group budget GN of Algorithm 2.
-	Tau        int
-	Alpha      float64
-	GroupCount int
-
-	// Scratch must be non-nil; the engine provides one per worker.
-	Scratch *Scratch
-
-	// CSSLB carries the whole-pair CSS lower bound forward once a css stage
-	// has computed it, so later stages (the group bound's cache seed) reuse
-	// it instead of re-running the λV matching.
-	CSSLB    int
-	HasCSSLB bool
-}
-
 // MassSlack absorbs floating-point rounding wherever a probability-mass sum
 // is compared against α. Conditioned group masses do not sum bit-exactly to
 // the graph's mass, nor world probabilities to their group's, so at α = 1 a
@@ -79,104 +43,24 @@ type PairContext struct {
 // so no accepted pair's exact SimP is below α − 1e-9.
 const MassSlack = 1e-10
 
-// belowAlpha reports whether a similarity-probability upper bound proves
-// SimP < α, up to MassSlack.
-func (pc *PairContext) belowAlpha(ub float64) bool { return ub < pc.Alpha-MassSlack }
-
-// cssLowerBound returns the pair's CSS lower bound, computing and caching it
-// in the context on first use.
-func (pc *PairContext) cssLowerBound() int {
-	if !pc.HasCSSLB {
-		pc.CSSLB = CSSLowerBoundUncertainSigScratch(&pc.Scratch.BP, pc.QS, pc.GS)
-		pc.HasCSSLB = true
-	}
-	return pc.CSSLB
-}
-
-// Outcome is one bound's verdict on one pair.
-type Outcome struct {
-	// Pruned eliminates the pair: structurally (lb > τ) or probabilistically
-	// (ub < α) depending on the bound's Kind.
-	Pruned bool
-	// Groups, when non-nil on a surviving pair, is the possible-world
-	// partition the verification stage should enumerate instead of the whole
-	// graph (the group bound's kept groups).
-	Groups []ugraph.Group
-	// GroupsBuilt and GroupsCSSPruned tally Algorithm 2's partition work:
-	// groups constructed, and groups removed by their own CSS bound.
-	GroupsBuilt     int64
-	GroupsCSSPruned int64
-}
-
-// Bound is one stage of the pruning pipeline. Apply must be safe for
-// concurrent use on distinct PairContexts (all per-pair state lives in the
-// context and its Scratch).
-type Bound interface {
-	// Name is the stage's stable name: it keys Stats.PrunedBy and
-	// Stats.BoundProfile, the simjoin_bound_* metric labels and the event
-	// log.
-	Name() string
-	Kind() BoundKind
-	Apply(*PairContext) Outcome
-}
-
-// ── Chain stages ────────────────────────────────────────────────────────────
-
-// The three chain stages: ModeCSSOnly runs [CSS], ModeSimJ [CSS, Prob] and
-// ModeSimJOpt [CSS, Group].
-var (
-	// CSS is the structural CSS lower bound of Theorem 3.
-	CSS Bound = cssBound{}
-	// Prob is Theorem 4's similarity-probability upper bound.
-	Prob Bound = probBound{}
-	// Group is Algorithm 2's grouped probabilistic bound.
-	Group Bound = groupBound{}
-)
-
-// cssBound is the structural CSS lower bound of Theorem 3, evaluated on the
-// uncertain graph directly (wildcard-aware λV matching). It records the
-// computed bound in the context for later stages.
-type cssBound struct{}
-
-func (cssBound) Name() string    { return "css" }
-func (cssBound) Kind() BoundKind { return Structural }
-
-func (cssBound) Apply(pc *PairContext) Outcome {
-	lb := CSSLowerBoundUncertainSigScratch(&pc.Scratch.BP, pc.QS, pc.GS)
-	pc.CSSLB, pc.HasCSSLB = lb, true
-	return Outcome{Pruned: lb > pc.Tau}
-}
-
-// probBound is Theorem 4's similarity-probability upper bound.
-type probBound struct{}
-
-func (probBound) Name() string    { return "prob" }
-func (probBound) Kind() BoundKind { return Probabilistic }
-
-func (probBound) Apply(pc *PairContext) Outcome {
-	return Outcome{Pruned: pc.belowAlpha(SimilarityUpperBoundSig(pc.QS, pc.GS, pc.Tau))}
-}
-
-// groupBound is Algorithm 2's grouped probabilistic bound: partition the
-// possible worlds into at most GroupCount groups by the §6.2 cost model,
-// prune each group by its own CSS bound, and prune the pair when the summed
-// per-group upper bounds fall below α. Kept groups flow to verification
-// through Outcome.Groups.
-type groupBound struct{}
-
-func (groupBound) Name() string    { return "group" }
-func (groupBound) Kind() BoundKind { return Probabilistic }
-
-func (groupBound) Apply(pc *PairContext) Outcome {
-	sc := pc.Scratch
-	sc.resetGroupCache(pc)
-	nodes := partitionForQuery(pc)
-	out := Outcome{GroupsBuilt: int64(len(nodes))}
+// GroupBound is Algorithm 2's grouped probabilistic bound on the pair
+// (qs, gs): partition g's possible worlds into at most gn groups by the §6.2
+// cost model, prune each group by its own CSS bound, and prune the pair when
+// the summed per-group upper bounds fall below α (up to MassSlack). cssLB is
+// the whole pair's CSS lower bound, already computed by the stage before; it
+// seeds the root of the split tree. A surviving pair's kept groups are what
+// verification enumerates instead of the whole graph (nil when pruned);
+// built and cssPruned tally the groups constructed and the groups their own
+// CSS bound removed.
+func GroupBound(sc *Scratch, qs *QSig, gs *GSig, cssLB, tau int, alpha float64, gn int) (pruned bool, groups []ugraph.Group, built, cssPruned int64) {
+	sc.resetGroupCache(qs, gs, cssLB, tau)
+	nodes := sc.partitionForQuery(qs, gs, tau, gn)
+	built = int64(len(nodes))
 	ubSum := 0.0
 	for _, n := range nodes {
-		ge := sc.evalGroup(pc.QS, n, pc.Tau)
-		if ge.cssLB > pc.Tau {
-			out.GroupsCSSPruned++
+		ge := sc.evalGroup(qs, n, tau)
+		if ge.cssLB > tau {
+			cssPruned++
 			continue
 		}
 		ub := ge.simUB
@@ -185,17 +69,16 @@ func (groupBound) Apply(pc *PairContext) Outcome {
 		}
 		ubSum += ub
 	}
-	if pc.belowAlpha(ubSum) {
-		out.Pruned = true
-		return out
+	if ubSum < alpha-MassSlack {
+		return true, nil, built, cssPruned
 	}
-	out.Groups = make([]ugraph.Group, 0, len(nodes)-int(out.GroupsCSSPruned))
+	groups = make([]ugraph.Group, 0, len(nodes)-int(cssPruned))
 	for _, n := range nodes {
-		if sc.evalGroup(pc.QS, n, pc.Tau).cssLB <= pc.Tau {
-			out.Groups = append(out.Groups, n.group)
+		if sc.evalGroup(qs, n, tau).cssLB <= tau {
+			groups = append(groups, n.group)
 		}
 	}
-	return out
+	return false, groups, built, cssPruned
 }
 
 // ── Possible-world grouping (Algorithm 2 machinery) ─────────────────────────
@@ -210,17 +93,17 @@ type groupEval struct {
 }
 
 // resetGroupCache clears the per-pair group cache and seeds it with the whole
-// graph's already-computed CSS bound.
-func (sc *Scratch) resetGroupCache(pc *PairContext) {
+// graph's already-computed CSS bound cssLB.
+func (sc *Scratch) resetGroupCache(qs *QSig, gs *GSig, cssLB, tau int) {
 	if sc.groupCache == nil {
 		sc.groupCache = make(map[*splitNode]groupEval)
 	}
 	clear(sc.groupCache)
-	ge := groupEval{cssLB: pc.cssLowerBound()}
-	if ge.cssLB <= pc.Tau {
-		ge.simUB = SimilarityUpperBoundSig(pc.QS, pc.GS, pc.Tau)
+	ge := groupEval{cssLB: cssLB}
+	if ge.cssLB <= tau {
+		ge.simUB = SimilarityUpperBoundSig(qs, gs, tau)
 	}
-	sc.groupCache[pc.GS.splitRoot()] = ge
+	sc.groupCache[gs.splitRoot()] = ge
 }
 
 // evalGroup returns the pair's cached bounds of one split-tree group,
@@ -238,26 +121,25 @@ func (sc *Scratch) evalGroup(qs *QSig, n *splitNode, tau int) groupEval {
 	return ge
 }
 
-// partitionForQuery divides g's possible worlds into at most GroupCount
-// groups using the cost model of §6.2: at every round, split the group with
-// the largest probabilistic upper bound (the loosest contributor), i.e.
-// minimise Σ ub_SimP over non-pruned groups. Which group to split depends on
-// the query; how a group splits does not, so the groups are nodes of g's
+// partitionForQuery divides g's possible worlds into at most gn groups
+// using the cost model of §6.2: at every round, split the group with the
+// largest probabilistic upper bound (the loosest contributor), i.e. minimise
+// Σ ub_SimP over non-pruned groups. Which group to split depends on the
+// query; how a group splits does not, so the groups are nodes of g's
 // memoized split tree (GSig.splitRoot) and only their bounds are computed
 // per pair. The returned frontier is the scratch's, valid until the next
 // pair.
-func partitionForQuery(pc *PairContext) []*splitNode {
-	sc := pc.Scratch
-	nodes := append(sc.frontier[:0], pc.GS.splitRoot())
-	for len(nodes) < pc.GroupCount {
+func (sc *Scratch) partitionForQuery(qs *QSig, gs *GSig, tau, gn int) []*splitNode {
+	nodes := append(sc.frontier[:0], gs.splitRoot())
+	for len(nodes) < gn {
 		best, bestUB := -1, -1.0
 		for i, n := range nodes {
 			if n.splitV < 0 {
 				continue
 			}
-			ge := sc.evalGroup(pc.QS, n, pc.Tau)
+			ge := sc.evalGroup(qs, n, tau)
 			ub := 0.0
-			if ge.cssLB <= pc.Tau {
+			if ge.cssLB <= tau {
 				ub = ge.simUB
 				if ub > n.group.Mass {
 					ub = n.group.Mass

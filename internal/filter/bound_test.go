@@ -37,8 +37,7 @@ func TestStructuralBoundsSound(t *testing.T) {
 		qs, gs := NewQSig(q), NewGSig(g)
 		for _, tau := range []int{0, 1, 2} {
 			var sc Scratch
-			pc := PairContext{QS: qs, GS: gs, Tau: tau, Alpha: 0.5, GroupCount: 4, Scratch: &sc}
-			prunes := map[string]bool{CSS.Name(): CSS.Apply(&pc).Pruned}
+			prunes := map[string]bool{"css": CSSLowerBoundUncertainSigScratch(&sc.BP, qs, gs) > tau}
 			for _, b := range baselines {
 				prunes[b.name] = b.lb(q, gs.Relaxed(), tau) > tau
 			}
@@ -67,17 +66,28 @@ func TestStructuralBoundsSound(t *testing.T) {
 }
 
 // TestProbabilisticBoundsSound checks that a probabilistic prune at α implies
-// the exact similarity probability is below α: for the Prob and Group
-// stages, and for the tight bound evaluated as the ablation A6 would, with a
-// worker's scratch and the pair's CSS bound.
+// the exact similarity probability is below α: for Theorem 4's bound and the
+// grouped bound as the join's second stage runs them, and for the tight
+// bound evaluated as the ablation A6 would, each with a worker's scratch and
+// the pair's CSS bound.
 func TestProbabilisticBoundsSound(t *testing.T) {
 	rng := rand.New(rand.NewSource(137))
-	probs := map[string]func(pc *PairContext) bool{
-		"prob":  func(pc *PairContext) bool { return Prob.Apply(pc).Pruned },
-		"group": func(pc *PairContext) bool { return Group.Apply(pc).Pruned },
-		"tight": func(pc *PairContext) bool {
-			lb := CSSLowerBoundUncertainSigScratch(&pc.Scratch.BP, pc.QS, pc.GS)
-			return pc.belowAlpha(TotalProbabilityUpperBoundSigScratch(&pc.Scratch.BP, pc.QS, pc.GS, pc.Tau, lb))
+	type pair struct {
+		qs    *QSig
+		gs    *GSig
+		sc    *Scratch
+		lb    int
+		tau   int
+		alpha float64
+	}
+	probs := map[string]func(p pair) bool{
+		"prob": func(p pair) bool { return SimilarityUpperBoundSig(p.qs, p.gs, p.tau) < p.alpha-MassSlack },
+		"group": func(p pair) bool {
+			pruned, _, _, _ := GroupBound(p.sc, p.qs, p.gs, p.lb, p.tau, p.alpha, 4)
+			return pruned
+		},
+		"tight": func(p pair) bool {
+			return TotalProbabilityUpperBoundSigScratch(&p.sc.BP, p.qs, p.gs, p.tau, p.lb) < p.alpha-MassSlack
 		},
 	}
 	fired := make(map[string]int)
@@ -88,9 +98,9 @@ func TestProbabilisticBoundsSound(t *testing.T) {
 		for _, tau := range []int{0, 1} {
 			for _, alpha := range []float64{0.4, 0.8} {
 				for name, prunes := range probs {
-					var sc Scratch
-					pc := PairContext{QS: qs, GS: gs, Tau: tau, Alpha: alpha, GroupCount: 4, Scratch: &sc}
-					if !prunes(&pc) {
+					sc := new(Scratch)
+					lb := CSSLowerBoundUncertainSigScratch(&sc.BP, qs, gs)
+					if !prunes(pair{qs, gs, sc, lb, tau, alpha}) {
 						continue
 					}
 					fired[name]++

@@ -45,11 +45,11 @@ func directPartition(qs *QSig, g *ugraph.Graph, k, tau int) []ugraph.Group {
 	return groups
 }
 
-// describeOutcome renders a group bound outcome with every kept group's mass
-// bits and candidate label ids, for exact comparison.
-func describeOutcome(out Outcome) string {
-	s := fmt.Sprintf("pruned=%v built=%d cssPruned=%d", out.Pruned, out.GroupsBuilt, out.GroupsCSSPruned)
-	for _, gr := range out.Groups {
+// describeGroupBound renders GroupBound's verdict with every kept group's
+// mass bits and candidate label ids, for exact comparison.
+func describeGroupBound(pruned bool, groups []ugraph.Group, built, cssPruned int64) string {
+	s := fmt.Sprintf("pruned=%v built=%d cssPruned=%d", pruned, built, cssPruned)
+	for _, gr := range groups {
 		s += fmt.Sprintf(" [%x", math.Float64bits(gr.Mass))
 		for v := 0; v < gr.G.NumVertices(); v++ {
 			s += fmt.Sprint(gr.G.LabelIDs(v))
@@ -97,12 +97,12 @@ func TestGroupBoundSharedSplitTree(t *testing.T) {
 	want := make([]string, len(qsigs))
 	survived := 0
 	for i, qs := range qsigs {
-		pc := PairContext{QS: qs, GS: NewGSig(g), Tau: tau, Alpha: alpha, GroupCount: k, Scratch: &Scratch{}}
-		out := groupBound{}.Apply(&pc)
-		want[i] = describeOutcome(out)
+		gs := NewGSig(g)
+		pruned, out, built, cssPruned := GroupBound(&Scratch{}, qs, gs, CSSLowerBoundUncertainSig(qs, gs), tau, alpha, k)
+		want[i] = describeGroupBound(pruned, out, built, cssPruned)
 		groups := directPartition(qs, g, k, tau)
-		if int64(len(groups)) != out.GroupsBuilt {
-			t.Fatalf("query %d: %d groups built, direct partition %d", i, out.GroupsBuilt, len(groups))
+		if int64(len(groups)) != built {
+			t.Fatalf("query %d: %d groups built, direct partition %d", i, built, len(groups))
 		}
 		var kept []ugraph.Group
 		for _, gr := range groups {
@@ -110,11 +110,11 @@ func TestGroupBoundSharedSplitTree(t *testing.T) {
 				kept = append(kept, gr)
 			}
 		}
-		if !out.Pruned {
-			if len(out.Groups) > 1 {
+		if !pruned {
+			if len(out) > 1 {
 				survived++
 			}
-			if d := describeOutcome(Outcome{GroupsBuilt: out.GroupsBuilt, GroupsCSSPruned: out.GroupsCSSPruned, Groups: kept}); d != want[i] {
+			if d := describeGroupBound(false, kept, built, cssPruned); d != want[i] {
 				t.Fatalf("query %d: memoized %s\ndirect %s", i, want[i], d)
 			}
 		}
@@ -131,8 +131,9 @@ func TestGroupBoundSharedSplitTree(t *testing.T) {
 			defer wg.Done()
 			sc := &Scratch{}
 			for _, i := range rand.New(rand.NewSource(int64(w))).Perm(len(qsigs)) {
-				pc := PairContext{QS: qsigs[i], GS: shared, Tau: tau, Alpha: alpha, GroupCount: k, Scratch: sc}
-				if got := describeOutcome(groupBound{}.Apply(&pc)); got != want[i] {
+				qs := qsigs[i]
+				lb := CSSLowerBoundUncertainSigScratch(&sc.BP, qs, shared)
+				if got := describeGroupBound(GroupBound(sc, qs, shared, lb, tau, alpha, k)); got != want[i] {
 					t.Errorf("worker %d query %d: shared %s\nfresh %s", w, i, got, want[i])
 				}
 			}

@@ -2,10 +2,10 @@ package obs
 
 // Sampled "wide event" logging for the join pipeline.
 //
-// Aggregate counters answer "how much", but not "which pairs" — once the
-// filter chain is reorderable and the verdict ladder degrades per pair, the
-// question "why was this pair slow / pruned / undecided" needs one structured
-// record per decision. Logging every pair would dominate the join, so the
+// Aggregate counters answer "how much", but not "which pairs" — once a pair
+// can die at any of the pruning stages and the verdict ladder degrades per
+// pair, the question "why was this pair slow / pruned / undecided" needs one
+// structured record per decision. Logging every pair would dominate the join, so the
 // EventLog samples: every Nth pair emits one JSONL record carrying the pair
 // ids, each bound's outcome and duration, the verdict-ladder rung that
 // decided the pair, and the work counters (worlds enumerated, GED calls and
@@ -148,9 +148,9 @@ type EventBuffer struct {
 	pending int64
 }
 
-// BoundObs is one filter-chain stage's outcome on the sampled pair.
+// BoundObs is one pruning stage's outcome on the sampled pair.
 type BoundObs struct {
-	Bound  string // registry name of the bound
+	Bound  string // the stage's name (css, prob or group)
 	Ns     int64  // evaluation wall time
 	Pruned bool
 }

@@ -26,7 +26,8 @@ type Config struct {
 	// Resident is the uncertain side the service joins against.
 	Resident *core.Resident
 	// Join is the base engine configuration; requests at tierExact run with
-	// it unchanged (per-request tau/alpha overrides aside).
+	// it unchanged (per-request tau/alpha overrides aside), except that
+	// KeepMappings is cleared: a JoinMatch carries no mapping.
 	Join core.Options
 	// QA answers POST /ask; nil makes /ask return 501.
 	QA qa.System
@@ -77,6 +78,9 @@ type Config struct {
 }
 
 func (c *Config) normalise() {
+	// Keeping mappings would clone one per result, and re-run a GED for a
+	// best world scored against the relaxed lists, for nothing /join returns.
+	c.Join.KeepMappings = false
 	if c.MaxInFlight <= 0 {
 		c.MaxInFlight = 4
 	}

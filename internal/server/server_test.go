@@ -173,6 +173,16 @@ func TestTierOptionsMapping(t *testing.T) {
 	if ap.MaxWorlds != 1 || ap.SampleWorlds != -1 {
 		t.Fatalf("tierApprox options = %+v", ap)
 	}
+	// testJoinOptions keeps mappings; /join returns none, so no tier keeps
+	// them.
+	if !testJoinOptions().KeepMappings {
+		t.Fatal("vacuous: the base options do not keep mappings")
+	}
+	for _, o := range []core.Options{ex, sm, ap} {
+		if o.KeepMappings {
+			t.Fatalf("a tier keeps mappings: %+v", o)
+		}
+	}
 }
 
 func TestTierForPressure(t *testing.T) {

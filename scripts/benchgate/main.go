@@ -6,12 +6,11 @@
 // instead of silently rotting the baseline.
 //
 // The baseline's v2 schema additionally carries per-bound prune rates
-// measured on the deterministic CI workload, keyed by bound name (folded
-// across chain positions, so a reordered chain doesn't shift the keys);
-// passing -stats (a `simjoin -stats-json` document from the same workload)
-// gates prune-rate drift too, so a bounds change that silently weakens
-// pruning fails the same way a slowdown does. Legacy v1 baselines (a plain
-// benchmark map) still load.
+// measured on the deterministic CI workload, keyed by bound name (every
+// stage has one position); passing -stats (a `simjoin -stats-json` document
+// from the same workload) gates prune-rate drift too, so a bounds change
+// that silently weakens pruning fails the same way a slowdown does. Legacy
+// v1 baselines (a plain benchmark map) still load.
 //
 //	go run ./scripts/benchgate -baseline BENCH_join.json -current /tmp/bench.json \
 //	    -max-regress 25 -max-allocs-regress 10 -stats /tmp/stats.json -max-prune-drift 5
@@ -68,11 +67,10 @@ func load(path string) (*baselineDoc, error) {
 }
 
 // statsDoc is the slice of a `simjoin -stats-json` document benchgate needs:
-// the per-bound profile of the join's filter chain.
+// the per-bound profile of the join's pruning stages.
 type statsDoc struct {
 	Stats struct {
 		BoundProfile []struct {
-			Pos    int    `json:"pos"`
 			Bound  string `json:"bound"`
 			Evals  int64  `json:"evals"`
 			Prunes int64  `json:"prunes"`
@@ -80,10 +78,9 @@ type statsDoc struct {
 	} `json:"stats"`
 }
 
-// pruneRates extracts bound name → prune-rate from a stats document. Entries
-// are folded by name (evals and prunes summed across chain positions) so the
-// gate compares the same bound across runs even when a reordered chain
-// placed it at a different position.
+// pruneRates extracts bound name → prune-rate from a stats document. Every
+// stage has one position, so its name keys it; a stage that evaluated no
+// pair has no rate.
 func pruneRates(path string) (map[string]float64, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
@@ -96,23 +93,11 @@ func pruneRates(path string) (map[string]float64, error) {
 	if len(doc.Stats.BoundProfile) == 0 {
 		return nil, fmt.Errorf("%s: no BoundProfile (run simjoin with -stats-json)", path)
 	}
-	type tally struct{ evals, prunes int64 }
-	byName := make(map[string]*tally, len(doc.Stats.BoundProfile))
+	rates := make(map[string]float64, len(doc.Stats.BoundProfile))
 	for _, bc := range doc.Stats.BoundProfile {
-		t := byName[bc.Bound]
-		if t == nil {
-			t = &tally{}
-			byName[bc.Bound] = t
+		if bc.Evals > 0 {
+			rates[bc.Bound] = float64(bc.Prunes) / float64(bc.Evals)
 		}
-		t.evals += bc.Evals
-		t.prunes += bc.Prunes
-	}
-	rates := make(map[string]float64, len(byName))
-	for name, t := range byName {
-		if t.evals == 0 {
-			continue
-		}
-		rates[name] = float64(t.prunes) / float64(t.evals)
 	}
 	return rates, nil
 }

@@ -93,6 +93,10 @@ if [ "${relaxed_pairs:-0}" -eq 0 ]; then
 	echo "stats.json: simjoin_relaxed_pairs_total is ${relaxed_pairs:-missing}, want > 0"
 	exit 1
 fi
+# obsdiff, the README's drift report between two snapshots, reads each
+# stage's prune rate from BoundProfile; a snapshot against itself must show
+# no drift.
+go run ./scripts/obsdiff "$ART/stats.json" "$ART/stats.json" > "$ART/obsdiff.txt"
 
 echo "== prune tally (the pruned-by line accounts for every pair the chain pruned)"
 # Each mode runs one fixed chain ([css], [css,prob] or [css,group]); the

@@ -1,11 +1,11 @@
 // Command obsdiff compares two `simjoin -stats-json` snapshots and reports
 // drift in the quantities a pipeline change is most likely to disturb
-// silently: per-bound prune rates (the filter chain's measured selectivity,
-// folded by bound name) and per-stage latency quantiles. It exits non-zero
-// when the prune-rate drift exceeds its budget, so CI can pin the filter
-// chain's pruning behaviour on a deterministic workload across changes;
-// latency drift is reported but only gated when a budget is set (wall time
-// is noisy in CI).
+// silently: per-bound prune rates (each pruning stage's measured
+// selectivity, keyed by stage name: every stage has one position) and
+// per-stage latency quantiles. It exits non-zero when the prune-rate drift
+// exceeds its budget, so CI can pin the stages' pruning behaviour on a
+// deterministic workload across changes; latency drift is reported but only
+// gated when a budget is set (wall time is noisy in CI).
 //
 //	go run ./scripts/obsdiff -max-prune-drift 5 before.json after.json
 package main
@@ -73,8 +73,8 @@ func diff(a, b *doc, maxPrune, maxLatency float64) error {
 
 	fmt.Println("per-bound prune rates:")
 	fmt.Printf("  %-12s %10s %10s %10s\n", "bound", "before", "after", "drift(pp)")
-	aProf := core.ProfileByBound(a.Stats.BoundProfile)
-	bByName := profileByName(core.ProfileByBound(b.Stats.BoundProfile))
+	aProf, bProf := a.Stats.BoundProfile, b.Stats.BoundProfile
+	bByName := profileByName(bProf)
 	for i := range aProf {
 		ac := &aProf[i]
 		bc, ok := bByName[ac.Bound]
@@ -93,7 +93,7 @@ func diff(a, b *doc, maxPrune, maxLatency float64) error {
 			ac.Bound, ac.Selectivity(), bc.Selectivity(), drift, status)
 	}
 	aByName := profileByName(aProf)
-	for _, bc := range core.ProfileByBound(b.Stats.BoundProfile) {
+	for _, bc := range bProf {
 		if _, ok := aByName[bc.Bound]; !ok {
 			fmt.Printf("  %-12s %10s %10.4f new in after run\n", bc.Bound, "-", bc.Selectivity())
 		}
